@@ -12,11 +12,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import evaluator, modelfile, trainer
-from .dataset import Triple, load_manifest, load_triples, make_folds
+from .dataset import load_manifest, load_triples, make_folds
 from .errors import (ConfigError, IntegrityError, MetricError, NumericalError,
                      OutOfDictionaryError, ParseError, SmeError)
-from .model import FORMS
+from .model import FORMS, energies_batch
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -137,20 +139,24 @@ def cmd_eval(args) -> int:
 
 
 def cmd_score(args) -> int:
+    # every argument is parsed and looked up before anything is printed
     model = modelfile.load_model(args.model)
     index = {s: i for i, s in enumerate(model.symbols)}
+    rows = []
     for raw in args.triples:
         parts = raw.split("\t")
         if len(parts) != 3:
             raise ConfigError(
                 f"triple must be 'lhs<TAB>rel<TAB>rhs', got {raw!r}")
         try:
-            ids = [index[s] for s in parts]
+            rows.append([index[s] for s in parts])
         except KeyError as exc:
             raise OutOfDictionaryError(
                 f"out-of-dictionary symbol: {exc.args[0]!r}") from None
-        score = -model.energy_of(Triple(*ids))
-        print(f"{parts[0]}\t{parts[1]}\t{parts[2]}\t{score:.17g}")
+    ids = np.array(rows, dtype=np.int64)
+    scores = -energies_batch(model.emb, model.params, ids[:, 0], ids[:, 1], ids[:, 2])
+    print("\n".join(f"{raw}\t{score:.17g}"
+                    for raw, score in zip(args.triples, scores.tolist())))
     return EXIT_OK
 
 

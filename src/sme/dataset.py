@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, IntegrityError, LookupIdError, OutOfDictionaryError, ParseError
+from .errors import ConfigError, IntegrityError, OutOfDictionaryError, ParseError
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,6 @@ class Dictionary:
         except KeyError:
             raise OutOfDictionaryError(f"unknown symbol: {symbol!r}") from None
 
-    def symbol_of(self, i: int) -> str:
-        if not 0 <= i < len(self.symbols):
-            raise LookupIdError(f"id {i} outside [0, {len(self.symbols)})")
-        return self.symbols[i]
-
     def is_relation(self, i: int) -> bool:
         return i in self.relation_ids
 
@@ -95,9 +90,6 @@ class TripleSet:
 
     def __len__(self) -> int:
         return len(self.lhs)
-
-    def triple(self, i: int) -> Triple:
-        return Triple(int(self.lhs[i]), int(self.rel[i]), int(self.rhs[i]))
 
     def subset(self, mask: np.ndarray) -> "TripleSet":
         return TripleSet(self.lhs[mask], self.rel[mask], self.rhs[mask],
@@ -226,28 +218,3 @@ def load_manifest(path) -> Manifest:
     triples_path = (path.parent / payload["triples"]).resolve()
     return Manifest(str(payload["name"]), triples_path, folds, seed)
 
-
-def save_dataset(path, d: Dictionary, ts: TripleSet) -> None:
-    """Serialize dictionary + records (+ fold assignment) as JSON."""
-    payload = {
-        "symbols": d.symbols,
-        "relation_ids": sorted(d.relation_ids),
-        "entity_ids": sorted(d.entity_ids),
-        "records": np.stack([ts.lhs, ts.rel, ts.rhs, ts.label], axis=1).tolist(),
-        "fold": ts.fold.tolist(),
-    }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
-
-
-def load_dataset(path) -> tuple[Dictionary, TripleSet]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    d = Dictionary()
-    for s in payload["symbols"]:
-        d.intern(s)
-    d.relation_ids = set(payload["relation_ids"])
-    d.entity_ids = set(payload["entity_ids"])
-    rec = np.array(payload["records"], dtype=np.int64).reshape(-1, 4)
-    fold = np.array(payload["fold"], dtype=np.int64)
-    ts = TripleSet(rec[:, 0].copy(), rec[:, 1].copy(), rec[:, 2].copy(),
-                   rec[:, 3].copy(), fold)
-    return d, ts

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dictionary, FoldSplit, TripleSet
-from .errors import MetricError
+from .errors import ConfigError, MetricError
 from .model import Model, energies_batch
 
 
@@ -142,6 +142,8 @@ def cross_validate(d: Dictionary, split: FoldSplit, form: str,
                    dim_d: int, dim_p: int, config,
                    dataset_name: str = "dataset", jobs: int = 1) -> EvalReport:
     """Train a fresh model per fold and aggregate test AUC-PR across folds."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     results: dict[int, tuple[float, dict]] = {}
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

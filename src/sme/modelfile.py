@@ -17,6 +17,7 @@ Round-tripping reproduces every float bitwise.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -57,47 +58,50 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    raw = Path(path).read_bytes()
-    if len(raw) < 17 or raw[:4] != MAGIC:
+    """Read a model file. Every length is checked against the bytes left
+    before it is used, so a truncated or corrupt file is an IntegrityError."""
+    raw = memoryview(Path(path).read_bytes())
+    if raw[:4] != MAGIC:
         raise IntegrityError(f"{path}: not a recognized model file (bad magic/version)")
     off = 4
-    (form_code,) = struct.unpack_from("<B", raw, off)
-    off += 1
+
+    def take(nbytes: int) -> memoryview:
+        nonlocal off
+        if nbytes > len(raw) - off:
+            raise IntegrityError(f"{path}: truncated model file")
+        off += nbytes
+        return raw[off - nbytes:off]
+
+    (form_code,) = struct.unpack("<B", take(1))
     if form_code not in _FORM_NAMES:
         raise IntegrityError(f"{path}: unknown form code {form_code}")
     form = _FORM_NAMES[form_code]
-    d, p, n = struct.unpack_from("<III", raw, off)
-    off += 12
+    d, p, n = struct.unpack("<III", take(12))
+    if d == 0 or p == 0:
+        raise IntegrityError(f"{path}: zero dimension (d={d}, p={p})")
     symbols = []
     for _ in range(n):
-        (length,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        symbols.append(raw[off:off + length].decode("utf-8"))
-        off += length
-    bitmap_len = (n + 7) // 8
-    flags = _unpack_bitmap(raw[off:off + bitmap_len], n)
-    off += bitmap_len
+        (length,) = struct.unpack("<I", take(4))
+        try:
+            symbols.append(str(take(length), "utf-8"))
+        except UnicodeDecodeError:
+            raise IntegrityError(f"{path}: symbol {len(symbols)} is not UTF-8") from None
+    if len(set(symbols)) != n:
+        raise IntegrityError(f"{path}: duplicate symbol in model file")
+    flags = _unpack_bitmap(take((n + 7) // 8), n)
     relation_ids = frozenset(i for i, f in enumerate(flags) if f)
 
-    def read_floats(count, shape):
-        nonlocal off
-        nbytes = count * 8
-        if off + nbytes > len(raw):
-            raise IntegrityError(f"{path}: truncated model file")
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape)
-        off += nbytes
-        return arr.copy()
+    def read_floats(*shape):
+        return np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
 
-    emb = EmbeddingTable(read_floats(n * d, (n, d)), relation_ids)
+    emb = EmbeddingTable(read_floats(n, d), relation_ids)
     if form == LINEAR:
-        params = LinearParams(
-            read_floats(p * d, (p, d)), read_floats(p * d, (p, d)),
-            read_floats(p * d, (p, d)), read_floats(p * d, (p, d)),
-            read_floats(p, (p,)), read_floats(p, (p,)))
+        params = LinearParams(read_floats(p, d), read_floats(p, d),
+                              read_floats(p, d), read_floats(p, d),
+                              read_floats(p), read_floats(p))
     else:
-        params = BilinearParams(
-            read_floats(p * d * d, (p, d, d)), read_floats(p * d * d, (p, d, d)),
-            read_floats(p, (p,)), read_floats(p, (p,)))
+        params = BilinearParams(read_floats(p, d, d), read_floats(p, d, d),
+                                read_floats(p), read_floats(p))
     if off != len(raw):
         raise IntegrityError(f"{path}: trailing bytes in model file")
     return Model(form, symbols, relation_ids, emb, params)

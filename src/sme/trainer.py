@@ -17,8 +17,8 @@ import numpy as np
 from . import evaluator
 from .dataset import Dictionary, Triple, TripleSet, positives_of
 from .errors import ConfigError, NumericalError
-from .model import (BilinearParams, EmbeddingTable, LinearParams, Model,
-                    Params, energies_batch, init_embeddings, init_params)
+from .model import (EmbeddingTable, Model, Params, backward, energies_batch,
+                    forward, init_embeddings, init_params)
 
 CORRUPTION_MODES = ("lhs", "rhs", "both")
 
@@ -107,42 +107,6 @@ def _corrupt_batch(lhs, rel, rhs, mode, rng, entity_ids):
     return c_lhs, rel.copy(), c_rhs
 
 
-def _accumulate_gradients(emb: EmbeddingTable, params: Params,
-                          lhs, rel, rhs, sign: float,
-                          g_params: Params, g_emb: np.ndarray) -> None:
-    """Add sign * d(sum of energies)/d(theta) for a batch of triples."""
-    el = emb.vectors[lhs]
-    er = emb.vectors[rel]
-    eh = emb.vectors[rhs]
-    if isinstance(params, LinearParams):
-        u = el @ params.w_l1.T + er @ params.w_l2.T + params.b_l
-        v = eh @ params.w_r1.T + er @ params.w_r2.T + params.b_r
-        g_params.w_l1 -= sign * (v.T @ el)
-        g_params.w_l2 -= sign * (v.T @ er)
-        g_params.w_r1 -= sign * (u.T @ eh)
-        g_params.w_r2 -= sign * (u.T @ er)
-        g_params.b_l -= sign * v.sum(axis=0)
-        g_params.b_r -= sign * u.sum(axis=0)
-        np.add.at(g_emb, lhs, -sign * (v @ params.w_l1))
-        np.add.at(g_emb, rhs, -sign * (u @ params.w_r1))
-        np.add.at(g_emb, rel, -sign * (v @ params.w_l2 + u @ params.w_r2))
-        return
-    assert isinstance(params, BilinearParams)
-    m_l = np.einsum("pjk,mk->mpj", params.w_l, er)
-    m_r = np.einsum("pjk,mk->mpj", params.w_r, er)
-    u = np.einsum("mpj,mj->mp", m_l, el) + params.b_l
-    v = np.einsum("mpj,mj->mp", m_r, eh) + params.b_r
-    g_params.w_l -= sign * np.einsum("mp,mj,mk->pjk", v, el, er)
-    g_params.w_r -= sign * np.einsum("mp,mj,mk->pjk", u, eh, er)
-    g_params.b_l -= sign * v.sum(axis=0)
-    g_params.b_r -= sign * u.sum(axis=0)
-    np.add.at(g_emb, lhs, -sign * np.einsum("mpj,mp->mj", m_l, v))
-    np.add.at(g_emb, rhs, -sign * np.einsum("mpj,mp->mj", m_r, u))
-    d_rel = (np.einsum("pjk,mp,mj->mk", params.w_l, v, el)
-             + np.einsum("pjk,mp,mj->mk", params.w_r, u, eh))
-    np.add.at(g_emb, rel, -sign * d_rel)
-
-
 def sgd_step(batch: list[tuple[Triple, Triple]], emb: EmbeddingTable,
              params: Params, config: TrainConfig) -> float:
     """One mini-batch update. Returns the mean ranking loss before the update."""
@@ -156,39 +120,38 @@ def sgd_step(batch: list[tuple[Triple, Triple]], emb: EmbeddingTable,
 def _sgd_step_arrays(p_lhs, p_rel, p_rhs, n_lhs, n_rel, n_rhs,
                      emb: EmbeddingTable, params: Params,
                      config: TrainConfig) -> float:
-    e_pos = energies_batch(emb, params, p_lhs, p_rel, p_rhs)
-    e_neg = energies_batch(emb, params, n_lhs, n_rel, n_rhs)
-    losses = np.maximum(0.0, config.margin + e_pos - e_neg)
+    # positives and corruptions go through one forward, positives first
+    m = len(p_lhs)
+    lhs = np.concatenate((p_lhs, n_lhs))
+    rel = np.concatenate((p_rel, n_rel))
+    rhs = np.concatenate((p_rhs, n_rhs))
+    energies, cache = forward(emb.vectors, params, lhs, rel, rhs)
+    losses = np.maximum(0.0, config.margin + energies[:m] - energies[m:])
     if not np.all(np.isfinite(losses)):
         raise NumericalError("non-finite ranking loss; training aborted")
     mean_loss = float(losses.mean())
     active = losses > 0
-    if not active.any():
+    k = int(active.sum())
+    if k == 0:
         return mean_loss
 
-    g_params = _zeros_like_params(params)
-    g_emb = np.zeros_like(emb.vectors)
-    _accumulate_gradients(emb, params, p_lhs[active], p_rel[active], p_rhs[active],
-                          +1.0, g_params, g_emb)
-    _accumulate_gradients(emb, params, n_lhs[active], n_rel[active], n_rhs[active],
-                          -1.0, g_params, g_emb)
-    for target, grad in zip(params.arrays(), g_params.arrays()):
+    # an active pair's loss is margin + energy(pos) - energy(neg): its
+    # positive row is weighted +1 and its corruption -1
+    rows = np.concatenate((active, active))
+    grads = backward(params, cache.take(rows), np.repeat([1.0, -1.0], k))
+    for grad in grads.params.arrays():
         if not np.all(np.isfinite(grad)):
             raise NumericalError("non-finite parameter gradient; training aborted")
-        target -= config.learning_rate * grad
-    touched = np.unique(np.concatenate([
-        p_lhs[active], p_rel[active], p_rhs[active],
-        n_lhs[active], n_rel[active], n_rhs[active]]))
-    if not np.all(np.isfinite(g_emb[touched])):
+    ids = np.concatenate((lhs[rows], rel[rows], rhs[rows]))
+    touched, slot = np.unique(ids, return_inverse=True)
+    g_emb = np.zeros((len(touched), emb.dim))
+    np.add.at(g_emb, slot, np.concatenate((grads.d_lhs, grads.d_rel, grads.d_rhs)))
+    if not np.all(np.isfinite(g_emb)):
         raise NumericalError("non-finite embedding gradient; training aborted")
-    emb.vectors[touched] -= config.learning_rate * g_emb[touched]
+    for target, grad in zip(params.arrays(), grads.params.arrays()):
+        target -= config.learning_rate * grad
+    emb.vectors[touched] -= config.learning_rate * g_emb
     return mean_loss
-
-
-def _zeros_like_params(params: Params) -> Params:
-    if isinstance(params, LinearParams):
-        return LinearParams(*(np.zeros_like(a) for a in params.arrays()))
-    return BilinearParams(*(np.zeros_like(a) for a in params.arrays()))
 
 
 def _log_enabled() -> bool:
@@ -200,6 +163,8 @@ def train(train_ts: TripleSet, valid_ts: TripleSet, d: Dictionary,
           config: TrainConfig) -> tuple[Model, TrainTrace]:
     """Run SGD epochs with early stopping; returns the best-validation model."""
     config.validate()
+    if dim_d < 1 or dim_p < 1:
+        raise ConfigError(f"dimensions must be >= 1, got d={dim_d} p={dim_p}")
     if len(train_ts) == 0:
         raise ConfigError("training set is empty")
     if len(valid_ts) == 0:

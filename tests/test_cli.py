@@ -163,3 +163,24 @@ class TestCanonicalSmoke:
         s_pos = -energies_batch(model.emb, model.params, lhs, rel, rhs)
         s_neg = -energies_batch(model.emb, model.params, c_lhs, c_rel, c_rhs)
         assert (s_pos > s_neg).mean() >= 0.90
+
+
+class TestRejectsZeroSizes:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--dim-d", "0"],
+        ["train", "--dim-p", "0"],
+        ["train", "--dim-d", "-3"],
+        ["eval", "--dim-p", "0"],
+        ["eval", "--jobs", "0"],
+    ])
+    def test_usage_exit_and_no_output(self, toy_files, capsys, monkeypatch, argv):
+        monkeypatch.setenv("SME_LOG", "info")
+        tmp_path, manifest, _ = toy_files
+        out = tmp_path / "out"
+        code = run([argv[0], "--dataset", str(manifest), "--epochs", "1",
+                    "--out", str(out), *argv[1:]])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not list(tmp_path.glob("out*"))

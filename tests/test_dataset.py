@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sme.dataset import (TripleSet, load_dataset, load_manifest, load_triples,
-                         make_folds, positives_of, save_dataset)
+from sme.dataset import (TripleSet, load_manifest, load_triples, make_folds,
+                         positives_of)
 from sme.errors import ConfigError, IntegrityError, ParseError
 
 from conftest import load_canonical, write_triples
@@ -113,19 +113,6 @@ class TestMakeFolds:
 
 
 class TestRoundTrip:
-    def test_dataset_json_round_trip(self, tmp_path, toy_dataset):
-        d, ts = toy_dataset
-        split = make_folds(ts, 5, seed=3)
-        save_dataset(tmp_path / "ds.json", d, split.triples)
-        d2, ts2 = load_dataset(tmp_path / "ds.json")
-        assert d2.symbols == d.symbols
-        assert d2.relation_ids == d.relation_ids
-        assert d2.entity_ids == d.entity_ids
-        for a, b in [(ts2.lhs, split.triples.lhs), (ts2.rel, split.triples.rel),
-                     (ts2.rhs, split.triples.rhs), (ts2.label, split.triples.label),
-                     (ts2.fold, split.triples.fold)]:
-            assert np.array_equal(a, b)
-
     def test_tsv_reload_preserves_ids(self, tmp_path):
         recs = [("a", "r", "b", 1), ("c", "r", "a", 0), ("b", "s", "c", 1)]
         p1 = write_triples(tmp_path / "a.tsv", recs)

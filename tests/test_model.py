@@ -5,8 +5,7 @@ from sme.dataset import Triple
 from sme.errors import LookupIdError
 from sme.model import (BILINEAR, LINEAR, BilinearParams, EmbeddingTable,
                        LinearParams, energies_batch, energy, energy_gradients,
-                       g_left_bilinear, g_left_linear, g_right_linear,
-                       init_embeddings, init_params)
+                       forward, init_embeddings, init_params)
 
 from oracles import (energy_bilinear_formula, energy_linear_formula,
                      finite_difference, matvec_loop, mode3_loop)
@@ -22,18 +21,25 @@ def random_instance(form, seed, n=5, d=3, p=2):
     return emb, params, Triple(0, 2, 1)
 
 
+def g_left(e_lhs, e_rel, params):
+    """The kernel's transformed left embedding u for one (lhs, rel) pair."""
+    E = np.stack([e_lhs, e_rel, e_lhs])
+    _, cache = forward(E, params, np.array([0]), np.array([1]), np.array([2]))
+    return cache.u[0]
+
+
 class TestGFunctions:
     def test_zero_params_linear(self):
         params = LinearParams(*(np.zeros((2, 3)) for _ in range(4)),
                               np.zeros(2), np.zeros(2))
-        out = g_left_linear(np.ones(3), np.ones(3), params)
+        out = g_left(np.ones(3), np.ones(3), params)
         assert np.array_equal(out, np.zeros(2))
 
     def test_identity_passthrough(self):
         params = LinearParams(np.eye(2), np.zeros((2, 2)), np.eye(2),
                               np.zeros((2, 2)), np.zeros(2), np.zeros(2))
         e = np.array([0.3, -0.7])
-        assert np.array_equal(g_left_linear(e, np.ones(2), params), e)
+        assert np.array_equal(g_left(e, np.ones(2), params), e)
 
     def test_linear_matches_two_matvec_oracle(self):
         rng = np.random.default_rng(11)
@@ -41,12 +47,12 @@ class TestGFunctions:
                               rng.uniform(-1, 1, size=2), rng.uniform(-1, 1, size=2))
         el, er = rng.uniform(-1, 1, size=2), rng.uniform(-1, 1, size=2)
         expect = matvec_loop(params.w_l1, el) + matvec_loop(params.w_l2, er) + params.b_l
-        assert np.allclose(g_left_linear(el, er, params), expect, atol=1e-12)
+        assert np.allclose(g_left(el, er, params), expect, atol=1e-12)
 
     def test_bilinear_zero_tensor_gives_bias(self):
         params = BilinearParams(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)),
                                 np.array([1.0, -2.0]), np.zeros(2))
-        out = g_left_bilinear(np.ones(3), np.ones(3), params)
+        out = g_left(np.ones(3), np.ones(3), params)
         assert np.array_equal(out, [1.0, -2.0])
 
     def test_bilinear_identity_slices(self):
@@ -56,7 +62,7 @@ class TestGFunctions:
         params = BilinearParams(w, w.copy(), np.array([0.1, 0.2, 0.3]), np.zeros(d))
         el = np.array([0.5, -1.0, 2.0])
         er = np.array([0.2, 0.3, 0.5])
-        assert np.allclose(g_left_bilinear(el, er, params), el + params.b_l, atol=1e-12)
+        assert np.allclose(g_left(el, er, params), el + params.b_l, atol=1e-12)
 
     def test_bilinear_matches_triple_loop(self):
         rng = np.random.default_rng(12)
@@ -65,7 +71,7 @@ class TestGFunctions:
                                 rng.uniform(-1, 1, size=2), rng.uniform(-1, 1, size=2))
         el, er = rng.uniform(-1, 1, size=3), rng.uniform(-1, 1, size=3)
         expect = matvec_loop(mode3_loop(params.w_l, er), el) + params.b_l
-        assert np.allclose(g_left_bilinear(el, er, params), expect, atol=1e-12)
+        assert np.allclose(g_left(el, er, params), expect, atol=1e-12)
 
 
 class TestEnergy:
@@ -186,8 +192,8 @@ class TestGradients:
         emb, params, t = random_instance(LINEAR, seed=33)
         grads = energy_gradients(t, emb, params)
         el, er = emb.vectors[t.lhs], emb.vectors[t.rel]
-        g_left = params.w_l1 @ el + params.w_l2 @ er + params.b_l
-        assert np.allclose(grads.d_rhs, -(params.w_r1.T @ g_left), atol=1e-12)
+        left = params.w_l1 @ el + params.w_l2 @ er + params.b_l
+        assert np.allclose(grads.d_rhs, -(params.w_r1.T @ left), atol=1e-12)
 
         def f():
             return energy(t, emb, params)

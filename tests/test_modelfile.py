@@ -1,6 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
+from sme import cli
 from sme.errors import IntegrityError
 from sme.model import BILINEAR, LINEAR, Model, init_embeddings, init_params
 from sme.modelfile import load_model, save_model
@@ -62,3 +65,61 @@ def test_unicode_symbols_round_trip(tmp_path):
     path = tmp_path / "m.sme"
     save_model(model, path)
     assert load_model(path).symbols[0] == "λ-sym/été"
+
+
+@pytest.mark.parametrize("form", [LINEAR, BILINEAR])
+def test_every_prefix_exits_3_from_score(tmp_path, capsys, form):
+    model = random_model(form, seed=4)
+    raw_path = tmp_path / "full.sme"
+    save_model(model, raw_path)
+    raw = raw_path.read_bytes()
+    triple = "sym_0\tsym_5\tsym_1"
+    assert cli.main(["score", "--model", str(raw_path), triple]) == 0
+    path = tmp_path / "cut.sme"
+    for end in range(len(raw)):
+        path.write_bytes(raw[:end])
+        assert cli.main(["score", "--model", str(path), triple]) == 3, end
+    assert capsys.readouterr().out.count("\n") == 1   # only the full file scored
+
+
+# header: magic (4) form (1) d (4) p (4) n_symbols (4), then the symbols
+D_AT, COUNT_AT, FIRST_SYMBOL_AT = 5, 13, 17 + 4
+
+
+def test_huge_symbol_count_is_integrity_error(tmp_path):
+    path = tmp_path / "m.sme"
+    save_model(random_model(LINEAR, seed=5), path)
+    raw = bytearray(path.read_bytes())
+    raw[COUNT_AT:COUNT_AT + 4] = struct.pack("<I", 10**9)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(IntegrityError, match="truncated"):
+        load_model(path)
+
+
+def test_non_utf8_symbol_is_integrity_error(tmp_path):
+    path = tmp_path / "m.sme"
+    save_model(random_model(LINEAR, seed=6), path)
+    raw = bytearray(path.read_bytes())
+    raw[FIRST_SYMBOL_AT] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(IntegrityError, match="UTF-8"):
+        load_model(path)
+
+
+def test_zero_dimension_is_integrity_error(tmp_path):
+    path = tmp_path / "m.sme"
+    save_model(random_model(LINEAR, seed=7), path)
+    raw = bytearray(path.read_bytes())
+    raw[D_AT:D_AT + 4] = struct.pack("<I", 0)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(IntegrityError, match="zero dimension"):
+        load_model(path)
+
+
+def test_duplicate_symbol_is_integrity_error(tmp_path):
+    model = random_model(LINEAR, seed=8)
+    model.symbols[1] = model.symbols[0]
+    path = tmp_path / "m.sme"
+    save_model(model, path)
+    with pytest.raises(IntegrityError, match="duplicate"):
+        load_model(path)

@@ -5,9 +5,12 @@ from sme.dataset import Triple, load_triples, make_folds, positives_of
 from sme.errors import ConfigError, NumericalError
 from sme.model import (BILINEAR, LINEAR, energy, energy_gradients,
                        init_embeddings, init_params)
-from sme.trainer import (TrainConfig, corrupt, ranking_loss, sgd_step, train)
+from sme.trainer import (TrainConfig, _sgd_step_arrays, corrupt, ranking_loss,
+                         sgd_step, train)
 
 from conftest import two_group_records, write_triples
+from oracles import (energy_bilinear_formula, energy_linear_formula,
+                     finite_difference)
 
 
 class TestCorrupt:
@@ -112,6 +115,53 @@ class TestSgdStep:
         for got, want in zip(params.arrays(), expect_params):
             assert np.allclose(got, want, atol=1e-10)
         assert np.allclose(emb.vectors, expect_emb, atol=1e-10)
+
+    @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
+    def test_batch_gradient_matches_oracle(self, form):
+        # Ids 0-3 are entities and 4-5 relations. Eight pairs over four
+        # entities repeat ids in every slot, and pair 0's corruption has a
+        # different relation from its positive.
+        emb, params = make_state(form, seed=21, n=6, d=3, p=2)
+        rng = np.random.default_rng(22)
+        emb.vectors[:] = rng.uniform(-1, 1, size=emb.vectors.shape)
+        for a in params.arrays():
+            a[:] = rng.uniform(-1, 1, size=a.shape)
+        pos = np.array([[0, 4, 1], [1, 4, 2], [2, 5, 3], [3, 5, 0],
+                        [0, 5, 2], [1, 4, 3], [2, 4, 0], [3, 5, 1]])
+        neg = pos.copy()
+        neg[:4, 2] = [3, 0, 1, 2]   # rhs corrupted
+        neg[4:, 0] = [1, 2, 3, 0]   # lhs corrupted
+        neg[0, 1] = 5
+        formula = energy_linear_formula if form == LINEAR else energy_bilinear_formula
+        vectors = emb.vectors
+
+        def energies(rows):
+            return np.array([formula(vectors[l], vectors[r], vectors[h],
+                                     *params.arrays()) for l, r, h in rows])
+
+        # a margin in the widest gap between the pairs' energy differences,
+        # so some pairs are active, some are not, and none sits near the kink
+        diffs = np.sort(energies(neg) - energies(pos))
+        gaps = [(b - a, (a + b) / 2) for a, b in zip(diffs, diffs[1:]) if a > 0]
+        gap, margin = max(gaps)
+        assert gap > 1e-2
+        active = (energies(neg) - energies(pos)) < margin
+        assert active.any() and not active.all()
+
+        def loss():
+            return np.maximum(0.0, margin + energies(pos) - energies(neg)).sum()
+
+        targets = list(params.arrays()) + [emb.vectors]
+        expect = [finite_difference(loss, a.reshape(-1)).reshape(a.shape)
+                  for a in targets]
+        before = [a.copy() for a in targets]
+        _sgd_step_arrays(*pos.T, *neg.T, emb, params,
+                         TrainConfig(learning_rate=1.0, margin=margin))
+        for i, (a, b, fd) in enumerate(zip(targets, before, expect)):
+            analytic = b - a   # learning rate 1: the step is the gradient
+            denom = np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1e-5)
+            rel_err = np.abs(fd - analytic) / denom
+            assert rel_err.max() < 1e-4, f"{form} array {i}: {rel_err.max()}"
 
     def test_only_touched_rows_change(self):
         emb, params = make_state(LINEAR, seed=4, n=20)
