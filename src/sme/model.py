@@ -129,6 +129,23 @@ def init_params(form: str, d: int, p: int, rng: np.random.Generator) -> Params:
     raise ShapeError(f"unknown form {form!r}")
 
 
+def mode3_contract(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Contract a (p, d, k) tensor with every row of an (m, k) matrix along
+    mode 3, in one GEMM: out[n, i, j] = sum_k t[i, j, k] * x[n, k]."""
+    if t.ndim != 3 or x.ndim != 2 or t.shape[2] != x.shape[1]:
+        raise ShapeError(f"mode3_contract: {t.shape} x {x.shape}")
+    p, d, k = t.shape
+    return (x @ t.reshape(p * d, k).T).reshape(len(x), p, d)
+
+
+def matvec(maps: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row-wise matrix-vector products: out[n] = maps[n] @ x[n] for an
+    (m, p, d) stack of matrices and an (m, d) matrix of vectors."""
+    if maps.ndim != 3 or x.ndim != 2 or (maps.shape[0], maps.shape[2]) != x.shape:
+        raise ShapeError(f"matvec: {maps.shape} x {x.shape}")
+    return (maps @ x[:, :, None])[:, :, 0]
+
+
 class Cache(NamedTuple):
     """What ``backward`` needs from ``forward``: the gathered embedding rows,
     the transformed embeddings u (left) and v (right) and, for the bilinear
@@ -161,12 +178,11 @@ def forward(E: np.ndarray, params: Params, lhs: np.ndarray, rel: np.ndarray,
         v = eh @ params.w_r1.T + er @ params.w_r2.T + params.b_r
         cache = Cache(el, er, eh, u, v)
     else:
-        p, d = params.p, params.d
         # maps[n] is the (p, d) matrix the relation embedding er[n] selects
-        maps_l = (er @ params.w_l.reshape(p * d, d).T).reshape(m, p, d)
-        maps_r = (er @ params.w_r.reshape(p * d, d).T).reshape(m, p, d)
-        u = (maps_l @ el[:, :, None])[:, :, 0] + params.b_l
-        v = (maps_r @ eh[:, :, None])[:, :, 0] + params.b_r
+        maps_l = mode3_contract(params.w_l, er)
+        maps_r = mode3_contract(params.w_r, er)
+        u = matvec(maps_l, el) + params.b_l
+        v = matvec(maps_r, eh) + params.b_r
         cache = Cache(el, er, eh, u, v, maps_l, maps_r)
     return -(u * v).sum(axis=1), cache
 

@@ -1,103 +1,96 @@
+"""The two tensor contractions the bilinear kernel is built from:
+``mode3_contract`` (one relation map per row) and ``matvec`` (one
+matrix-vector product per row), checked against the loop oracles."""
+
 import numpy as np
 import pytest
 
-from sme import tensor_core as tc
 from sme.errors import ShapeError
+from sme.model import matvec, mode3_contract
 
-from oracles import dot_loop, matvec_loop, mode3_loop
+from oracles import matvec_loop, mode3_loop
 
 
 class TestMatvec:
     def test_identity(self):
-        assert np.array_equal(tc.matvec(np.eye(2), [3.0, 4.0]), [3.0, 4.0])
+        got = matvec(np.eye(2)[None], np.array([[3.0, 4.0]]))
+        assert np.array_equal(got, [[3.0, 4.0]])
 
     def test_zero_matrix(self):
-        assert np.array_equal(tc.matvec(np.zeros((2, 3)), [1.0, -2.0, 5.0]), [0.0, 0.0])
+        got = matvec(np.zeros((1, 2, 3)), np.array([[1.0, -2.0, 5.0]]))
+        assert np.array_equal(got, [[0.0, 0.0]])
 
     def test_hand_computed(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        got = tc.matvec(m, [1.0, 1.0])
-        assert np.allclose(got, [3.0, 7.0], atol=1e-12)
-        assert np.allclose(got, matvec_loop(m, np.array([1.0, 1.0])), atol=1e-12)
+        maps = np.stack([m, m.T])
+        got = matvec(maps, np.array([[1.0, 1.0], [1.0, -1.0]]))
+        assert np.allclose(got, [[3.0, 7.0], [-2.0, -2.0]], atol=1e-12)
+        assert np.allclose(got[0], matvec_loop(m, np.array([1.0, 1.0])), atol=1e-12)
 
     def test_shape_error(self):
         with pytest.raises(ShapeError):
-            tc.matvec(np.eye(2), [1.0, 2.0, 3.0])
+            matvec(np.eye(2)[None], np.array([[1.0, 2.0, 3.0]]))
+        with pytest.raises(ShapeError):
+            matvec(np.stack([np.eye(2)] * 2), np.array([[1.0, 2.0]]))
 
     def test_distributes_over_addition(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            m = rng.uniform(-1, 1, size=(4, 5))
-            u = rng.uniform(-1, 1, size=5)
-            v = rng.uniform(-1, 1, size=5)
-            lhs = tc.matvec(m, u + v)
-            rhs = tc.matvec(m, u) + tc.matvec(m, v)
+            maps = rng.uniform(-1, 1, size=(3, 4, 5))
+            u = rng.uniform(-1, 1, size=(3, 5))
+            v = rng.uniform(-1, 1, size=(3, 5))
+            lhs = matvec(maps, u + v)
+            rhs = matvec(maps, u) + matvec(maps, v)
             assert np.allclose(lhs, rhs, atol=1e-10)
-
-
-class TestDot:
-    def test_orthogonal(self):
-        assert tc.dot([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_self_dot(self):
-        assert tc.dot([1.0, 2.0], [1.0, 2.0]) == 5.0
-
-    def test_hand_computed(self):
-        assert tc.dot([0.5, -1.0, 2.0], [2.0, 2.0, 1.0]) == pytest.approx(1.0, abs=1e-15)
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            tc.dot([1.0], [1.0, 2.0])
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            a = rng.uniform(-1, 1, size=6)
-            b = rng.uniform(-1, 1, size=6)
-            assert abs(tc.dot(a, b) - tc.dot(b, a)) < 1e-12
 
 
 class TestMode3Contract:
     def test_basis_vector_selects_slice(self):
         rng = np.random.default_rng(0)
         t = rng.uniform(-1, 1, size=(3, 4, 5))
+        got = mode3_contract(t, np.eye(5))
         for k in range(5):
-            e_k = np.zeros(5)
-            e_k[k] = 1.0
-            assert np.allclose(tc.mode3_contract(t, e_k), t[:, :, k], atol=1e-15)
+            assert np.allclose(got[k], t[:, :, k], atol=1e-15)
 
     def test_zero_vector(self):
         t = np.ones((2, 3, 4))
-        assert np.array_equal(tc.mode3_contract(t, np.zeros(4)), np.zeros((2, 3)))
+        assert np.array_equal(mode3_contract(t, np.zeros((1, 4))), np.zeros((1, 2, 3)))
 
     def test_against_triple_loop(self):
         rng = np.random.default_rng(1)
         t = rng.uniform(-1, 1, size=(2, 2, 2))
-        v = rng.uniform(-1, 1, size=2)
-        assert np.allclose(tc.mode3_contract(t, v), mode3_loop(t, v), atol=1e-12)
+        x = rng.uniform(-1, 1, size=(3, 2))
+        got = mode3_contract(t, x)
+        for n in range(3):
+            assert np.allclose(got[n], mode3_loop(t, x[n]), atol=1e-12)
 
     def test_shape_error(self):
         with pytest.raises(ShapeError):
-            tc.mode3_contract(np.zeros((2, 2, 2)), np.zeros(3))
+            mode3_contract(np.zeros((2, 2, 2)), np.zeros((1, 3)))
+        with pytest.raises(ShapeError):
+            mode3_contract(np.zeros((2, 2, 2)), np.zeros(2))
 
     def test_linearity(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             t = rng.uniform(-1, 1, size=(3, 4, 5))
-            u = rng.uniform(-1, 1, size=5)
-            v = rng.uniform(-1, 1, size=5)
+            u = rng.uniform(-1, 1, size=(2, 5))
+            v = rng.uniform(-1, 1, size=(2, 5))
             a, b = rng.uniform(-1, 1, size=2)
-            lhs = tc.mode3_contract(t, a * u + b * v)
-            rhs = a * tc.mode3_contract(t, u) + b * tc.mode3_contract(t, v)
+            lhs = mode3_contract(t, a * u + b * v)
+            rhs = a * mode3_contract(t, u) + b * mode3_contract(t, v)
             assert np.allclose(lhs, rhs, atol=1e-10)
 
 
 def test_random_against_loop_oracles():
     rng = np.random.default_rng(42)
     for _ in range(10):
-        m = rng.uniform(-1, 1, size=(3, 6))
-        v = rng.uniform(-1, 1, size=6)
-        assert np.allclose(tc.matvec(m, v), matvec_loop(m, v), atol=1e-12)
-        a = rng.uniform(-1, 1, size=7)
-        b = rng.uniform(-1, 1, size=7)
-        assert abs(tc.dot(a, b) - dot_loop(a, b)) < 1e-12
+        t = rng.uniform(-1, 1, size=(3, 6, 4))
+        r = rng.uniform(-1, 1, size=(5, 4))
+        x = rng.uniform(-1, 1, size=(5, 6))
+        maps = mode3_contract(t, r)
+        got = matvec(maps, x)
+        for n in range(5):
+            want = mode3_loop(t, r[n])
+            assert np.allclose(maps[n], want, atol=1e-12)
+            assert np.allclose(got[n], matvec_loop(want, x[n]), atol=1e-12)
