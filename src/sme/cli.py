@@ -154,7 +154,10 @@ def cmd_score(args) -> int:
             raise OutOfDictionaryError(
                 f"out-of-dictionary symbol: {exc.args[0]!r}") from None
     ids = np.array(rows, dtype=np.int64)
-    scores = -energies_batch(model.emb, model.params, ids[:, 0], ids[:, 1], ids[:, 2])
+    with np.errstate(over="ignore", invalid="ignore"):   # reported below instead
+        scores = -energies_batch(model.emb, model.params, ids[:, 0], ids[:, 1], ids[:, 2])
+    if not np.isfinite(scores).all():
+        raise NumericalError("non-finite score: the model's weights overflow")
     print("\n".join(f"{raw}\t{score:.17g}"
                     for raw, score in zip(args.triples, scores.tolist())))
     return EXIT_OK

@@ -119,32 +119,35 @@ def load_triples(path) -> tuple[Dictionary, TripleSet]:
     seen: set[tuple[int, int, int]] = set()
     records = []
     with path.open("r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ParseError(f"expected 4 tab-separated fields, got {len(parts)}",
-                                 path=str(path), line_no=line_no)
-            s_lhs, s_rel, s_rhs, s_label = parts
-            if not (s_lhs and s_rel and s_rhs):
-                raise ParseError("empty symbol", path=str(path), line_no=line_no)
-            if s_label not in ("0", "1"):
-                raise ParseError(f"label must be 0 or 1, got {s_label!r}",
-                                 path=str(path), line_no=line_no)
-            lhs = d.intern(s_lhs)
-            rel = d.intern(s_rel)
-            rhs = d.intern(s_rhs)
-            d.entity_ids.add(lhs)
-            d.entity_ids.add(rhs)
-            d.relation_ids.add(rel)
-            key = (lhs, rel, rhs)
-            if key in seen:
-                raise IntegrityError(
-                    f"{path}:{line_no}: duplicate triple ({s_lhs}, {s_rel}, {s_rhs})")
-            seen.add(key)
-            records.append((lhs, rel, rhs, int(s_label)))
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n")
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 4:
+                    raise ParseError(f"expected 4 tab-separated fields, got {len(parts)}",
+                                     path=str(path), line_no=line_no)
+                s_lhs, s_rel, s_rhs, s_label = parts
+                if not (s_lhs and s_rel and s_rhs):
+                    raise ParseError("empty symbol", path=str(path), line_no=line_no)
+                if s_label not in ("0", "1"):
+                    raise ParseError(f"label must be 0 or 1, got {s_label!r}",
+                                     path=str(path), line_no=line_no)
+                lhs = d.intern(s_lhs)
+                rel = d.intern(s_rel)
+                rhs = d.intern(s_rhs)
+                d.entity_ids.add(lhs)
+                d.entity_ids.add(rhs)
+                d.relation_ids.add(rel)
+                key = (lhs, rel, rhs)
+                if key in seen:
+                    raise IntegrityError(
+                        f"{path}:{line_no}: duplicate triple ({s_lhs}, {s_rel}, {s_rhs})")
+                seen.add(key)
+                records.append((lhs, rel, rhs, int(s_label)))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text ({exc.reason})", path=str(path)) from None
     if not records:
         raise IntegrityError(f"{path}: no records")
     return d, TripleSet.from_records(records)

@@ -33,13 +33,16 @@ def score_set(model: Model, triples: TripleSet) -> ScoredSet:
 
 
 def pr_curve(s: ScoredSet) -> tuple[np.ndarray, np.ndarray]:
-    """(recall, precision) points, tie-grouped, starting at (0, 1)."""
+    """(recall, precision) points, tie-grouped, starting at (0, 1). A NaN or
+    infinite score has no place in the ranking and raises MetricError."""
     labels = np.asarray(s.labels)
     scores = np.asarray(s.scores, dtype=np.float64)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise MetricError("AUC-PR undefined: need at least one positive and one negative")
+    if not np.isfinite(scores).all():
+        raise MetricError("AUC-PR undefined: non-finite score")
     order = np.argsort(-scores, kind="stable")
     y = labels[order]
     sorted_scores = scores[order]

@@ -4,12 +4,13 @@ Sign convention, stated once: ``energy`` returns the matching value with its
 leading minus sign, so lower energy means a more plausible triple, and the
 ranking score used everywhere else is ``-energy``.
 
-Both forms run through one batched kernel. ``forward`` gathers the embedding
+Training runs through one batched kernel. ``forward`` gathers the embedding
 rows of a batch of triples once and returns their energies plus a cache;
 ``backward`` turns the cache and per-triple weights into the gradients of the
 weighted energy sum. Every contraction is a reshape and a matrix product.
-Training, validation, bulk scoring and the single-triple ``energy`` and
-``energy_gradients`` all call this kernel.
+The SGD step and the single-triple ``energy`` and ``energy_gradients`` call
+this kernel. Validation, test and bulk scoring call ``energies_batch``,
+which projects every symbol row once per call and gathers from those tables.
 """
 
 from __future__ import annotations
@@ -146,6 +147,11 @@ def matvec(maps: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (maps @ x[:, :, None])[:, :, 0]
 
 
+def _check_ids(ids: np.ndarray, n: int) -> None:
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise LookupIdError(f"triple id outside embedding table [0, {n})")
+
+
 class Cache(NamedTuple):
     """What ``backward`` needs from ``forward``: the gathered embedding rows,
     the transformed embeddings u (left) and v (right) and, for the bilinear
@@ -168,8 +174,7 @@ def forward(E: np.ndarray, params: Params, lhs: np.ndarray, rel: np.ndarray,
     """Energies of the triples (lhs[n], rel[n], rhs[n]) and the cache for
     ``backward``. E is the (n_symbols, d) embedding matrix."""
     ids = np.concatenate((lhs, rel, rhs))
-    if ids.size and (ids.min() < 0 or ids.max() >= E.shape[0]):
-        raise LookupIdError(f"triple id outside embedding table [0, {E.shape[0]})")
+    _check_ids(ids, E.shape[0])
     m = len(lhs)
     rows = E[ids]
     el, er, eh = rows[:m], rows[m:2 * m], rows[2 * m:]
@@ -263,17 +268,109 @@ class Model:
         return replace(self, emb=self.emb.copy(), params=self.params.copy())
 
 
-# Rows per forward when scoring a large set. A chunk's bilinear relation
-# maps take rows * p * d * 8 bytes per side, 400 KB at d = p = 10; chunks
-# of 768 rows or more scored 2-2.5x slower on a 2-core x86 machine.
-_CHUNK = 512
+# Bytes the bilinear projection tables of one ``energies_batch`` call may
+# take; a call whose relations need more builds them one block of relations
+# at a time. A block holds at least one relation, 2 * n * p * 8 B, which is
+# 2p/d times the embedding matrix. UMLS-shaped tables take 49 * 184 * 10 * 8 B,
+# about 0.7 MB, per side.
+_TABLE_BYTES = 16 << 20
+# Records per gather step: their u and v blocks (8192 * p * 8 B each) stay
+# in cache while they are multiplied and summed.
+_STEP = 8192
 
 
 def energies_batch(emb: EmbeddingTable, params: Params,
                    lhs: np.ndarray, rel: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Energies for parallel id arrays, by ``forward`` over fixed-size chunks."""
-    out = np.empty(len(lhs), dtype=np.float64)
-    for start in range(0, len(lhs), _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        out[sl] = forward(emb.vectors, params, lhs[sl], rel[sl], rhs[sl])[0]
+    """Energies for parallel id arrays, from projection tables built once per call.
+
+    u depends only on the (lhs, rel) pair and v only on the (rhs, rel) pair,
+    so every symbol row is projected once and each record is a few row
+    gathers. Linear: ``u = A[lhs] + B[rel]`` and ``v = C[rhs] + D[rel]``,
+    with A, C the entity-side and B, D the relation-side projections, biases
+    folded into B and D. Bilinear: the maps of the relations present in the
+    call are applied to every symbol row, ``Tl[r, s] = maps_l[r] @ E[s] + b_l``
+    (``Tr`` alike), one block of relations at a time within ``_TABLE_BYTES``.
+    The SGD step calls ``forward``/``backward`` instead: for its 64-row
+    batches the tables would cost more than the per-row maps.
+    """
+    E = emb.vectors
+    lhs, rel, rhs = np.asarray(lhs), np.asarray(rel), np.asarray(rhs)
+    for ids in (lhs, rel, rhs):
+        _check_ids(ids, E.shape[0])
+    if isinstance(params, LinearParams):
+        e = _linear_energies(E, params, lhs, rel, rhs)
+    else:
+        e = _bilinear_energies(E, params, lhs, rel, rhs)
+    return np.negative(e, out=e)
+
+
+def _steps(m: int, p: int, n_buffers: int):
+    """Slices of ``_STEP`` records, each with ``n_buffers`` (rows, p) work
+    buffers that are reused from step to step."""
+    buffers = [np.empty((min(m, _STEP), p)) for _ in range(n_buffers)]
+    for start in range(0, m, _STEP):
+        k = min(_STEP, m - start)
+        yield (slice(start, start + k), *(b[:k] for b in buffers))
+
+
+# ids are range-checked before any table is indexed, so np.take's "clip"
+# mode never clips; it spares the buffered copy that "raise" makes
+_TAKE = dict(axis=0, mode="clip")
+
+
+def _linear_energies(E, params: LinearParams, lhs, rel, rhs) -> np.ndarray:
+    p = params.p
+    proj = E @ np.concatenate((params.w_l1, params.w_r1,
+                               params.w_l2, params.w_r2)).T   # (n, 4p)
+    a, c, b, d = (np.ascontiguousarray(proj[:, i * p:(i + 1) * p]) for i in range(4))
+    b += params.b_l
+    d += params.b_r
+    out = np.empty(len(lhs))
+    for sl, u, v, t in _steps(len(lhs), p, 3):
+        np.take(a, lhs[sl], out=u, **_TAKE)
+        u += np.take(b, rel[sl], out=t, **_TAKE)
+        np.take(c, rhs[sl], out=v, **_TAKE)
+        v += np.take(d, rel[sl], out=t, **_TAKE)
+        u *= v
+        np.sum(u, axis=1, out=out[sl])
+    return out
+
+
+def _bilinear_energies(E, params: BilinearParams, lhs, rel, rhs) -> np.ndarray:
+    n, p = E.shape[0], params.p
+    present = np.zeros(n, dtype=bool)
+    present[rel] = True
+    slot = (np.cumsum(present) - 1)[rel]   # rank of each record's relation
+    er = E[np.flatnonzero(present)]
+    maps_l = mode3_contract(params.w_l, er)
+    maps_r = mode3_contract(params.w_r, er)
+    block = max(1, _TABLE_BYTES // (2 * n * p * 8))
+    out = np.empty(len(lhs))
+    for first in range(0, len(er), block):
+        rows = (slice(None) if block >= len(er)     # one block: every record
+                else np.flatnonzero((slot >= first) & (slot < first + block)))
+        out[rows] = _gather_dot(_project(E, maps_l[first:first + block], params.b_l),
+                                _project(E, maps_r[first:first + block], params.b_r),
+                                n, slot[rows] - first, lhs[rows], rhs[rows])
+    return out
+
+
+def _project(E, maps, bias) -> np.ndarray:
+    """Row ``r * n + s`` holds ``maps[r] @ E[s] + bias``. One GEMM per map,
+    so a relation's rows do not depend on the block they were built in."""
+    t = np.matmul(E, maps.transpose(0, 2, 1))   # (r, n, p)
+    t += bias
+    return t.reshape(-1, maps.shape[1])
+
+
+def _gather_dot(tl, tr, n: int, slot, lhs, rhs) -> np.ndarray:
+    """Dot products of the rows ``slot * n + lhs`` of tl and ``slot * n + rhs``
+    of tr."""
+    out = np.empty(len(lhs))
+    for sl, u, v in _steps(len(lhs), tl.shape[1], 2):
+        base = slot[sl] * n
+        np.take(tl, base + lhs[sl], out=u, **_TAKE)
+        np.take(tr, base + rhs[sl], out=v, **_TAKE)
+        u *= v
+        np.sum(u, axis=1, out=out[sl])
     return out

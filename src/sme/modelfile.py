@@ -59,7 +59,8 @@ def save_model(model: Model, path) -> None:
 
 def load_model(path) -> Model:
     """Read a model file. Every length is checked against the bytes left
-    before it is used, so a truncated or corrupt file is an IntegrityError."""
+    before it is used, so a truncated or corrupt file is an IntegrityError;
+    so is a NaN or infinite weight."""
     raw = memoryview(Path(path).read_bytes())
     if raw[:4] != MAGIC:
         raise IntegrityError(f"{path}: not a recognized model file (bad magic/version)")
@@ -104,4 +105,6 @@ def load_model(path) -> Model:
                                 read_floats(p), read_floats(p))
     if off != len(raw):
         raise IntegrityError(f"{path}: trailing bytes in model file")
+    if not all(np.isfinite(a).all() for a in (emb.vectors, *params.arrays())):
+        raise IntegrityError(f"{path}: non-finite weight in model file")
     return Model(form, symbols, relation_ids, emb, params)

@@ -68,28 +68,20 @@ def ranking_loss(e_pos: float, e_neg: float, margin: float) -> float:
 def corrupt(t: Triple, mode: str, rng: np.random.Generator,
             entity_ids: np.ndarray) -> Triple:
     """Replace one entity slot of t with a different, uniformly drawn entity."""
-    if len(entity_ids) < 2:
-        raise ConfigError("corruption needs at least 2 entities")
-    if mode not in CORRUPTION_MODES:
-        raise ConfigError(f"corruption_mode must be one of {CORRUPTION_MODES}")
-    slot = mode
-    if mode == "both":
-        slot = "lhs" if rng.integers(2) == 0 else "rhs"
-    original = t.lhs if slot == "lhs" else t.rhs
-    while True:
-        pick = int(entity_ids[rng.integers(len(entity_ids))])
-        if pick != original:
-            break
-    if slot == "lhs":
-        return Triple(pick, t.rel, t.rhs)
-    return Triple(t.lhs, t.rel, pick)
+    lhs, rel, rhs = _corrupt_batch(np.array([t.lhs]), np.array([t.rel]),
+                                   np.array([t.rhs]), mode, rng, np.asarray(entity_ids))
+    return Triple(int(lhs[0]), int(rel[0]), int(rhs[0]))
 
 
 def _corrupt_batch(lhs, rel, rhs, mode, rng, entity_ids):
-    """Vectorized corruption: one corrupted copy per input triple."""
-    m = len(lhs)
+    """One corrupted copy per input triple: the lhs or rhs slot (per ``mode``;
+    a fair coin per triple for "both") replaced by a different, uniformly
+    drawn entity."""
+    if mode not in CORRUPTION_MODES:
+        raise ConfigError(f"corruption_mode must be one of {CORRUPTION_MODES}")
     if len(entity_ids) < 2:
         raise ConfigError("corruption needs at least 2 entities")
+    m = len(lhs)
     if mode == "lhs":
         take_lhs = np.ones(m, dtype=bool)
     elif mode == "rhs":

@@ -39,6 +39,12 @@ class TestLoadTriples:
         with pytest.raises(IntegrityError, match="duplicate"):
             load_triples(path)
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"a\tr\tb\t1\n\xff\tr\tb\t0\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_triples(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("# only a comment\n")

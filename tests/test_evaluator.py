@@ -35,6 +35,14 @@ class TestAucPr:
         with pytest.raises(MetricError):
             auc_pr(scored([1, 2], [0, 0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        s = scored([bad, 0.5, 0.1, bad], [1, 0, 1, 0])
+        with pytest.raises(MetricError, match="non-finite"):
+            pr_curve(s)
+        with pytest.raises(MetricError, match="non-finite"):
+            auc_pr(s)
+
     def test_random_scores_give_prevalence(self):
         rng = np.random.default_rng(123)
         n = 10000

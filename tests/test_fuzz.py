@@ -1,0 +1,116 @@
+"""Property tests over the two files a user hands the CLI: model files through
+``sme score`` and triple files through ``sme inspect``. Whatever the bytes,
+the command ends with a documented exit code (0 ok, 2 usage, 3 data,
+4 numeric) and, on failure, one ``error:`` line on stderr; never a traceback.
+"""
+
+import contextlib
+import io
+import warnings
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import event, given, settings, strategies as st  # noqa: E402
+
+from sme import cli  # noqa: E402
+from sme.model import BILINEAR, LINEAR  # noqa: E402
+from sme.modelfile import MAGIC, save_model  # noqa: E402
+
+from test_modelfile import random_model  # noqa: E402
+
+# derandomized: the suite sees the same cases on every run
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def run_cli(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")   # a numpy warning would be a stray stderr line
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_documented_outcome(code, out, err):
+    event(f"exit {code}")   # shown by --hypothesis-show-statistics
+    assert code in (0, 2, 3, 4), (code, err)
+    if code == 0:
+        assert err == ""
+    else:
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith("\n")
+        assert err.count("\n") == 1, err
+
+
+@pytest.fixture(scope="module")
+def model_bytes(tmp_path_factory):
+    """A valid saved model of each form, as bytes."""
+    raw = {}
+    for form in (LINEAR, BILINEAR):
+        path = tmp_path_factory.mktemp("models") / f"{form}.sme"
+        save_model(random_model(form, seed=13), path)
+        raw[form] = path.read_bytes()
+    return raw
+
+
+def mutate(raw: bytes, kind: str, data) -> bytes:
+    """A valid model file with some bytes overwritten, a cut, or an insert,
+    or random bytes behind the magic."""
+    if kind == "random":
+        return MAGIC + data.draw(st.binary(max_size=200))
+    if kind == "cut":
+        return raw[:data.draw(st.integers(0, len(raw)))]
+    at = data.draw(st.integers(0, len(raw) - 1))
+    chunk = data.draw(st.binary(min_size=1, max_size=8))
+    if kind == "insert":
+        return raw[:at] + chunk + raw[at:]
+    return raw[:at] + chunk + raw[at + len(chunk):]
+
+
+@FUZZ
+@given(form=st.sampled_from([LINEAR, BILINEAR]),
+       kind=st.sampled_from(["overwrite", "cut", "insert", "random"]), data=st.data())
+def test_model_file_bytes_through_score(form, kind, data, model_bytes, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fuzz.sme"
+    path.write_bytes(mutate(model_bytes[form], kind, data))
+    code, out, err = run_cli(["score", "--model", str(path), "sym_0\tsym_5\tsym_1",
+                              "sym_2\tsym_6\tsym_2"])
+    assert_documented_outcome(code, out, err)
+    if code == 0:
+        lines = out.splitlines()
+        assert len(lines) == 2
+        assert all(np.isfinite(float(line.split("\t")[3])) for line in lines)
+
+
+RECORD = st.tuples(st.sampled_from(["a", "b", "c"]), st.sampled_from(["r", "s"]),
+                   st.sampled_from(["a", "b", "é"]), st.sampled_from(["0", "1"])
+                   ).map("\t".join)
+SYMBOL = st.one_of(st.sampled_from(["a", "r", "#x", "", "0", "1", " 1", "1.0"]),
+                   st.text(st.characters(codec="utf-8", exclude_characters="\t\n\r"),
+                           max_size=4))
+FIELDS = st.lists(SYMBOL, max_size=6).map("\t".join)
+JUNK = st.text(st.characters(codec="utf-8"), max_size=12)
+
+
+def text_file(line):
+    return st.lists(line, max_size=8).map(lambda lines: "\n".join(lines).encode("utf-8"))
+
+
+TRIPLE_TEXT = st.one_of(
+    text_file(st.one_of(RECORD, st.just("# comment"), st.just(""))),
+    text_file(st.one_of(RECORD, FIELDS, JUNK)),
+    st.binary(max_size=80),
+)
+
+
+@FUZZ
+@given(raw=TRIPLE_TEXT)
+def test_triple_file_text_through_inspect(raw, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fuzz.tsv"
+    path.write_bytes(raw)
+    code, out, err = run_cli(["inspect", "--dataset", str(path)])
+    assert_documented_outcome(code, out, err)
+    if code == 0:
+        assert out.startswith("entities=") and out.count("\n") == 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sme import model as model_module
 from sme.dataset import Triple
 from sme.errors import LookupIdError
 from sme.model import (BILINEAR, LINEAR, BilinearParams, EmbeddingTable,
@@ -202,6 +203,23 @@ class TestGradients:
         assert np.allclose(fd, grads.d_rhs, atol=1e-7)
 
 
+def batch_instance(form, seed, m, n=8, d=3, p=2):
+    """A random model and m triples whose ids repeat; relations 6 and 7 are
+    flagged, but every relation slot may hold any id."""
+    rng = np.random.default_rng(seed)
+    emb, params, _ = random_instance(form, seed, n=n, d=d, p=p)
+    emb.relation_ids = frozenset({6, 7})
+    lhs, rel, rhs = (rng.integers(0, n, size=m) for _ in range(3))
+    return emb, params, lhs, rel, rhs
+
+
+def formula_energy(emb, params, t):
+    el, er, eh = emb.vectors[t.lhs], emb.vectors[t.rel], emb.vectors[t.rhs]
+    if isinstance(params, LinearParams):
+        return energy_linear_formula(el, er, eh, *params.arrays())
+    return energy_bilinear_formula(el, er, eh, *params.arrays())
+
+
 class TestBatchEnergies:
     @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
     def test_matches_scalar_energy(self, form):
@@ -216,12 +234,74 @@ class TestBatchEnergies:
             single = energy(Triple(int(lhs[i]), int(rel[i]), int(rhs[i])), emb, params)
             assert abs(batch[i] - single) < 1e-12
 
+    @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
+    def test_matches_formula_oracle_and_energy(self, form, monkeypatch):
+        # 4-record gather steps, so 61 records take 16 steps and a 1-record tail
+        monkeypatch.setattr(model_module, "_STEP", 4)
+        emb, params, lhs, rel, rhs = batch_instance(form, seed=31, m=61)
+        assert not set(rel) <= emb.relation_ids     # unflagged ids in the slot
+        assert len(set(zip(lhs, rel))) < len(lhs)   # repeated (lhs, rel) pairs
+        batch = energies_batch(emb, params, lhs, rel, rhs)
+        for i, t in enumerate(map(Triple, lhs.tolist(), rel.tolist(), rhs.tolist())):
+            assert abs(batch[i] - formula_energy(emb, params, t)) < 1e-12
+            assert abs(batch[i] - energy(t, emb, params)) < 1e-12
+
+    @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
+    def test_more_rows_than_one_gather_step(self, form):
+        m = 2 * model_module._STEP + 3
+        emb, params, lhs, rel, rhs = batch_instance(form, seed=32, m=m)
+        expect, _ = forward(emb.vectors, params, lhs, rel, rhs)
+        assert np.abs(energies_batch(emb, params, lhs, rel, rhs) - expect).max() < 1e-12
+
+    @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
+    def test_empty_input(self, form):
+        emb, params, lhs, rel, rhs = batch_instance(form, seed=33, m=0)
+        out = energies_batch(emb, params, lhs, rel, rhs)
+        assert out.shape == (0,) and out.dtype == np.float64
+
+    @pytest.mark.parametrize("per_block", [1, 2, 3])
+    def test_relation_blocks_match_one_block_bitwise(self, per_block, monkeypatch):
+        n, p = 8, 2
+        emb, params, lhs, rel, rhs = batch_instance(BILINEAR, seed=34, m=500, n=n, p=p)
+        one_block = energies_batch(emb, params, lhs, rel, rhs)
+        # one relation's two tables take 2 * n * p * 8 bytes
+        monkeypatch.setattr(model_module, "_TABLE_BYTES", per_block * 2 * n * p * 8)
+        blocks = energies_batch(emb, params, lhs, rel, rhs)
+        assert np.array_equal(blocks, one_block)
+
+    def test_tables_stay_within_budget(self, monkeypatch):
+        n, p = 8, 2
+        emb, params, lhs, rel, rhs = batch_instance(BILINEAR, seed=36, m=200, n=n, p=p)
+        budget = 3 * 2 * n * p * 8
+        monkeypatch.setattr(model_module, "_TABLE_BYTES", budget)
+        sizes = []
+        project = model_module._project
+
+        def spy(*args):
+            table = project(*args)
+            sizes.append(table.nbytes)
+            return table
+
+        monkeypatch.setattr(model_module, "_project", spy)
+        energies_batch(emb, params, lhs, rel, rhs)
+        # both sides of 8 relations, 3 relations a block: 3 blocks, 6 tables
+        assert len(sizes) == 6 and 2 * max(sizes) <= budget
+
     def test_rejects_bad_ids(self):
         rng = np.random.default_rng(4)
         emb = init_embeddings(4, 3, rng)
         params = init_params(LINEAR, 3, 2, rng)
         with pytest.raises(LookupIdError):
             energies_batch(emb, params, np.array([0]), np.array([9]), np.array([1]))
+
+    @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_rejects_out_of_range_id_in_any_slot(self, form, slot, bad):
+        emb, params, *ids = batch_instance(form, seed=35, m=10)
+        ids[slot][7] = bad
+        with pytest.raises(LookupIdError):
+            energies_batch(emb, params, *ids)
 
 
 def test_normalize_rows():

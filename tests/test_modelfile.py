@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -123,3 +124,48 @@ def test_duplicate_symbol_is_integrity_error(tmp_path):
     save_model(model, path)
     with pytest.raises(IntegrityError, match="duplicate"):
         load_model(path)
+
+
+def test_nan_embedding_is_integrity_error(tmp_path):
+    model = random_model(LINEAR, seed=9)
+    model.emb.vectors[3, 1] = np.nan
+    path = tmp_path / "m.sme"
+    save_model(model, path)
+    with pytest.raises(IntegrityError, match="non-finite"):
+        load_model(path)
+
+
+def test_inf_in_bilinear_tensor_is_integrity_error(tmp_path):
+    model = random_model(BILINEAR, seed=10)
+    model.params.w_r[1, 0, 2] = -np.inf
+    path = tmp_path / "m.sme"
+    save_model(model, path)
+    with pytest.raises(IntegrityError, match="non-finite"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("form", [LINEAR, BILINEAR])
+def test_non_finite_weight_exits_3_from_score(tmp_path, capsys, form):
+    model = random_model(form, seed=11)
+    model.params.b_l[0] = np.nan
+    path = tmp_path / "m.sme"
+    save_model(model, path)
+    assert cli.main(["score", "--model", str(path), "sym_0\tsym_5\tsym_1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_overflowing_score_exits_4_from_score(tmp_path, capsys):
+    # finite weights whose energy overflows to -inf: a score, not a load, failure
+    model = random_model(LINEAR, seed=12)
+    model.emb.vectors[:] = 1e200
+    path = tmp_path / "m.sme"
+    save_model(model, path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["score", "--model", str(path), "sym_0\tsym_5\tsym_1"]) == 4
+    assert not caught   # no numpy warning lines on stderr
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite score" in captured.err

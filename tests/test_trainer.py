@@ -5,8 +5,8 @@ from sme.dataset import Triple, load_triples, make_folds, positives_of
 from sme.errors import ConfigError, NumericalError
 from sme.model import (BILINEAR, LINEAR, energy, energy_gradients,
                        init_embeddings, init_params)
-from sme.trainer import (TrainConfig, _sgd_step_arrays, corrupt, ranking_loss,
-                         sgd_step, train)
+from sme.trainer import (TrainConfig, _corrupt_batch, _sgd_step_arrays, corrupt,
+                         ranking_loss, sgd_step, train)
 
 from conftest import two_group_records, write_triples
 from oracles import (energy_bilinear_formula, energy_linear_formula,
@@ -49,6 +49,24 @@ class TestCorrupt:
         assert set(counts) == {0, 1, 2, 3}
         for v in counts.values():
             assert abs(v / n - 0.25) < 0.02
+
+
+    def test_unknown_mode_rejected(self):
+        rng = np.random.default_rng(3)
+        ids = np.array([0, 1, 2])
+        with pytest.raises(ConfigError, match="corruption_mode"):
+            corrupt(Triple(0, 10, 1), "middle", rng, ids)
+        with pytest.raises(ConfigError, match="corruption_mode"):
+            _corrupt_batch(ids, ids + 10, ids, "middle", rng, ids)
+
+    def test_wrapper_draws_like_a_batch_of_one(self):
+        entities = np.arange(6)
+        rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+        for t in [Triple(0, 10, 1), Triple(5, 11, 5), Triple(2, 10, 3)] * 5:
+            c = corrupt(t, "both", rng_a, entities)
+            lhs, rel, rhs = _corrupt_batch(np.array([t.lhs]), np.array([t.rel]),
+                                           np.array([t.rhs]), "both", rng_b, entities)
+            assert c == Triple(int(lhs[0]), int(rel[0]), int(rhs[0]))
 
 
 class TestRankingLoss:
