@@ -62,7 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", default="report",
                         help="output prefix; writes <out>.json and <out>.txt")
     p_eval.add_argument("--jobs", type=int, default=1,
-                        help="folds trained in parallel (default 1, bitwise deterministic)")
+                        help="worker processes; each trains a contiguous group of folds in "
+                             "one stacked loop (default 1; every fold's model is the same "
+                             "for any N)")
     add_common_model_flags(p_eval)
 
     p_score = sub.add_parser("score", help="score triples with a trained model")
@@ -182,7 +184,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, IntegrityError, OutOfDictionaryError, FileNotFoundError) as exc:
+    except (ParseError, IntegrityError, OutOfDictionaryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericalError, MetricError) as exc:

@@ -166,12 +166,17 @@ class FoldSplit:
     triples: TripleSet
     assignment: np.ndarray
 
-    def fold_sets(self, i: int) -> tuple[TripleSet, TripleSet, TripleSet]:
+    def roles(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Boolean masks over ``triples`` of fold i's (train, valid, test) records."""
         if not 0 <= i < self.k:
             raise ConfigError(f"fold index {i} outside [0, {self.k})")
         test = self.assignment == i
         valid = self.assignment == (i + 1) % self.k
         train = ~(test | valid) if self.k > 2 else valid
+        return train, valid, test
+
+    def fold_sets(self, i: int) -> tuple[TripleSet, TripleSet, TripleSet]:
+        train, valid, test = self.roles(i)
         return self.triples.subset(train), self.triples.subset(valid), self.triples.subset(test)
 
     def fold_sizes(self) -> list[int]:
@@ -185,6 +190,8 @@ def make_folds(ts: TripleSet, k: int, seed: int) -> FoldSplit:
         raise ConfigError(f"fold count must be >= 2, got {k}")
     if k > n:
         raise ConfigError(f"fold count {k} exceeds record count {n}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     perm = rng.permutation(n)
     assignment = np.empty(n, dtype=np.int64)
@@ -208,16 +215,37 @@ class Manifest:
 
 
 def load_manifest(path) -> Manifest:
+    """Read a manifest: a JSON object with string ``name`` and ``triples``
+    (the triple file, relative to the manifest) and optional integer
+    ``folds`` (default 10) and ``seed`` (default 0)."""
     path = Path(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid manifest JSON: {exc}", path=str(path)) from exc
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"manifest is not UTF-8 text ({exc.reason})", path=str(path)) from None
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:   # JSONDecodeError is a ValueError
+        raise ParseError(f"invalid manifest JSON: {exc}", path=str(path)) from None
+    if not isinstance(payload, dict):
+        raise ParseError("manifest must be a JSON object", path=str(path))
     for key in ("name", "triples"):
         if key not in payload:
             raise ParseError(f"manifest missing key {key!r}", path=str(path))
-    folds = int(payload.get("folds", 10))
-    seed = int(payload.get("seed", 0))
+        if not isinstance(payload[key], str) or not payload[key] or "\0" in payload[key]:
+            raise ParseError(f"manifest {key!r} must be a non-empty string", path=str(path))
+    folds, seed = (_manifest_int(payload, key, default, path)
+                   for key, default in (("folds", 10), ("seed", 0)))
+    if seed < 0:
+        raise ParseError(f"manifest 'seed' must be >= 0, got {seed}", path=str(path))
     triples_path = (path.parent / payload["triples"]).resolve()
-    return Manifest(str(payload["name"]), triples_path, folds, seed)
+    return Manifest(payload["name"], triples_path, folds, seed)
 
+
+def _manifest_int(payload: dict, key: str, default: int, path: Path) -> int:
+    value = payload.get(key, default)
+    # bool is an int subclass; a float would be truncated
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"manifest {key!r} must be an integer, got {value!r:.40}",
+                         path=str(path))
+    return value

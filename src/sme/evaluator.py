@@ -9,6 +9,8 @@ rule. Spread across folds is reported as the sample standard deviation.
 from __future__ import annotations
 
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,7 +45,9 @@ def pr_curve(s: ScoredSet) -> tuple[np.ndarray, np.ndarray]:
         raise MetricError("AUC-PR undefined: need at least one positive and one negative")
     if not np.isfinite(scores).all():
         raise MetricError("AUC-PR undefined: non-finite score")
-    order = np.argsort(-scores, kind="stable")
+    # any order within a tied group gives the same curve: the group is cut
+    # only at its end, where tp and seen count the whole group
+    order = np.argsort(-scores)
     y = labels[order]
     sorted_scores = scores[order]
     # last index of each tied-score group
@@ -57,7 +61,11 @@ def pr_curve(s: ScoredSet) -> tuple[np.ndarray, np.ndarray]:
 
 
 def auc_pr(s: ScoredSet) -> float:
-    recall, precision = pr_curve(s)
+    return _area(*pr_curve(s))
+
+
+def _area(recall: np.ndarray, precision: np.ndarray) -> float:
+    """Trapezoid area under a ``pr_curve``."""
     terms = (recall[1:] - recall[:-1]) * (precision[1:] + precision[:-1]) * 0.5
     # sequential accumulation keeps the value independent of summation blocking
     return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
@@ -72,6 +80,8 @@ class EvalReport:
     std: float
     config: dict
     pr_curves: list[dict] = field(default_factory=list)
+    # per fold: epochs_run, best_epoch, stop_reason, secs (TrainTrace.summary)
+    per_fold_run: list[dict] = field(default_factory=list)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -82,6 +92,7 @@ class EvalReport:
             "std": self.std,
             "config": self.config,
             "pr_curves": self.pr_curves,
+            "per_fold_run": self.per_fold_run,
         }, indent=2)
 
     @staticmethod
@@ -90,7 +101,8 @@ class EvalReport:
         return EvalReport(payload["dataset"], payload["form"],
                           payload["per_fold_auc"], payload["mean"],
                           payload["std"], payload["config"],
-                          payload.get("pr_curves", []))
+                          payload.get("pr_curves", []),
+                          payload.get("per_fold_run", []))
 
     def to_text(self) -> str:
         lines = [
@@ -122,44 +134,59 @@ def _fold_seed(base_seed: int, fold: int) -> int:
 def run_fold(d: Dictionary, split: FoldSplit, fold: int, form: str,
              dim_d: int, dim_p: int, config) -> tuple[Model, float, dict]:
     """Train on one fold and score its test set. Returns (model, auc, curve)."""
-    from . import trainer  # local import: trainer also uses this module
-
-    from dataclasses import replace
-    train_ts, valid_ts, test_ts = split.fold_sets(fold)
-    fold_config = replace(config, seed=_fold_seed(config.seed, fold))
-    model, _ = trainer.train(train_ts, valid_ts, d, form, dim_d, dim_p, fold_config)
-    scored = score_set(model, test_ts)
-    auc = auc_pr(scored)
-    recall, precision = pr_curve(scored)
-    curve = {"recall": recall.tolist(), "precision": precision.tolist()}
+    model, auc, curve, _ = _run_folds(d, split, [fold], form, dim_d, dim_p, config)[0]
     return model, auc, curve
 
 
-def _run_fold_job(args):
-    d, split, fold, form, dim_d, dim_p, config = args
-    _, auc, curve = run_fold(d, split, fold, form, dim_d, dim_p, config)
-    return fold, auc, curve
+def _run_folds(d: Dictionary, split: FoldSplit, folds: list[int], form: str,
+               dim_d: int, dim_p: int, config) -> list[tuple[Model, float, dict, dict]]:
+    """Train ``folds`` in one stacked loop, then score each fold's test set.
+    Returns (model, auc, curve, run summary) per fold. During training only
+    each fold's training positives and validation set are held, never its
+    whole training set."""
+    from . import trainer  # local import: trainer also uses this module
+
+    positives, valid = [], []
+    for f in folds:
+        train, val, _ = split.roles(f)
+        positives.append(split.triples.subset(train & (split.triples.label == 1)))
+        valid.append(split.triples.subset(val))
+    seeds = [_fold_seed(config.seed, f) for f in folds]
+    trained = trainer.train_folds(positives, valid, d, form, dim_d, dim_p, config, seeds)
+    del positives, valid
+    results = []
+    for f, (model, trace) in zip(folds, trained):
+        recall, precision = pr_curve(score_set(model, split.triples.subset(split.roles(f)[2])))
+        curve = {"recall": recall.tolist(), "precision": precision.tolist()}
+        results.append((model, _area(recall, precision), curve, trace.summary()))
+    return results
+
+
+def _fold_group_job(args) -> list[tuple[float, dict, dict]]:
+    """Worker process: one contiguous group of folds, stacked."""
+    return [result[1:] for result in _run_folds(*args)]
 
 
 def cross_validate(d: Dictionary, split: FoldSplit, form: str,
                    dim_d: int, dim_p: int, config,
                    dataset_name: str = "dataset", jobs: int = 1) -> EvalReport:
-    """Train a fresh model per fold and aggregate test AUC-PR across folds."""
+    """Train a fresh model per fold and aggregate test AUC-PR across folds.
+
+    All folds train in one stacked loop. With ``jobs`` > 1 the folds are
+    split into that many contiguous groups, each stacked in its own worker
+    process; every fold's model is the same either way.
+    """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    results: dict[int, tuple[float, dict]] = {}
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        args = [(d, split, f, form, dim_d, dim_p, config) for f in range(split.k)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for fold, auc, curve in pool.map(_run_fold_job, args):
-                results[fold] = (auc, curve)
+    groups = [g.tolist() for g in np.array_split(np.arange(split.k), min(jobs, split.k))]
+    args = [(d, split, group, form, dim_d, dim_p, config) for group in groups]
+    if len(groups) == 1:
+        results = _fold_group_job(args[0])
     else:
-        for fold in range(split.k):
-            _, auc, curve = run_fold(d, split, fold, form, dim_d, dim_p, config)
-            results[fold] = (auc, curve)
-    per_fold = [results[f][0] for f in range(split.k)]
-    curves = [results[f][1] for f in range(split.k)]
+        with ProcessPoolExecutor(max_workers=len(groups),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            results = [r for part in pool.map(_fold_group_job, args) for r in part]
+    per_fold = [auc for auc, _, _ in results]
     mean, std = aggregate(per_fold)
     cfg_echo = {
         "form": form, "dim_d": dim_d, "dim_p": dim_p,
@@ -168,4 +195,5 @@ def cross_validate(d: Dictionary, split: FoldSplit, form: str,
         "corruption_mode": config.corruption_mode, "patience": config.patience,
         "seed": config.seed, "folds": split.k,
     }
-    return EvalReport(dataset_name, form, per_fold, mean, std, cfg_echo, curves)
+    return EvalReport(dataset_name, form, per_fold, mean, std, cfg_echo,
+                      [curve for _, curve, _ in results], [run for _, _, run in results])

@@ -8,9 +8,13 @@ Training runs through one batched kernel. ``forward`` gathers the embedding
 rows of a batch of triples once and returns their energies plus a cache;
 ``backward`` turns the cache and per-triple weights into the gradients of the
 weighted energy sum. Every contraction is a reshape and a matrix product.
-The SGD step and the single-triple ``energy`` and ``energy_gradients`` call
-this kernel. Validation, test and bulk scoring call ``energies_batch``,
-which projects every symbol row once per call and gathers from those tables.
+The kernel also takes a stack of K independent models: embeddings
+(K, n, d), every parameter block with a leading K, id and weight arrays
+(K, m). Each matrix product then runs once per model, on the same operands
+a single model would give it. The SGD step and the single-triple ``energy``
+and ``energy_gradients`` call this kernel. Validation, test and bulk
+scoring call ``energies_batch``, which projects every symbol row once per
+call and gathers from those tables.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Triple
-from .errors import LookupIdError, ShapeError
+from .errors import LookupIdError, NumericalError, ShapeError
 
 LINEAR = "linear"
 BILINEAR = "bilinear"
@@ -30,22 +34,26 @@ FORMS = (LINEAR, BILINEAR)
 
 @dataclass
 class EmbeddingTable:
-    """One d-dimensional row per symbol; relation-type ids flagged."""
+    """One d-dimensional row per symbol; relation-type ids flagged. A
+    training stack of K models holds (K, n_symbols, d) vectors."""
 
-    vectors: np.ndarray  # (n_symbols, d)
+    vectors: np.ndarray  # (n_symbols, d) or (K, n_symbols, d)
     relation_ids: frozenset[int] = field(default_factory=frozenset)
 
     @property
     def n(self) -> int:
-        return self.vectors.shape[0]
+        return self.vectors.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.vectors.shape[1]
+        return self.vectors.shape[-1]
 
     def normalize_rows(self) -> None:
-        """Project every row to unit Euclidean norm, in place."""
-        norms = np.linalg.norm(self.vectors, axis=1, keepdims=True)
+        """Project every row to unit Euclidean norm, in place. A row whose
+        norm overflows would silently become zero: NumericalError instead."""
+        norms = np.linalg.norm(self.vectors, axis=-1, keepdims=True)
+        if not np.isfinite(norms).all():
+            raise NumericalError("non-finite embedding norm; training aborted")
         np.divide(self.vectors, norms, out=self.vectors, where=norms > 0)
 
     def copy(self) -> "EmbeddingTable":
@@ -67,11 +75,11 @@ class LinearParams:
 
     @property
     def p(self) -> int:
-        return self.w_l1.shape[0]
+        return self.w_l1.shape[-2]
 
     @property
     def d(self) -> int:
-        return self.w_l1.shape[1]
+        return self.w_l1.shape[-1]
 
     def copy(self) -> "LinearParams":
         return LinearParams(*(a.copy() for a in self.arrays()))
@@ -93,11 +101,11 @@ class BilinearParams:
 
     @property
     def p(self) -> int:
-        return self.w_l.shape[0]
+        return self.w_l.shape[-3]
 
     @property
     def d(self) -> int:
-        return self.w_l.shape[1]
+        return self.w_l.shape[-2]
 
     def copy(self) -> "BilinearParams":
         return BilinearParams(*(a.copy() for a in self.arrays()))
@@ -132,19 +140,24 @@ def init_params(form: str, d: int, p: int, rng: np.random.Generator) -> Params:
 
 def mode3_contract(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Contract a (p, d, k) tensor with every row of an (m, k) matrix along
-    mode 3, in one GEMM: out[n, i, j] = sum_k t[i, j, k] * x[n, k]."""
-    if t.ndim != 3 or x.ndim != 2 or t.shape[2] != x.shape[1]:
+    mode 3, in one GEMM: out[n, i, j] = sum_k t[i, j, k] * x[n, k]. Leading
+    axes, one per stacked model, must match: (K, p, d, k) with (K, m, k)."""
+    if (t.ndim < 3 or x.ndim != t.ndim - 1 or t.shape[:-3] != x.shape[:-2]
+            or t.shape[-1] != x.shape[-1]):
         raise ShapeError(f"mode3_contract: {t.shape} x {x.shape}")
-    p, d, k = t.shape
-    return (x @ t.reshape(p * d, k).T).reshape(len(x), p, d)
+    p, d, k = t.shape[-3:]
+    flat = t.reshape(*t.shape[:-3], p * d, k)
+    return (x @ flat.swapaxes(-1, -2)).reshape(*x.shape[:-1], p, d)
 
 
 def matvec(maps: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Row-wise matrix-vector products: out[n] = maps[n] @ x[n] for an
-    (m, p, d) stack of matrices and an (m, d) matrix of vectors."""
-    if maps.ndim != 3 or x.ndim != 2 or (maps.shape[0], maps.shape[2]) != x.shape:
+    (m, p, d) stack of matrices and an (m, d) matrix of vectors; leading
+    axes alike."""
+    if (maps.ndim < 3 or x.ndim != maps.ndim - 1
+            or maps.shape[:-2] + maps.shape[-1:] != x.shape):
         raise ShapeError(f"matvec: {maps.shape} x {x.shape}")
-    return (maps @ x[:, :, None])[:, :, 0]
+    return (maps @ x[..., None])[..., 0]
 
 
 def _check_ids(ids: np.ndarray, n: int) -> None:
@@ -155,48 +168,60 @@ def _check_ids(ids: np.ndarray, n: int) -> None:
 class Cache(NamedTuple):
     """What ``backward`` needs from ``forward``: the gathered embedding rows,
     the transformed embeddings u (left) and v (right) and, for the bilinear
-    form, each row's relation maps."""
+    form, each row's relation maps. ``flat_ids`` locates the gathered rows
+    in ``E.reshape(-1, d)`` (lhs, rel, rhs slots in turn), where the SGD
+    step adds their gradients. Stacked calls add a leading K to every
+    array."""
 
     el: np.ndarray                  # (m, d)
     er: np.ndarray                  # (m, d)
     eh: np.ndarray                  # (m, d)
     u: np.ndarray                   # (m, p)
     v: np.ndarray                   # (m, p)
+    flat_ids: np.ndarray            # (3m,)
     maps_l: np.ndarray | None = None  # (m, p, d)
     maps_r: np.ndarray | None = None  # (m, p, d)
 
-    def take(self, rows) -> "Cache":
-        return Cache(*(a if a is None else a[rows] for a in self))
+
+def _t(a: np.ndarray) -> np.ndarray:
+    return a.swapaxes(-1, -2)
 
 
 def forward(E: np.ndarray, params: Params, lhs: np.ndarray, rel: np.ndarray,
             rhs: np.ndarray) -> tuple[np.ndarray, Cache]:
     """Energies of the triples (lhs[n], rel[n], rhs[n]) and the cache for
-    ``backward``. E is the (n_symbols, d) embedding matrix."""
-    ids = np.concatenate((lhs, rel, rhs))
-    _check_ids(ids, E.shape[0])
-    m = len(lhs)
-    rows = E[ids]
-    el, er, eh = rows[:m], rows[m:2 * m], rows[2 * m:]
+    ``backward``. E is the (n_symbols, d) embedding matrix, or a stack of K
+    of them with (K, m) id arrays and stacked parameters; every stacked
+    model's rows come from one gather through the flat (K * n_symbols, d)
+    view."""
+    n, d = E.shape[-2:]
+    ids = np.concatenate((lhs, rel, rhs), axis=-1)
+    _check_ids(ids, n)
+    if E.ndim == 3:
+        ids = ids + n * np.arange(len(E))[:, None]
+    m = lhs.shape[-1]
+    rows = E.reshape(-1, d)[ids]
+    el, er, eh = rows[..., :m, :], rows[..., m:2 * m, :], rows[..., 2 * m:, :]
     if isinstance(params, LinearParams):
-        u = el @ params.w_l1.T + er @ params.w_l2.T + params.b_l
-        v = eh @ params.w_r1.T + er @ params.w_r2.T + params.b_r
-        cache = Cache(el, er, eh, u, v)
+        u = el @ _t(params.w_l1) + er @ _t(params.w_l2) + params.b_l[..., None, :]
+        v = eh @ _t(params.w_r1) + er @ _t(params.w_r2) + params.b_r[..., None, :]
+        cache = Cache(el, er, eh, u, v, ids)
     else:
         # maps[n] is the (p, d) matrix the relation embedding er[n] selects
         maps_l = mode3_contract(params.w_l, er)
         maps_r = mode3_contract(params.w_r, er)
-        u = matvec(maps_l, el) + params.b_l
-        v = matvec(maps_r, eh) + params.b_r
-        cache = Cache(el, er, eh, u, v, maps_l, maps_r)
-    return -(u * v).sum(axis=1), cache
+        u = matvec(maps_l, el) + params.b_l[..., None, :]
+        v = matvec(maps_r, eh) + params.b_r[..., None, :]
+        cache = Cache(el, er, eh, u, v, ids, maps_l, maps_r)
+    return -(u * v).sum(axis=-1), cache
 
 
 @dataclass
 class Gradients:
     """d(energy)/d(everything); mirrors the parameter structure plus the
     embedding rows involved (keyed by slot, not by id). From ``backward``
-    the row gradients hold one row per triple."""
+    the row gradients hold one row per triple, and stacked calls add a
+    leading K."""
 
     params: Params
     d_lhs: np.ndarray
@@ -205,28 +230,29 @@ class Gradients:
 
 
 def backward(params: Params, cache: Cache, w: np.ndarray) -> Gradients:
-    """Gradients of sum_n w[n] * energy[n] for the triples in ``cache``."""
+    """Gradients of sum_n w[n] * energy[n] for the triples in ``cache``. A
+    row weighted 0 adds exact zeros to every sum over rows."""
     el, er, eh, u, v = cache.el, cache.er, cache.eh, cache.u, cache.v
-    gu = -w[:, None] * v   # d/du of -w * (u . v)
-    gv = -w[:, None] * u
+    gu = -w[..., None] * v   # d/du of -w * (u . v)
+    gv = -w[..., None] * u
     if isinstance(params, LinearParams):
-        g = LinearParams(w_l1=gu.T @ el, w_l2=gu.T @ er,
-                         w_r1=gv.T @ eh, w_r2=gv.T @ er,
-                         b_l=gu.sum(axis=0), b_r=gv.sum(axis=0))
+        g = LinearParams(w_l1=_t(gu) @ el, w_l2=_t(gu) @ er,
+                         w_r1=_t(gv) @ eh, w_r2=_t(gv) @ er,
+                         b_l=gu.sum(axis=-2), b_r=gv.sum(axis=-2))
         return Gradients(g, gu @ params.w_l1, gu @ params.w_l2 + gv @ params.w_r2,
                          gv @ params.w_r1)
-    k, p, d = len(w), params.p, params.d
-    w_l = params.w_l.reshape(p * d, d)
-    w_r = params.w_r.reshape(p * d, d)
+    lead, p, d = w.shape, params.p, params.d
+    w_l = params.w_l.reshape(*lead[:-1], p * d, d)
+    w_r = params.w_r.reshape(*lead[:-1], p * d, d)
     # u[n, i] = sum_jk w_l[i, j, k] el[n, j] er[n, k]: the outer product
     # gu[n] x el[n], flattened to p*d, meets w_l and er in one GEMM each
-    a_l = (gu[:, :, None] * el[:, None, :]).reshape(k, p * d)
-    a_r = (gv[:, :, None] * eh[:, None, :]).reshape(k, p * d)
-    g = BilinearParams(w_l=(a_l.T @ er).reshape(p, d, d),
-                       w_r=(a_r.T @ er).reshape(p, d, d),
-                       b_l=gu.sum(axis=0), b_r=gv.sum(axis=0))
-    d_lhs = (gu[:, None, :] @ cache.maps_l)[:, 0, :]
-    d_rhs = (gv[:, None, :] @ cache.maps_r)[:, 0, :]
+    a_l = (gu[..., :, None] * el[..., None, :]).reshape(*lead, p * d)
+    a_r = (gv[..., :, None] * eh[..., None, :]).reshape(*lead, p * d)
+    g = BilinearParams(w_l=(_t(a_l) @ er).reshape(params.w_l.shape),
+                       w_r=(_t(a_r) @ er).reshape(params.w_r.shape),
+                       b_l=gu.sum(axis=-2), b_r=gv.sum(axis=-2))
+    d_lhs = (gu[..., None, :] @ cache.maps_l)[..., 0, :]
+    d_rhs = (gv[..., None, :] @ cache.maps_r)[..., 0, :]
     return Gradients(g, d_lhs, a_l @ w_l + a_r @ w_r, d_rhs)
 
 

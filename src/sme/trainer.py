@@ -4,10 +4,20 @@ validation AUC-PR.
 Each epoch pairs every training positive with one corruption, runs
 shuffled mini-batches, then projects every embedding row back to unit
 norm. The best-validation snapshot is what training returns.
+
+One loop trains K independent models side by side, such as the K folds of
+a cross-validation; ``train`` is its K = 1 call. Every embedding matrix and
+parameter block carries a leading fold axis and one SGD step updates every
+fold, so the per-call cost of the step is paid once for all K. Each fold
+draws its initial weights, permutations and corruptions from its own PCG64
+stream, and a fold's pairs past the end of its epoch are weighted 0, so a
+fold's model is bitwise the model that training it alone gives. A fold
+that stops early leaves the stack.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -34,10 +44,10 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not self.margin > 0:
-            raise ConfigError(f"margin must be > 0, got {self.margin}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.margin) and self.margin > 0):
+            raise ConfigError(f"margin must be finite and > 0, got {self.margin}")
         if self.epochs_max < 1:
             raise ConfigError(f"epochs_max must be >= 1, got {self.epochs_max}")
         if self.batch_size < 1:
@@ -52,12 +62,20 @@ class TrainConfig:
 class EpochRecord:
     loss: float
     val_auc: float
-    secs: float
+    secs: float   # an equal share of the stacked epoch, plus the fold's validation
 
 
 @dataclass
 class TrainTrace:
     epochs: list[EpochRecord] = field(default_factory=list)
+    best_epoch: int = -1    # the epoch whose snapshot training returned
+    stop_reason: str = ""   # "patience" or "epochs_max"
+
+    def summary(self) -> dict:
+        """What ``EvalReport`` records of the run, per fold."""
+        return {"epochs_run": len(self.epochs), "best_epoch": self.best_epoch,
+                "stop_reason": self.stop_reason,
+                "secs": sum(r.secs for r in self.epochs)}
 
 
 def ranking_loss(e_pos: float, e_neg: float, margin: float) -> float:
@@ -104,112 +122,186 @@ def sgd_step(batch: list[tuple[Triple, Triple]], emb: EmbeddingTable,
     """One mini-batch update. Returns the mean ranking loss before the update."""
     pos = np.array([[p.lhs, p.rel, p.rhs] for p, _ in batch], dtype=np.int64)
     neg = np.array([[n.lhs, n.rel, n.rhs] for _, n in batch], dtype=np.int64)
-    return _sgd_step_arrays(pos[:, 0], pos[:, 1], pos[:, 2],
-                            neg[:, 0], neg[:, 1], neg[:, 2],
-                            emb, params, config)
+    return float(_sgd_step_arrays(pos[:, 0], pos[:, 1], pos[:, 2],
+                                  neg[:, 0], neg[:, 1], neg[:, 2],
+                                  emb, params, config).mean())
 
 
 def _sgd_step_arrays(p_lhs, p_rel, p_rhs, n_lhs, n_rel, n_rhs,
-                     emb: EmbeddingTable, params: Params,
-                     config: TrainConfig) -> float:
+                     emb: EmbeddingTable, params: Params, config: TrainConfig,
+                     counted: np.ndarray | None = None) -> np.ndarray:
+    """One mini-batch update; returns each pair's ranking loss before it.
+
+    The id arrays are (m,) for one model, or (K, m) for a stack of K with
+    (K, n, d) embeddings and stacked parameters. ``counted`` marks the
+    pairs that count; the others pad a fold's short or spent batch. A counted
+    pair with positive loss weighs +1 on its positive and -1 on its
+    corruption; every other row weighs 0 and changes nothing.
+    """
     # positives and corruptions go through one forward, positives first
-    m = len(p_lhs)
-    lhs = np.concatenate((p_lhs, n_lhs))
-    rel = np.concatenate((p_rel, n_rel))
-    rhs = np.concatenate((p_rhs, n_rhs))
+    m = p_lhs.shape[-1]
+    lhs = np.concatenate((p_lhs, n_lhs), axis=-1)
+    rel = np.concatenate((p_rel, n_rel), axis=-1)
+    rhs = np.concatenate((p_rhs, n_rhs), axis=-1)
     energies, cache = forward(emb.vectors, params, lhs, rel, rhs)
-    losses = np.maximum(0.0, config.margin + energies[:m] - energies[m:])
+    losses = np.maximum(0.0, config.margin + energies[..., :m] - energies[..., m:])
     if not np.all(np.isfinite(losses)):
         raise NumericalError("non-finite ranking loss; training aborted")
-    mean_loss = float(losses.mean())
     active = losses > 0
-    k = int(active.sum())
-    if k == 0:
-        return mean_loss
+    if counted is not None:
+        active &= counted
+    if not active.any():
+        return losses
 
-    # an active pair's loss is margin + energy(pos) - energy(neg): its
-    # positive row is weighted +1 and its corruption -1
-    rows = np.concatenate((active, active))
-    grads = backward(params, cache.take(rows), np.repeat([1.0, -1.0], k))
+    w = active.astype(np.float64)
+    grads = backward(params, cache, np.concatenate((w, -w), axis=-1))
     for grad in grads.params.arrays():
         if not np.all(np.isfinite(grad)):
             raise NumericalError("non-finite parameter gradient; training aborted")
-    ids = np.concatenate((lhs[rows], rel[rows], rhs[rows]))
-    touched, slot = np.unique(ids, return_inverse=True)
-    g_emb = np.zeros((len(touched), emb.dim))
-    np.add.at(g_emb, slot, np.concatenate((grads.d_lhs, grads.d_rel, grads.d_rhs)))
+    # one scatter-add of every row gradient, element by element, through the
+    # flat view of the embeddings; bincount adds in input order, as np.add.at
+    # does, at a fraction of its per-element cost
+    d = emb.dim
+    at = (cache.flat_ids[..., None] * d + np.arange(d)).ravel()
+    row_grads = np.concatenate((grads.d_lhs, grads.d_rel, grads.d_rhs), axis=-2)
+    g_emb = np.bincount(at, weights=row_grads.ravel(), minlength=emb.vectors.size)
     if not np.all(np.isfinite(g_emb)):
         raise NumericalError("non-finite embedding gradient; training aborted")
     for target, grad in zip(params.arrays(), grads.params.arrays()):
         target -= config.learning_rate * grad
-    emb.vectors[touched] -= config.learning_rate * g_emb
-    return mean_loss
+    emb.vectors -= config.learning_rate * g_emb.reshape(emb.vectors.shape)
+    return losses
 
 
 def _log_enabled() -> bool:
     return os.environ.get("SME_LOG", "info") != "quiet"
 
 
+def _select(params: Params, index) -> Params:
+    """The blocks of the stacked folds at ``index``: views for one fold,
+    copies for an index list."""
+    return type(params)(*(a[index] for a in params.arrays()))
+
+
 def train(train_ts: TripleSet, valid_ts: TripleSet, d: Dictionary,
           form: str, dim_d: int, dim_p: int,
           config: TrainConfig) -> tuple[Model, TrainTrace]:
     """Run SGD epochs with early stopping; returns the best-validation model."""
+    if len(train_ts) == 0:
+        raise ConfigError("training set is empty")
+    [result] = train_folds([positives_of(train_ts)], [valid_ts], d, form,
+                           dim_d, dim_p, config, [config.seed])
+    return result
+
+
+def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionary,
+                form: str, dim_d: int, dim_p: int, config: TrainConfig,
+                seeds: list[int]) -> list[tuple[Model, TrainTrace]]:
+    """Train one model per fold in one stacked SGD loop. Fold f learns from
+    the training positives ``positives[f]``, early-stops on ``valid[f]`` and
+    draws from PCG64(seeds[f]). Returns each fold's best-validation model
+    and its trace. Epoch lines come epoch-major: every fold still training
+    logs epoch e before any logs epoch e + 1."""
     config.validate()
     if dim_d < 1 or dim_p < 1:
         raise ConfigError(f"dimensions must be >= 1, got d={dim_d} p={dim_p}")
-    if len(train_ts) == 0:
-        raise ConfigError("training set is empty")
-    if len(valid_ts) == 0:
-        raise ConfigError("validation set is empty")
-    pos = positives_of(train_ts)
-    if len(pos) == 0:
-        raise ConfigError("training set has no positive triples")
+    for pos, val in zip(positives, valid):
+        if len(val) == 0:
+            raise ConfigError("validation set is empty")
+        if len(pos) == 0:
+            raise ConfigError("training set has no positive triples")
     entity_ids = d.entity_id_array()
     if len(entity_ids) < 2:
         raise ConfigError("corruption needs at least 2 entities")
 
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    emb = init_embeddings(len(d), dim_d, rng, frozenset(d.relation_ids))
+    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+    relation_ids = frozenset(d.relation_ids)
+    tables, blocks = [], []
+    for rng in rngs:
+        tables.append(init_embeddings(len(d), dim_d, rng, relation_ids).vectors)
+        blocks.append(init_params(form, dim_d, dim_p, rng))
+    emb = EmbeddingTable(np.stack(tables), relation_ids)
     emb.normalize_rows()
-    params = init_params(form, dim_d, dim_p, rng)
+    params = type(blocks[0])(*map(np.stack, zip(*(b.arrays() for b in blocks))))
 
-    trace = TrainTrace()
-    best: Model | None = None
-    best_auc = -np.inf
-    stale = 0
-    for epoch in range(config.epochs_max):
-        t0 = time.perf_counter()
+    folds = list(range(len(seeds)))   # the fold in each row of the stack
+    traces = [TrainTrace() for _ in folds]
+    best: list[Model | None] = [None for _ in folds]
+    best_auc = [-np.inf for _ in folds]
+    stale = [0 for _ in folds]
+    # an overflow shows as a non-finite loss, gradient, norm or score, which
+    # the checks report as one NumericalError or MetricError
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(config.epochs_max):
+            t0 = time.perf_counter()
+            mean_loss = _sgd_epoch([positives[f] for f in folds], [rngs[f] for f in folds],
+                                   emb, params, config, entity_ids)
+            emb.normalize_rows()
+            share = (time.perf_counter() - t0) / len(folds)
+            keep = []
+            for row, f in enumerate(folds):
+                t1 = time.perf_counter()
+                fold_emb = EmbeddingTable(emb.vectors[row], relation_ids)
+                fold_params = _select(params, row)
+                val = valid[f]
+                val_scores = -energies_batch(fold_emb, fold_params, val.lhs, val.rel, val.rhs)
+                val_auc = evaluator.auc_pr(evaluator.ScoredSet(val_scores, val.label))
+                secs = share + time.perf_counter() - t1
+                traces[f].epochs.append(EpochRecord(float(mean_loss[row]), val_auc, secs))
+                if _log_enabled():
+                    print(f"epoch={epoch} loss={mean_loss[row]:.6f} val_auc={val_auc:.6f} "
+                          f"secs={secs:.3f}")
+
+                if val_auc > best_auc[f]:
+                    best_auc[f] = val_auc
+                    best[f] = Model(form, list(d.symbols), relation_ids,
+                                    fold_emb.copy(), fold_params.copy())
+                    traces[f].best_epoch = epoch
+                    stale[f] = 0
+                else:
+                    stale[f] += 1
+                    if stale[f] >= config.patience:
+                        traces[f].stop_reason = "patience"
+                        continue
+                keep.append(row)
+            if not keep:
+                break
+            if len(keep) < len(folds):
+                emb.vectors = emb.vectors[keep]
+                params = _select(params, keep)
+                folds = [folds[row] for row in keep]
+        else:
+            for f in folds:
+                traces[f].stop_reason = "epochs_max"
+    return list(zip(best, traces))
+
+
+def _sgd_epoch(positives: list[TripleSet], rngs: list[np.random.Generator],
+               emb: EmbeddingTable, params: Params, config: TrainConfig,
+               entity_ids: np.ndarray) -> np.ndarray:
+    """One epoch of every fold in the stack; row r of the stack trains on
+    ``positives[r]`` with ``rngs[r]``. Returns each fold's mean loss."""
+    size = config.batch_size
+    counts = np.array([len(pos) for pos in positives])
+    cols = np.arange(-(-counts.max() // size) * size)
+    # lhs, rel, rhs of each fold's shuffled positives, then of their
+    # corruptions; past its end a fold repeats its last pair, weighted 0
+    ids = np.empty((6, len(positives), len(cols)), dtype=np.int64)
+    for row, (pos, rng) in enumerate(zip(positives, rngs)):
         perm = rng.permutation(len(pos))
         lhs, rel, rhs = pos.lhs[perm], pos.rel[perm], pos.rhs[perm]
-        c_lhs, c_rel, c_rhs = _corrupt_batch(lhs, rel, rhs, config.corruption_mode,
-                                             rng, entity_ids)
-        total = 0.0
-        for start in range(0, len(lhs), config.batch_size):
-            sl = slice(start, start + config.batch_size)
-            batch_loss = _sgd_step_arrays(lhs[sl], rel[sl], rhs[sl],
-                                          c_lhs[sl], c_rel[sl], c_rhs[sl],
-                                          emb, params, config)
-            total += batch_loss * (len(lhs[sl]))
-        emb.normalize_rows()
-        mean_loss = total / len(lhs)
-
-        val_scores = -energies_batch(emb, params, valid_ts.lhs, valid_ts.rel,
-                                     valid_ts.rhs)
-        val_auc = evaluator.auc_pr(evaluator.ScoredSet(val_scores, valid_ts.label))
-        secs = time.perf_counter() - t0
-        trace.epochs.append(EpochRecord(mean_loss, val_auc, secs))
-        if _log_enabled():
-            print(f"epoch={epoch} loss={mean_loss:.6f} val_auc={val_auc:.6f} "
-                  f"secs={secs:.3f}")
-
-        if val_auc > best_auc:
-            best_auc = val_auc
-            best = Model(form, list(d.symbols), frozenset(d.relation_ids),
-                         emb.copy(), params.copy())
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
-    assert best is not None
-    return best, trace
+        corrupted = _corrupt_batch(lhs, rel, rhs, config.corruption_mode, rng, entity_ids)
+        at = np.minimum(cols, len(pos) - 1)
+        for slot, a in enumerate((lhs, rel, rhs, *corrupted)):
+            ids[slot, row] = a[at]
+    total = np.zeros(len(positives))
+    for start in range(0, len(cols), size):
+        in_batch = np.maximum(np.minimum(counts - start, size), 0)
+        counted = None if (in_batch == size).all() else cols[:size] < in_batch[:, None]
+        losses = _sgd_step_arrays(*ids[:, :, start:start + size], emb, params,
+                                  config, counted)
+        means = losses.mean(axis=-1)
+        for row in np.flatnonzero((in_batch > 0) & (in_batch < size)):   # a short batch
+            means[row] = losses[row, :in_batch[row]].mean()
+        total += means * in_batch
+    return total / counts

@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -184,3 +185,54 @@ class TestRejectsZeroSizes:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert not list(tmp_path.glob("out*"))
+
+
+class TestOneLineErrors:
+    """Bad settings and numeric aborts end in their exit code and exactly one
+    stderr line. A numpy warning would print lines of its own before it, so
+    warnings are raised as errors here."""
+
+    def run_one_line(self, argv, capfd):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(argv)
+        err = capfd.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return code
+
+    @pytest.mark.parametrize("argv, code", [
+        (["train", "--lr", "inf"], 2),
+        (["train", "--lr", "nan"], 2),
+        (["train", "--margin", "inf"], 2),
+        (["eval", "--margin", "nan"], 2),
+        (["train", "--seed", "-1"], 2),
+        (["train", "--lr", "1e308"], 4),
+        (["train", "--lr", "1e100", "--form", "linear"], 4),
+        (["eval", "--lr", "1e308", "--folds", "3"], 4),
+    ])
+    def test_exit_code_and_one_line(self, toy_files, capfd, monkeypatch, argv, code):
+        monkeypatch.setenv("SME_LOG", "quiet")
+        tmp_path, manifest, _ = toy_files
+        assert self.run_one_line([argv[0], "--dataset", str(manifest), "--epochs", "3",
+                                  "--out", str(tmp_path / "out"), *argv[1:]], capfd) == code
+
+    @pytest.mark.parametrize("payload", [
+        pytest.param(b'{"name": "toy", "triples": "toy.tsv", "folds": "abc"}', id="folds-text"),
+        pytest.param(b'{"name": "toy", "triples": "toy.tsv", "folds": null}', id="folds-null"),
+        pytest.param(b'{"name": "toy", "triples": 5}', id="triples-number"),
+        pytest.param(b'{"name": "toy", "triples": "toy.tsv", "folds": true}', id="folds-bool"),
+        pytest.param(b'{"name": "toy", "triples": "toy.tsv", "folds": 4.5}', id="folds-float"),
+        pytest.param(b'{"name": "toy", "triples": "toy.tsv", "seed": 1.0}', id="seed-float"),
+        pytest.param(b'{"name": "toy", "triples": "toy.tsv", "seed": false}', id="seed-bool"),
+        pytest.param(b'{"name": "toy", "triples": "toy.tsv", "seed": -1}', id="seed-negative"),
+        pytest.param(b'{"name": "toy", "triples": "."}', id="triples-directory"),
+        pytest.param(b'["toy", "toy.tsv"]', id="top-level-list"),
+        pytest.param(b'"toy.tsv"', id="top-level-string"),
+        pytest.param(b'{"name": "t\xe9", "triples": "toy.tsv"}', id="not-utf8"),
+        pytest.param(b'[' * 100000, id="deep-nesting"),
+    ])
+    def test_bad_manifest_is_data_error(self, toy_files, capfd, payload):
+        tmp_path, _, _ = toy_files
+        manifest = tmp_path / "bad.json"
+        manifest.write_bytes(payload)
+        assert self.run_one_line(["inspect", "--dataset", str(manifest)], capfd) == 3

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,35 @@ class TestAucPr:
         doubled = auc_pr(ScoredSet(np.concatenate([values, values]),
                                    np.concatenate([labels, labels])))
         assert abs(doubled - base) < 1e-12
+
+    def test_tie_heavy_matches_stable_sort_bitwise(self):
+        # the curve and the AUC do not depend on the order inside a tied group
+        def stable_reference(scores, labels):
+            order = np.argsort(-scores, kind="stable")
+            y, ranked = labels[order], scores[order]
+            ends = np.append(np.nonzero(np.diff(ranked))[0], len(ranked) - 1)
+            tp = np.cumsum(y)[ends].astype(np.float64)
+            recall = np.concatenate([[0.0], tp / (labels == 1).sum()])
+            precision = np.concatenate([[1.0], tp / (ends + 1)])
+            terms = (recall[1:] - recall[:-1]) * (precision[1:] + precision[:-1]) * 0.5
+            return recall, precision, float(np.cumsum(terms)[-1])
+
+        rng = np.random.default_rng(17)
+        reordered = 0
+        for n in [3, 40, 500, 5000, 20000]:
+            for decimals in [0, 1, 2]:
+                scores = np.round(rng.normal(size=n), decimals)
+                labels = rng.integers(0, 2, size=n)
+                labels[:2] = [0, 1]
+                want_r, want_p, want_auc = stable_reference(scores, labels)
+                s = ScoredSet(scores, labels)
+                recall, precision = pr_curve(s)
+                assert recall.tobytes() == want_r.tobytes()
+                assert precision.tobytes() == want_p.tobytes()
+                assert auc_pr(s) == want_auc
+                reordered += not np.array_equal(np.argsort(-scores),
+                                                np.argsort(-scores, kind="stable"))
+        assert reordered   # some tied groups did come out in another order
 
     def test_tie_heavy_against_oracle(self):
         rng = np.random.default_rng(7)
@@ -156,3 +187,35 @@ class TestCrossValidate:
         serial = cross_validate(d, split, LINEAR, 4, 4, config)
         parallel = cross_validate(d, split, LINEAR, 4, 4, config, jobs=2)
         assert serial.per_fold_auc == parallel.per_fold_auc
+
+    def test_worker_groups_match_one_stack(self, toy_dataset):
+        # five folds in two workers: groups [0, 1, 2] and [3, 4]
+        d, ts = toy_dataset
+        split = make_folds(ts, 5, seed=0)
+        config = TrainConfig(epochs_max=4, patience=2, seed=2)
+        one = cross_validate(d, split, LINEAR, 4, 4, config)
+        grouped = cross_validate(d, split, LINEAR, 4, 4, config, jobs=2)
+        assert grouped.per_fold_auc == one.per_fold_auc
+        assert grouped.pr_curves == one.pr_curves
+
+        def without_secs(runs):
+            return [{k: v for k, v in r.items() if k != "secs"} for r in runs]
+        assert without_secs(grouped.per_fold_run) == without_secs(one.per_fold_run)
+
+    def test_per_fold_run_summary(self, toy_dataset):
+        d, ts = toy_dataset
+        split = make_folds(ts, 2, seed=0)
+        config = TrainConfig(epochs_max=6, patience=2, seed=1)
+        report = cross_validate(d, split, LINEAR, 4, 4, config)
+        runs = report.per_fold_run
+        assert [r["stop_reason"] for r in runs] == ["epochs_max", "patience"]
+        assert runs[0]["epochs_run"] == 6
+        # patience: the best epoch, then `patience` epochs without a better one
+        assert runs[1]["epochs_run"] == runs[1]["best_epoch"] + 1 + config.patience
+        for r in runs:
+            assert 0 <= r["best_epoch"] < r["epochs_run"] and r["secs"] > 0
+        assert EvalReport.from_json(report.to_json()).per_fold_run == runs
+        # reports written before the field existed still load
+        old = json.loads(report.to_json())
+        del old["per_fold_run"]
+        assert EvalReport.from_json(json.dumps(old)).per_fold_run == []

@@ -1,11 +1,12 @@
-"""Property tests over the two files a user hands the CLI: model files through
-``sme score`` and triple files through ``sme inspect``. Whatever the bytes,
+"""Property tests over the files a user hands the CLI: model files through
+``sme score``, and triple files and dataset manifests through ``sme inspect``. Whatever the bytes,
 the command ends with a documented exit code (0 ok, 2 usage, 3 data,
 4 numeric) and, on failure, one ``error:`` line on stderr; never a traceback.
 """
 
 import contextlib
 import io
+import json
 import warnings
 
 import numpy as np
@@ -114,3 +115,42 @@ def test_triple_file_text_through_inspect(raw, tmp_path_factory):
     assert_documented_outcome(code, out, err)
     if code == 0:
         assert out.startswith("entities=") and out.count("\n") == 1
+
+
+# JSON values of every type, some of them fitting values for a manifest key
+VALUE = st.one_of(st.integers(-2, 12), st.integers(), st.booleans(), st.none(),
+                  st.floats(), st.text(max_size=4),
+                  st.lists(st.integers(0, 3), max_size=2),
+                  st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2))
+TRIPLES_REF = st.one_of(st.sampled_from(["toy.tsv", "./toy.tsv", "missing.tsv", "",
+                                         ".", "..", "toy.tsv\0"]), VALUE)
+OPTIONAL = {"folds": VALUE, "seed": VALUE, "other": VALUE}
+MANIFEST = st.one_of(
+    st.fixed_dictionaries({"name": st.just("toy"), "triples": st.just("toy.tsv")},
+                          optional={"folds": st.integers(2, 12), "seed": st.integers(0)}),
+    st.fixed_dictionaries({"name": st.just("toy"), "triples": st.just("toy.tsv")},
+                          optional=OPTIONAL),
+    st.fixed_dictionaries({}, optional={"name": st.one_of(st.just("toy"), VALUE),
+                                        "triples": TRIPLES_REF, **OPTIONAL}),
+).map(json.dumps)
+MANIFEST_BYTES = st.one_of(
+    MANIFEST.map(str.encode),
+    MANIFEST.map(str.encode).flatmap(lambda raw: st.integers(0, len(raw)).map(
+        lambda cut: raw[:cut])),
+    st.one_of(VALUE, st.lists(VALUE, max_size=3)).map(lambda v: json.dumps(v).encode()),
+    st.text(st.characters(codec="utf-8"), max_size=20).map(str.encode),
+    st.binary(max_size=40),
+)
+
+
+@FUZZ
+@given(raw=MANIFEST_BYTES)
+def test_manifest_through_inspect(raw, tmp_path_factory):
+    base = tmp_path_factory.getbasetemp()
+    (base / "toy.tsv").write_text("a\tr\tb\t1\nb\tr\ta\t0\n", encoding="utf-8")
+    path = base / "fuzz.json"
+    path.write_bytes(raw)
+    code, out, err = run_cli(["inspect", "--dataset", str(path)])
+    assert_documented_outcome(code, out, err)
+    if code == 0:
+        assert out == "entities=2 relations=1 records=2 valid=50%\n"

@@ -3,7 +3,7 @@ import pytest
 
 from sme import model as model_module
 from sme.dataset import Triple
-from sme.errors import LookupIdError
+from sme.errors import LookupIdError, NumericalError
 from sme.model import (BILINEAR, LINEAR, BilinearParams, EmbeddingTable,
                        LinearParams, energies_batch, energy, energy_gradients,
                        forward, init_embeddings, init_params)
@@ -310,3 +310,11 @@ def test_normalize_rows():
     emb.normalize_rows()
     norms = np.linalg.norm(emb.vectors, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-12)
+
+
+def test_normalize_rows_rejects_overflowing_norm():
+    # the squared norm of a finite row of 1e200 overflows; dividing by it
+    # would silently zero the row
+    emb = EmbeddingTable(np.array([[1e200, 1e200], [3.0, 4.0]]))
+    with pytest.raises(NumericalError, match="norm"), np.errstate(over="ignore"):
+        emb.normalize_rows()

@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sme.dataset import Triple, load_triples, make_folds, positives_of
 from sme.errors import ConfigError, NumericalError
-from sme.model import (BILINEAR, LINEAR, energy, energy_gradients,
+from sme.model import (BILINEAR, LINEAR, energies_batch, energy, energy_gradients,
                        init_embeddings, init_params)
 from sme.trainer import (TrainConfig, _corrupt_batch, _sgd_step_arrays, corrupt,
-                         ranking_loss, sgd_step, train)
+                         ranking_loss, sgd_step, train, train_folds)
 
 from conftest import two_group_records, write_triples
 from oracles import (energy_bilinear_formula, energy_linear_formula,
@@ -303,3 +305,67 @@ class TestTrain:
             if all(b <= a + 1e-12 for a, b in zip(losses, losses[1:])):
                 down += 1
         assert down >= 9
+
+
+class TestStackedFolds:
+    @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
+    def test_fold_alone_matches_fold_in_stack(self, form, tmp_path):
+        d, ts = load_triples(write_triples(tmp_path / "toy.tsv", two_group_records()))
+        split = make_folds(ts, 10, seed=0)
+        positives, valid = [], []
+        for f in range(10):
+            train_mask, valid_mask, _ = split.roles(f)
+            positives.append(split.triples.subset(train_mask & (split.triples.label == 1)))
+            valid.append(split.triples.subset(valid_mask))
+        config = TrainConfig(epochs_max=6, patience=2, batch_size=8, learning_rate=0.05)
+        seeds = [100 + f for f in range(10)]
+        stacked = train_folds(positives, valid, d, form, 4, 4, config, seeds)
+        # the folds' batch counts differ by more than one, and some folds
+        # stop on patience while others run on to epochs_max
+        batches = [-(-len(pos) // config.batch_size) for pos in positives]
+        assert max(batches) - min(batches) > 1
+        assert {trace.stop_reason for _, trace in stacked} == {"patience", "epochs_max"}
+        for f, (model, trace) in enumerate(stacked):
+            train_ts, valid_ts, _ = split.fold_sets(f)
+            alone, alone_trace = train(train_ts, valid_ts, d, form, 4, 4,
+                                       replace(config, seed=seeds[f]))
+            assert model.emb.vectors.tobytes() == alone.emb.vectors.tobytes(), f
+            for a, b in zip(model.params.arrays(), alone.params.arrays()):
+                assert a.tobytes() == b.tobytes(), f
+            assert ([(r.loss, r.val_auc) for r in trace.epochs]
+                    == [(r.loss, r.val_auc) for r in alone_trace.epochs]), f
+            assert trace.best_epoch == alone_trace.best_epoch
+            assert trace.stop_reason == alone_trace.stop_reason
+
+    def test_epoch_loss_is_mean_pair_loss(self, toy_split):
+        # With a vanishing learning rate the weights stay put, so the epoch's
+        # loss is the mean hinge of its pairs at the initial weights, drawn
+        # here from the same stream. The last batch is short.
+        d, split = toy_split
+        train_ts, valid_ts, _ = split.fold_sets(0)
+        config = TrainConfig(epochs_max=1, batch_size=8, learning_rate=1e-300, seed=4)
+        pos = positives_of(train_ts)
+        assert len(pos) % config.batch_size > 1
+        _, trace = train(train_ts, valid_ts, d, LINEAR, 4, 4, config)
+
+        rng = np.random.Generator(np.random.PCG64(config.seed))
+        emb = init_embeddings(len(d), 4, rng, frozenset(d.relation_ids))
+        emb.normalize_rows()
+        params = init_params(LINEAR, 4, 4, rng)
+        perm = rng.permutation(len(pos))
+        ids = pos.lhs[perm], pos.rel[perm], pos.rhs[perm]
+        neg = _corrupt_batch(*ids, "both", rng, d.entity_id_array())
+        hinge = np.maximum(0.0, config.margin + energies_batch(emb, params, *ids)
+                           - energies_batch(emb, params, *neg))
+        assert trace.epochs[0].loss == pytest.approx(hinge.mean(), rel=1e-12)
+
+    def test_summary(self, toy_split):
+        d, split = toy_split
+        train_ts, valid_ts, _ = split.fold_sets(0)
+        _, trace = train(train_ts, valid_ts, d, LINEAR, 4, 4,
+                         TrainConfig(epochs_max=3, patience=10, seed=1))
+        summary = trace.summary()
+        assert summary["epochs_run"] == 3 and summary["stop_reason"] == "epochs_max"
+        aucs = [r.val_auc for r in trace.epochs]
+        assert summary["best_epoch"] == aucs.index(max(aucs))
+        assert summary["secs"] == sum(r.secs for r in trace.epochs) > 0
