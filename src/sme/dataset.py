@@ -12,7 +12,7 @@ file naming the triple file plus the fold count and split seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -76,24 +76,19 @@ class Dictionary:
 
 @dataclass
 class TripleSet:
-    """Parallel arrays of (lhs, rel, rhs, label) records, optionally folded."""
+    """Parallel arrays of (lhs, rel, rhs, label) records."""
 
     lhs: np.ndarray
     rel: np.ndarray
     rhs: np.ndarray
     label: np.ndarray
-    fold: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.fold is None:
-            self.fold = np.full(len(self.lhs), -1, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.lhs)
 
     def subset(self, mask: np.ndarray) -> "TripleSet":
         return TripleSet(self.lhs[mask], self.rel[mask], self.rhs[mask],
-                         self.label[mask], self.fold[mask])
+                         self.label[mask])
 
     @property
     def n_positive(self) -> int:
@@ -202,7 +197,6 @@ def make_folds(ts: TripleSet, k: int, seed: int) -> FoldSplit:
         size = base + (1 if i < extra else 0)
         assignment[perm[start:start + size]] = i
         start += size
-    ts = TripleSet(ts.lhs, ts.rel, ts.rhs, ts.label, assignment.copy())
     return FoldSplit(k, ts, assignment)
 
 

@@ -93,7 +93,7 @@ class EvalReport:
             "config": self.config,
             "pr_curves": self.pr_curves,
             "per_fold_run": self.per_fold_run,
-        }, indent=2)
+        }, separators=(",", ":"))
 
     @staticmethod
     def from_json(text: str) -> "EvalReport":

@@ -13,8 +13,10 @@ The kernel also takes a stack of K independent models: embeddings
 (K, m). Each matrix product then runs once per model, on the same operands
 a single model would give it. The SGD step and the single-triple ``energy``
 and ``energy_gradients`` call this kernel. Validation, test and bulk
-scoring call ``energies_batch``, which projects every symbol row once per
-call and gathers from those tables.
+scoring call ``energies_batch``, one path for both forms: for a fixed
+relation each form is an affine map of the entity embedding, so every
+symbol row is projected once per relation present in the call and each
+record is scored by gathers from those tables.
 """
 
 from __future__ import annotations
@@ -294,11 +296,11 @@ class Model:
         return replace(self, emb=self.emb.copy(), params=self.params.copy())
 
 
-# Bytes the bilinear projection tables of one ``energies_batch`` call may
-# take; a call whose relations need more builds them one block of relations
-# at a time. A block holds at least one relation, 2 * n * p * 8 B, which is
-# 2p/d times the embedding matrix. UMLS-shaped tables take 49 * 184 * 10 * 8 B,
-# about 0.7 MB, per side.
+# Bytes the projection tables of one ``energies_batch`` call may take; a call
+# whose relations need more builds them one block of relations at a time. A
+# block holds at least one relation, 2 * n * p * 8 B, which is 2p/d times the
+# embedding matrix. UMLS-shaped tables take 49 * 184 * 10 * 8 B, about
+# 0.7 MB, per side.
 _TABLE_BYTES = 16 << 20
 # Records per gather step: their u and v blocks (8192 * p * 8 B each) stay
 # in cache while they are multiplied and summed.
@@ -309,34 +311,62 @@ def energies_batch(emb: EmbeddingTable, params: Params,
                    lhs: np.ndarray, rel: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Energies for parallel id arrays, from projection tables built once per call.
 
-    u depends only on the (lhs, rel) pair and v only on the (rhs, rel) pair,
-    so every symbol row is projected once and each record is a few row
-    gathers. Linear: ``u = A[lhs] + B[rel]`` and ``v = C[rhs] + D[rel]``,
-    with A, C the entity-side and B, D the relation-side projections, biases
-    folded into B and D. Bilinear: the maps of the relations present in the
-    call are applied to every symbol row, ``Tl[r, s] = maps_l[r] @ E[s] + b_l``
-    (``Tr`` alike), one block of relations at a time within ``_TABLE_BYTES``.
-    The SGD step calls ``forward``/``backward`` instead: for its 64-row
-    batches the tables would cost more than the per-row maps.
+    For a fixed relation r both forms are affine maps of the entity
+    embedding, ``u = maps_l[r] @ e_lhs + off_l[r]`` and ``v`` alike (see
+    ``_relation_maps``), so u depends only on the (lhs, rel) pair and v only
+    on the (rhs, rel) pair. The maps of the relations present in the call
+    are applied to every symbol row, ``Tl[r, s] = maps_l[r] @ E[s] + off_l[r]``
+    (``Tr`` alike), one block of relations at a time within ``_TABLE_BYTES``,
+    and each record is two row gathers and a dot product. The SGD step calls
+    ``forward``/``backward`` instead: for its 64-row batches the tables
+    would cost more than the per-row maps.
     """
     E = emb.vectors
     lhs, rel, rhs = np.asarray(lhs), np.asarray(rel), np.asarray(rhs)
+    n, p = E.shape[0], params.p
     for ids in (lhs, rel, rhs):
-        _check_ids(ids, E.shape[0])
+        _check_ids(ids, n)
+    present = np.zeros(n, dtype=bool)
+    present[rel] = True
+    slot = (np.cumsum(present) - 1)[rel]   # rank of each record's relation
+    maps_l, off_l, maps_r, off_r = _relation_maps(params, E, np.flatnonzero(present))
+    block = max(1, _TABLE_BYTES // (2 * n * p * 8))
+    out = np.empty(len(lhs))
+    for first in range(0, len(maps_l), block):
+        rows = (slice(None) if block >= len(maps_l)     # one block: every record
+                else np.flatnonzero((slot >= first) & (slot < first + block)))
+        blk = slice(first, first + block)
+        out[rows] = _gather_dot(_project(E, maps_l[blk], off_l[blk]),
+                                _project(E, maps_r[blk], off_r[blk]),
+                                n, slot[rows] - first, lhs[rows], rhs[rows])
+    return np.negative(out, out=out)
+
+
+def _relation_maps(params: Params, E: np.ndarray, rels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The (k, p, d) maps and (k, p) offsets, left then right, of the k
+    relations whose embeddings are the rows ``rels`` of E. Linear: the
+    entity-side weights, shared by every relation, and offsets
+    ``W_2 e_r + b``, taken from a projection of every row of E so that they
+    do not depend on how many relations the call holds (numpy multiplies a
+    one-row matrix by a matrix-vector path that may round differently).
+    Bilinear: the maps ``W x3 e_r`` and the biases."""
     if isinstance(params, LinearParams):
-        e = _linear_energies(E, params, lhs, rel, rhs)
-    else:
-        e = _bilinear_energies(E, params, lhs, rel, rhs)
-    return np.negative(e, out=e)
+        shape = (len(rels), *params.w_l1.shape)
+        off_l = (E @ params.w_l2.T)[rels] + params.b_l
+        off_r = (E @ params.w_r2.T)[rels] + params.b_r
+        return (np.broadcast_to(params.w_l1, shape), off_l,
+                np.broadcast_to(params.w_r1, shape), off_r)
+    er, shape = E[rels], (len(rels), params.p)
+    return (mode3_contract(params.w_l, er), np.broadcast_to(params.b_l, shape),
+            mode3_contract(params.w_r, er), np.broadcast_to(params.b_r, shape))
 
 
-def _steps(m: int, p: int, n_buffers: int):
-    """Slices of ``_STEP`` records, each with ``n_buffers`` (rows, p) work
-    buffers that are reused from step to step."""
-    buffers = [np.empty((min(m, _STEP), p)) for _ in range(n_buffers)]
-    for start in range(0, m, _STEP):
-        k = min(_STEP, m - start)
-        yield (slice(start, start + k), *(b[:k] for b in buffers))
+def _project(E, maps, offsets) -> np.ndarray:
+    """Row ``r * n + s`` holds ``maps[r] @ E[s] + offsets[r]``. One GEMM per
+    map, so a relation's rows do not depend on the block they were built in."""
+    t = np.matmul(E, maps.transpose(0, 2, 1))   # (r, n, p)
+    t += offsets[:, None, :]
+    return t.reshape(-1, maps.shape[1])
 
 
 # ids are range-checked before any table is indexed, so np.take's "clip"
@@ -344,59 +374,17 @@ def _steps(m: int, p: int, n_buffers: int):
 _TAKE = dict(axis=0, mode="clip")
 
 
-def _linear_energies(E, params: LinearParams, lhs, rel, rhs) -> np.ndarray:
-    p = params.p
-    proj = E @ np.concatenate((params.w_l1, params.w_r1,
-                               params.w_l2, params.w_r2)).T   # (n, 4p)
-    a, c, b, d = (np.ascontiguousarray(proj[:, i * p:(i + 1) * p]) for i in range(4))
-    b += params.b_l
-    d += params.b_r
-    out = np.empty(len(lhs))
-    for sl, u, v, t in _steps(len(lhs), p, 3):
-        np.take(a, lhs[sl], out=u, **_TAKE)
-        u += np.take(b, rel[sl], out=t, **_TAKE)
-        np.take(c, rhs[sl], out=v, **_TAKE)
-        v += np.take(d, rel[sl], out=t, **_TAKE)
-        u *= v
-        np.sum(u, axis=1, out=out[sl])
-    return out
-
-
-def _bilinear_energies(E, params: BilinearParams, lhs, rel, rhs) -> np.ndarray:
-    n, p = E.shape[0], params.p
-    present = np.zeros(n, dtype=bool)
-    present[rel] = True
-    slot = (np.cumsum(present) - 1)[rel]   # rank of each record's relation
-    er = E[np.flatnonzero(present)]
-    maps_l = mode3_contract(params.w_l, er)
-    maps_r = mode3_contract(params.w_r, er)
-    block = max(1, _TABLE_BYTES // (2 * n * p * 8))
-    out = np.empty(len(lhs))
-    for first in range(0, len(er), block):
-        rows = (slice(None) if block >= len(er)     # one block: every record
-                else np.flatnonzero((slot >= first) & (slot < first + block)))
-        out[rows] = _gather_dot(_project(E, maps_l[first:first + block], params.b_l),
-                                _project(E, maps_r[first:first + block], params.b_r),
-                                n, slot[rows] - first, lhs[rows], rhs[rows])
-    return out
-
-
-def _project(E, maps, bias) -> np.ndarray:
-    """Row ``r * n + s`` holds ``maps[r] @ E[s] + bias``. One GEMM per map,
-    so a relation's rows do not depend on the block they were built in."""
-    t = np.matmul(E, maps.transpose(0, 2, 1))   # (r, n, p)
-    t += bias
-    return t.reshape(-1, maps.shape[1])
-
-
 def _gather_dot(tl, tr, n: int, slot, lhs, rhs) -> np.ndarray:
     """Dot products of the rows ``slot * n + lhs`` of tl and ``slot * n + rhs``
-    of tr."""
-    out = np.empty(len(lhs))
-    for sl, u, v in _steps(len(lhs), tl.shape[1], 2):
+    of tr, ``_STEP`` records at a time through two reused work buffers."""
+    m = len(lhs)
+    out = np.empty(m)
+    buf_u, buf_v = (np.empty((min(m, _STEP), tl.shape[1])) for _ in range(2))
+    for start in range(0, m, _STEP):
+        sl = slice(start, start + _STEP)
         base = slot[sl] * n
-        np.take(tl, base + lhs[sl], out=u, **_TAKE)
-        np.take(tr, base + rhs[sl], out=v, **_TAKE)
+        u = np.take(tl, base + lhs[sl], out=buf_u[:len(base)], **_TAKE)
+        v = np.take(tr, base + rhs[sl], out=buf_v[:len(base)], **_TAKE)
         u *= v
         np.sum(u, axis=1, out=out[sl])
     return out

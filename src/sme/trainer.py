@@ -78,9 +78,10 @@ class TrainTrace:
                 "secs": sum(r.secs for r in self.epochs)}
 
 
-def ranking_loss(e_pos: float, e_neg: float, margin: float) -> float:
-    """Hinge on energies: positives must sit at least `margin` below corruptions."""
-    return max(0.0, margin + e_pos - e_neg)
+def ranking_loss(e_pos, e_neg, margin: float):
+    """Hinge on energies, elementwise: positives must sit at least `margin`
+    below their corruptions."""
+    return np.maximum(0.0, margin + e_pos - e_neg)
 
 
 def corrupt(t: Triple, mode: str, rng: np.random.Generator,
@@ -144,7 +145,7 @@ def _sgd_step_arrays(p_lhs, p_rel, p_rhs, n_lhs, n_rel, n_rhs,
     rel = np.concatenate((p_rel, n_rel), axis=-1)
     rhs = np.concatenate((p_rhs, n_rhs), axis=-1)
     energies, cache = forward(emb.vectors, params, lhs, rel, rhs)
-    losses = np.maximum(0.0, config.margin + energies[..., :m] - energies[..., m:])
+    losses = ranking_loss(energies[..., :m], energies[..., m:], config.margin)
     if not np.all(np.isfinite(losses)):
         raise NumericalError("non-finite ranking loss; training aborted")
     active = losses > 0
@@ -296,12 +297,8 @@ def _sgd_epoch(positives: list[TripleSet], rngs: list[np.random.Generator],
             ids[slot, row] = a[at]
     total = np.zeros(len(positives))
     for start in range(0, len(cols), size):
-        in_batch = np.maximum(np.minimum(counts - start, size), 0)
-        counted = None if (in_batch == size).all() else cols[:size] < in_batch[:, None]
+        counted = cols[:size] < (counts - start)[:, None]
         losses = _sgd_step_arrays(*ids[:, :, start:start + size], emb, params,
                                   config, counted)
-        means = losses.mean(axis=-1)
-        for row in np.flatnonzero((in_batch > 0) & (in_batch < size)):   # a short batch
-            means[row] = losses[row, :in_batch[row]].mean()
-        total += means * in_batch
+        total += np.where(counted, losses, 0.0).sum(axis=-1)
     return total / counts

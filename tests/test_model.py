@@ -259,19 +259,22 @@ class TestBatchEnergies:
         out = energies_batch(emb, params, lhs, rel, rhs)
         assert out.shape == (0,) and out.dtype == np.float64
 
+    @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
     @pytest.mark.parametrize("per_block", [1, 2, 3])
-    def test_relation_blocks_match_one_block_bitwise(self, per_block, monkeypatch):
+    def test_relation_blocks_match_one_block_bitwise(self, form, per_block, monkeypatch):
         n, p = 8, 2
-        emb, params, lhs, rel, rhs = batch_instance(BILINEAR, seed=34, m=500, n=n, p=p)
+        emb, params, lhs, rel, rhs = batch_instance(form, seed=34, m=500, n=n, p=p)
+        assert np.all(params.b_l != 0) and np.all(params.b_r != 0)
         one_block = energies_batch(emb, params, lhs, rel, rhs)
         # one relation's two tables take 2 * n * p * 8 bytes
         monkeypatch.setattr(model_module, "_TABLE_BYTES", per_block * 2 * n * p * 8)
         blocks = energies_batch(emb, params, lhs, rel, rhs)
         assert np.array_equal(blocks, one_block)
 
-    def test_tables_stay_within_budget(self, monkeypatch):
+    @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
+    def test_tables_stay_within_budget(self, form, monkeypatch):
         n, p = 8, 2
-        emb, params, lhs, rel, rhs = batch_instance(BILINEAR, seed=36, m=200, n=n, p=p)
+        emb, params, lhs, rel, rhs = batch_instance(form, seed=36, m=200, n=n, p=p)
         budget = 3 * 2 * n * p * 8
         monkeypatch.setattr(model_module, "_TABLE_BYTES", budget)
         sizes = []
