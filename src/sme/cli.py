@@ -1,8 +1,9 @@
 """Command-line front end: inspect, train, eval, score.
 
-Exit codes: 0 success, 2 usage/config error, 3 data integrity error,
-4 numerical failure. Flag values take precedence over manifest values,
-which take precedence over built-in defaults.
+Exit codes: 0 success, 2 usage/config error (including sizes whose arrays
+do not fit in memory), 3 data integrity error, 4 numerical failure. Flag
+values take precedence over manifest values, which take precedence over
+built-in defaults.
 """
 
 from __future__ import annotations
@@ -183,6 +184,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:   # a size flag asked for arrays that do not fit
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_USAGE
     except (ParseError, IntegrityError, OutOfDictionaryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

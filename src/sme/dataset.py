@@ -4,16 +4,26 @@ File format (UTF-8 text, one record per line):
 
     <lhs>\\t<rel>\\t<rhs>\\t<label>
 
-where the symbols are non-empty strings without tabs and label is 0 or 1.
-Lines starting with '#' are ignored. A dataset manifest is a small JSON
-file naming the triple file plus the fold count and split seed.
+where the symbols are non-empty strings without tabs and the label is the
+one character 0 or 1. Lines end in \\n, \\r\\n or \\r. A line whose first
+character is '#' is a comment; comment and blank lines are skipped but
+count towards line numbers. A repeated (lhs, rel, rhs) is an error.
+
+The loader streams the file in text blocks of about ``_BLOCK`` characters,
+each extended to the end of its last line. Each block is checked and split
+into symbols by whole-block numpy and string operations, with no Python
+loop over its records, so memory stays near one block plus the id arrays.
+A dataset manifest is a small JSON file naming the triple file plus the
+fold count and split seed.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,22 +46,14 @@ class Dictionary:
     subset seen in an entity slot (the two may overlap).
     """
 
-    def __init__(self):
-        self.symbols: list[str] = []
-        self._index: dict[str, int] = {}
-        self.relation_ids: set[int] = set()
-        self.entity_ids: set[int] = set()
+    def __init__(self, symbols: list[str], relation_ids: set[int], entity_ids: set[int]):
+        self.symbols = symbols
+        self._index = dict(zip(symbols, count()))
+        self.relation_ids = relation_ids
+        self.entity_ids = entity_ids
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-    def intern(self, symbol: str) -> int:
-        i = self._index.get(symbol)
-        if i is None:
-            i = len(self.symbols)
-            self.symbols.append(symbol)
-            self._index[symbol] = i
-        return i
 
     def id_of(self, symbol: str) -> int:
         try:
@@ -86,20 +88,13 @@ class TripleSet:
     def __len__(self) -> int:
         return len(self.lhs)
 
-    def subset(self, mask: np.ndarray) -> "TripleSet":
-        return TripleSet(self.lhs[mask], self.rel[mask], self.rhs[mask],
-                         self.label[mask])
+    def subset(self, rows: np.ndarray) -> "TripleSet":
+        """The records a boolean mask or an index array selects."""
+        return TripleSet(self.lhs[rows], self.rel[rows], self.rhs[rows], self.label[rows])
 
     @property
     def n_positive(self) -> int:
         return int(self.label.sum())
-
-    @staticmethod
-    def from_records(records) -> "TripleSet":
-        rec = list(records)
-        arr = np.array(rec, dtype=np.int64).reshape(len(rec), 4)
-        return TripleSet(arr[:, 0].copy(), arr[:, 1].copy(),
-                         arr[:, 2].copy(), arr[:, 3].copy())
 
 
 def positives_of(ts: TripleSet) -> TripleSet:
@@ -107,45 +102,143 @@ def positives_of(ts: TripleSet) -> TripleSet:
     return ts.subset(ts.label == 1)
 
 
+# Characters read per block. Each block also holds its last line's rest, so
+# a line longer than this makes a longer block.
+_BLOCK = 1 << 20
+_TAB, _NL, _HASH, _ZERO, _ONE = b"\t\n#01"
+
+
+class _Interner(dict):
+    """Symbol -> id; an unseen symbol gets the next id, so ids follow first
+    appearance."""
+
+    def __missing__(self, symbol: str) -> int:
+        self[symbol] = i = len(self)
+        return i
+
+
+class _Block(NamedTuple):
+    """The records of one block: their (m, 3) ids and labels, the block's
+    first line (0-based, in the file) and each record's line in the block."""
+
+    ids: np.ndarray
+    label: np.ndarray
+    first_line: int
+    lines: np.ndarray
+
+
 def load_triples(path) -> tuple[Dictionary, TripleSet]:
-    """Read a triple file, building the dictionary as symbols appear."""
+    """Read a triple file, building the dictionary as symbols appear.
+
+    The first line that breaks the format or repeats an earlier record
+    raises ParseError or IntegrityError with its 1-based line number."""
     path = Path(path)
-    d = Dictionary()
-    seen: set[tuple[int, int, int]] = set()
-    records = []
+    symbols = _Interner()
+    blocks: list[_Block] = []
+    error = None
+    first_line = 0
     with path.open("r", encoding="utf-8") as fh:
         try:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 4:
-                    raise ParseError(f"expected 4 tab-separated fields, got {len(parts)}",
-                                     path=str(path), line_no=line_no)
-                s_lhs, s_rel, s_rhs, s_label = parts
-                if not (s_lhs and s_rel and s_rhs):
-                    raise ParseError("empty symbol", path=str(path), line_no=line_no)
-                if s_label not in ("0", "1"):
-                    raise ParseError(f"label must be 0 or 1, got {s_label!r}",
-                                     path=str(path), line_no=line_no)
-                lhs = d.intern(s_lhs)
-                rel = d.intern(s_rel)
-                rhs = d.intern(s_rhs)
-                d.entity_ids.add(lhs)
-                d.entity_ids.add(rhs)
-                d.relation_ids.add(rel)
-                key = (lhs, rel, rhs)
-                if key in seen:
-                    raise IntegrityError(
-                        f"{path}:{line_no}: duplicate triple ({s_lhs}, {s_rel}, {s_rhs})")
-                seen.add(key)
-                records.append((lhs, rel, rhs, int(s_label)))
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8 text ({exc.reason})", path=str(path)) from None
-    if not records:
+            for text in _blocks(fh, path):
+                block, bad = _parse_block(text, symbols, first_line)
+                blocks.append(block)
+                if bad is not None:
+                    raise ParseError(_line_error(text.split("\n", bad + 1)[bad]),
+                                     path=str(path), line_no=first_line + bad + 1)
+                first_line += text.count("\n")
+        except ParseError as exc:
+            error = exc
+    ids = [b.ids for b in blocks] or [np.empty((0, 3), np.int64)]
+    lhs, rel, rhs = (np.concatenate([a[:, j] for a in ids]) for j in range(3))
+    # only records before the bad line were kept, so a repeat precedes it
+    repeat = _first_repeat(lhs, rel, rhs, len(symbols))
+    if repeat is not None:
+        names = list(symbols)
+        line = np.concatenate([b.first_line + b.lines for b in blocks])[repeat]
+        raise IntegrityError(f"{path}:{line + 1}: duplicate triple ({names[lhs[repeat]]}, "
+                             f"{names[rel[repeat]]}, {names[rhs[repeat]]})")
+    if error is not None:
+        raise error
+    if not len(lhs):
         raise IntegrityError(f"{path}: no records")
-    return d, TripleSet.from_records(records)
+    n = len(symbols)
+    relation_ids = set(np.flatnonzero(np.bincount(rel, minlength=n)).tolist())
+    entity_ids = set(np.flatnonzero(np.bincount(lhs, minlength=n)
+                                    + np.bincount(rhs, minlength=n)).tolist())
+    label = np.concatenate([b.label for b in blocks])
+    return Dictionary(list(symbols), relation_ids, entity_ids), TripleSet(lhs, rel, rhs, label)
+
+
+def _blocks(fh, path: Path):
+    """The file's text in blocks of whole lines, each ending in a newline."""
+    try:
+        while text := fh.read(_BLOCK):
+            text += fh.readline()
+            yield text if text.endswith("\n") else text + "\n"
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=str(path)) from None
+
+
+def _parse_block(text: str, symbols: _Interner, first_line: int):
+    """Check and intern one block. Returns its records up to its first bad
+    line and the index of that line in the block, or None. A record line is
+    one that is neither blank nor a comment; it is bad unless it has three
+    tabs, non-empty symbols and a label of one character, 0 or 1."""
+    b = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    ends = np.flatnonzero(b == _NL)
+    tabs = np.flatnonzero(b == _TAB)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lines = np.flatnonzero((ends > starts) & (b[starts] != _HASH))
+    upto = np.searchsorted(tabs, ends)   # tabs before each line's end
+    n_tabs = np.diff(upto, prepend=0)[lines]
+    upto = upto[lines]
+    kept = len(lines) if (n_tabs == 3).all() else int(np.argmax(n_tabs != 3))
+    t1, t2, t3 = (tabs[upto[:kept] - k] for k in (3, 2, 1))
+    at = t3 + 1   # the label's byte
+    label = b[at]
+    good = ((t1 > starts[lines[:kept]]) & (t2 > t1 + 1) & (t3 > t2 + 1)
+            & (ends[lines[:kept]] == at + 1) & ((label == _ZERO) | (label == _ONE)))
+    if not good.all():
+        kept = int(np.argmin(good))
+    bad = int(lines[kept]) if kept < len(lines) else None
+    lines = lines[:kept]
+    # the symbols of the kept lines, each ended by a newline: every byte of
+    # those lines but the tab before the label and the label itself
+    keep = np.zeros(len(ends), dtype=bool)
+    keep[lines] = True
+    keep = np.repeat(keep, ends - starts + 1)
+    keep[t3[:kept]] = keep[at[:kept]] = False
+    sym = b[keep]
+    sym[sym == _TAB] = _NL
+    tokens = sym.tobytes().decode("utf-8").split("\n")
+    tokens.pop()
+    ids = np.fromiter(map(symbols.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    block = _Block(ids.reshape(-1, 3), (label[:kept] == _ONE).astype(np.int64), first_line, lines)
+    return block, bad
+
+
+def _line_error(line: str) -> str:
+    """Why a bad record line is bad, checking in the order the format lists."""
+    parts = line.split("\t")
+    if len(parts) != 4:
+        return f"expected 4 tab-separated fields, got {len(parts)}"
+    if not all(parts[:3]):
+        return "empty symbol"
+    return f"label must be 0 or 1, got {parts[3]!r}"
+
+
+def _first_repeat(lhs, rel, rhs, n: int) -> int | None:
+    """Index of the first record equal to an earlier one, or None."""
+    # packed keys wrap past 2**21 symbols, but equal records always get
+    # equal keys, so distinct keys prove there is no repeat
+    keys = (lhs * n + rel) * n + rhs
+    keys.sort()
+    if not (keys[1:] == keys[:-1]).any():
+        return None
+    order = np.lexsort((rhs, rel, lhs))   # stable: equal records keep file order
+    later, earlier = order[1:], order[:-1]
+    same = (lhs[later] == lhs[earlier]) & (rel[later] == rel[earlier]) & (rhs[later] == rhs[earlier])
+    return int(later[same].min()) if same.any() else None
 
 
 @dataclass
@@ -161,14 +254,23 @@ class FoldSplit:
     triples: TripleSet
     assignment: np.ndarray
 
-    def roles(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Boolean masks over ``triples`` of fold i's (train, valid, test) records."""
+    def role_folds(self, i: int) -> tuple[list[int], int]:
+        """Fold i's training folds and its validation fold."""
         if not 0 <= i < self.k:
             raise ConfigError(f"fold index {i} outside [0, {self.k})")
-        test = self.assignment == i
-        valid = self.assignment == (i + 1) % self.k
-        train = ~(test | valid) if self.k > 2 else valid
-        return train, valid, test
+        valid = (i + 1) % self.k
+        return [j for j in range(self.k) if j not in (i, valid)] or [valid], valid
+
+    def roles(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Boolean masks over ``triples`` of fold i's (train, valid, test) records."""
+        train, valid = self.role_folds(i)
+        in_train = np.zeros(self.k, dtype=bool)
+        in_train[train] = True
+        return in_train[self.assignment], self.assignment == valid, self.assignment == i
+
+    def members(self) -> list[np.ndarray]:
+        """Each fold's record indices, in record order."""
+        return [np.flatnonzero(self.assignment == j) for j in range(self.k)]
 
     def fold_sets(self, i: int) -> tuple[TripleSet, TripleSet, TripleSet]:
         train, valid, test = self.roles(i)

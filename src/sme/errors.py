@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Exit-code mapping used by the CLI:
-  ConfigError / UsageError        -> 2
+  ConfigError / UsageError /
+  MemoryError                     -> 2
   ParseError / IntegrityError /
   OutOfDictionaryError            -> 3
   NumericalError / MetricError    -> 4

@@ -146,17 +146,21 @@ def _run_folds(d: Dictionary, split: FoldSplit, folds: list[int], form: str,
     whole training set."""
     from . import trainer  # local import: trainer also uses this module
 
+    # every set keeps record order: the trainer's permutations index into it
+    members = split.members()
+    fold_positives = [m[split.triples.label[m] == 1] for m in members]
     positives, valid = [], []
     for f in folds:
-        train, val, _ = split.roles(f)
-        positives.append(split.triples.subset(train & (split.triples.label == 1)))
-        valid.append(split.triples.subset(val))
+        train, val = split.role_folds(f)
+        rows = np.sort(np.concatenate([fold_positives[j] for j in train]))
+        positives.append(split.triples.subset(rows))
+        valid.append(split.triples.subset(members[val]))
     seeds = [_fold_seed(config.seed, f) for f in folds]
     trained = trainer.train_folds(positives, valid, d, form, dim_d, dim_p, config, seeds)
     del positives, valid
     results = []
     for f, (model, trace) in zip(folds, trained):
-        recall, precision = pr_curve(score_set(model, split.triples.subset(split.roles(f)[2])))
+        recall, precision = pr_curve(score_set(model, split.triples.subset(members[f])))
         curve = {"recall": recall.tolist(), "precision": precision.tolist()}
         results.append((model, _area(recall, precision), curve, trace.summary()))
     return results

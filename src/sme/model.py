@@ -349,16 +349,30 @@ def _relation_maps(params: Params, E: np.ndarray, rels: np.ndarray) -> tuple[np.
     ``W_2 e_r + b``, taken from a projection of every row of E so that they
     do not depend on how many relations the call holds (numpy multiplies a
     one-row matrix by a matrix-vector path that may round differently).
-    Bilinear: the maps ``W x3 e_r`` and the biases."""
+    Bilinear: the maps ``W x3 e_r``, taken from contractions of fixed row
+    blocks of E for the same reason, and the biases."""
     if isinstance(params, LinearParams):
         shape = (len(rels), *params.w_l1.shape)
         off_l = (E @ params.w_l2.T)[rels] + params.b_l
         off_r = (E @ params.w_r2.T)[rels] + params.b_r
         return (np.broadcast_to(params.w_l1, shape), off_l,
                 np.broadcast_to(params.w_r1, shape), off_r)
-    er, shape = E[rels], (len(rels), params.p)
-    return (mode3_contract(params.w_l, er), np.broadcast_to(params.b_l, shape),
-            mode3_contract(params.w_r, er), np.broadcast_to(params.b_r, shape))
+    shape = (len(rels), params.p)
+    return (_maps_of_rows(params.w_l, E, rels), np.broadcast_to(params.b_l, shape),
+            _maps_of_rows(params.w_r, E, rels), np.broadcast_to(params.b_r, shape))
+
+
+def _maps_of_rows(w: np.ndarray, E: np.ndarray, rels: np.ndarray) -> np.ndarray:
+    """``mode3_contract(w, E)[rels]``. E is contracted in fixed blocks of
+    rows, each within ``_TABLE_BYTES``, so every row's maps come from the
+    same product whichever rows a call asks for."""
+    step = max(1, _TABLE_BYTES // (w.shape[0] * w.shape[1] * 8))
+    out = np.empty((len(rels), *w.shape[:2]))
+    for start in range(0, len(E), step):
+        here = (rels >= start) & (rels < start + step)
+        if here.any():
+            out[here] = mode3_contract(w, E[start:start + step])[rels[here] - start]
+    return out
 
 
 def _project(E, maps, offsets) -> np.ndarray:

@@ -85,3 +85,43 @@ def auc_pr_enumeration(scores, labels):
     for (r1, p1), (r2, p2) in zip(points, points[1:]):
         area += (r2 - r1) * (p2 + p1) / 2
     return area
+
+
+def load_triples_loop(path):
+    """Line-by-line triple-file reader with the documented rules: lines end
+    in \\n, \\r\\n or \\r; blank lines and lines whose first character is
+    '#' are skipped; every other line is lhs, rel, rhs and a label, tab
+    separated, with non-empty symbols and the label "0" or "1"; the first
+    repeat of a (lhs, rel, rhs) is an error. Symbol ids follow first
+    appearance. Returns ("ok", symbols, relation ids, entity ids, (m, 4)
+    int64 records), or (error class name, message) for the first bad line."""
+    index, records, seen = {}, [], set()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw[:-1] if raw.endswith("\n") else raw
+                if line == "" or line[0] == "#":
+                    continue
+                where = f"{path}:{line_no}: "
+                fields = line.split("\t")
+                if len(fields) != 4:
+                    return ("ParseError",
+                            f"{where}expected 4 tab-separated fields, got {len(fields)}")
+                if "" in fields[:3]:
+                    return ("ParseError", f"{where}empty symbol")
+                if fields[3] not in ("0", "1"):
+                    return ("ParseError", f"{where}label must be 0 or 1, got {fields[3]!r}")
+                ids = tuple(index.setdefault(s, len(index)) for s in fields[:3])
+                if ids in seen:
+                    return ("IntegrityError",
+                            f"{where}duplicate triple ({fields[0]}, {fields[1]}, {fields[2]})")
+                seen.add(ids)
+                records.append(ids + (int(fields[3]),))
+    except UnicodeDecodeError as exc:
+        return ("ParseError", f"{path}: not UTF-8 text ({exc.reason})")
+    if not records:
+        return ("IntegrityError", f"{path}: no records")
+    relation_ids = {r[1] for r in records}
+    entity_ids = {r[0] for r in records} | {r[2] for r in records}
+    return ("ok", list(index), relation_ids, entity_ids,
+            np.array(records, dtype=np.int64).reshape(-1, 4))

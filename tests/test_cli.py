@@ -1,6 +1,11 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,3 +241,31 @@ class TestOneLineErrors:
         manifest = tmp_path / "bad.json"
         manifest.write_bytes(payload)
         assert self.run_one_line(["inspect", "--dataset", str(manifest)], capfd) == 3
+
+
+class TestOutOfMemory:
+    """A size flag whose arrays do not fit ends in one line and exit 2. The
+    child runs under a 1 GiB address-space limit, so no run can take the
+    memory it asks for."""
+
+    @staticmethod
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    @pytest.mark.parametrize("flags", [
+        ["--dim-d", "100000"],      # a 745 GiB bilinear tensor
+        ["--batch", "100000000"],   # an epoch padded to 4.47 GiB of ids
+    ])
+    def test_usage_exit_and_one_line(self, toy_files, flags):
+        tmp, _, tsv = toy_files
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sme.cli", "train", "--dataset", str(tsv), "--epochs", "1",
+             "--out", str(tmp / "m.sme"), *flags],
+            env=env, preexec_fn=self.cap_address_space, capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1

@@ -1,11 +1,20 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from sme import dataset
 from sme.dataset import (TripleSet, load_manifest, load_triples, make_folds,
                          positives_of)
 from sme.errors import ConfigError, IntegrityError, ParseError
 
 from conftest import load_canonical, write_triples
+from oracles import load_triples_loop
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:   # the property test needs the `test` extra
+    st = None
 
 
 class TestLoadTriples:
@@ -50,6 +59,96 @@ class TestLoadTriples:
         path.write_text("# only a comment\n")
         with pytest.raises(IntegrityError):
             load_triples(path)
+
+    @pytest.mark.parametrize("text,line_no,message", [
+        # a two-character label must not pass as its first character
+        ("a\tr\tb\t10\n", 1, "label must be 0 or 1, got '10'"),
+        ("a\tr\tb\t1 \n", 1, "label must be 0 or 1, got '1 '"),
+        ("a\tr\tb\t\n", 1, "label must be 0 or 1, got ''"),
+        # three fields then five: the tab total is right, each line is not
+        ("a\tb\t1\n1\tc\td\te\t0\n", 1, "expected 4 tab-separated fields, got 3"),
+        ("# c\n\n\tr\tb\t1\n", 3, "empty symbol"),
+        (" #\tr\tb\t1\nx\n", 2, "expected 4 tab-separated fields, got 1"),
+    ])
+    def test_bad_line_message(self, tmp_path, text, line_no, message):
+        path = tmp_path / "t.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_triples(path)
+        assert str(info.value) == f"{path}:{line_no}: {message}"
+
+    def test_symbols_keep_form_feed_and_line_separator(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes("x\x0cy\tr\tp\u2028q\t1\r\nb\tr\tx\x0cy\t0\rc\tr\tb\t1".encode())
+        d, ts = load_triples(path)
+        assert d.symbols == ["x\x0cy", "r", "p\u2028q", "b", "c"]
+        assert ts.label.tolist() == [1, 0, 1]
+
+
+def load_outcome(path):
+    """What ``load_triples`` gives, in the form ``load_triples_loop`` uses."""
+    try:
+        d, ts = load_triples(path)
+    except (ParseError, IntegrityError) as exc:
+        return (type(exc).__name__, str(exc))
+    columns = (ts.lhs, ts.rel, ts.rhs, ts.label)
+    assert all(c.dtype == np.int64 and c.ndim == 1 for c in columns)
+    return ("ok", d.symbols, d.relation_ids, d.entity_ids, np.stack(columns, axis=1))
+
+
+if st is not None:
+    SYMBOL = st.sampled_from(["a", "b", "\u00e9", "1", " #", "x\x0cy", "p\u2028q", "n\x85l"])
+    LABEL = st.sampled_from(["0", "1"])
+    BAD_LABEL = st.sampled_from(["10", "1 ", "", " 1", "2"])
+    OTHER_LINE = st.sampled_from([
+        "", "#", "# c", "#\ta\tb\tc\t1", "#h\tr\tb\t1",
+        "a\tb\t1\n1\tc\td\te\t0", "1\tc\td\te\t0\na\tb\t1", "a",
+        "\tr\tb\t1", "a\t\tb\t0", "a\tr\t\t1", "a\tr\tb\t1\t",
+    ])
+
+    @st.composite
+    def triple_text(draw):
+        """Distinct records, then a few comments, blank lines, bad lines or
+        repeated records, with mixed line ends, maybe a BOM and maybe no
+        final line end."""
+        triples = draw(st.lists(st.tuples(SYMBOL, SYMBOL, SYMBOL), unique=True, max_size=24))
+        lines = ["\t".join(t + (draw(LABEL),)) for t in triples]
+        for _ in range(draw(st.integers(0, 4))):
+            kind = draw(st.sampled_from(["other", "bad record", "repeat"]))
+            if kind == "other":
+                line = draw(OTHER_LINE)
+            elif kind == "bad record":   # one empty symbol, or a bad label
+                fields = [*draw(st.tuples(SYMBOL, SYMBOL, SYMBOL)), draw(BAD_LABEL)]
+                at = draw(st.sampled_from([0, 1, 2, 3, 3]))
+                if at < 3:
+                    fields[at], fields[3] = "", draw(LABEL)
+                line = "\t".join(fields)
+            elif triples:
+                line = "\t".join(draw(st.sampled_from(triples)) + (draw(LABEL),))
+            else:
+                continue
+            lines.insert(draw(st.integers(0, len(lines))), line)
+        ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+        text = "".join(line + end for line, end in zip(lines, ends))
+        if lines and draw(st.booleans()):
+            text = text[:-len(ends[-1])]
+        return ("\ufeff" if draw(st.booleans()) else "") + text
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(text=triple_text(), block=st.integers(1, 48))
+    def test_matches_line_by_line_reference(text, block, tmp_path_factory):
+        """Blocks of a few characters put records, bad lines and repeats
+        across block boundaries."""
+        path = tmp_path_factory.getbasetemp() / "prop.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(dataset, "_BLOCK", block):
+            got = load_outcome(path)
+        expect = load_triples_loop(path)
+        assert got[:-1] == expect[:-1]
+        if got[0] == "ok":
+            assert np.array_equal(got[-1], expect[-1])
+        else:
+            assert got[-1] == expect[-1]
 
 
 class TestPositivesOf:

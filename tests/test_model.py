@@ -272,6 +272,17 @@ class TestBatchEnergies:
         assert np.array_equal(blocks, one_block)
 
     @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
+    def test_single_record_calls_match_bulk_bitwise(self, form):
+        # a one-row product takes numpy's matrix-vector path, which rounds
+        # differently; a record's energy must not depend on its call
+        m = 300
+        emb, params, lhs, rel, rhs = batch_instance(form, seed=37, m=m, n=40, d=10, p=10)
+        bulk = energies_batch(emb, params, lhs, rel, rhs)
+        single = [energies_batch(emb, params, lhs[i:i + 1], rel[i:i + 1], rhs[i:i + 1])[0]
+                  for i in range(m)]
+        assert np.array_equal(single, bulk)
+
+    @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
     def test_tables_stay_within_budget(self, form, monkeypatch):
         n, p = 8, 2
         emb, params, lhs, rel, rhs = batch_instance(form, seed=36, m=200, n=n, p=p)
