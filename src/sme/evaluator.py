@@ -141,7 +141,8 @@ def run_fold(d: Dictionary, split: FoldSplit, fold: int, form: str,
 def _run_folds(d: Dictionary, split: FoldSplit, folds: list[int], form: str,
                dim_d: int, dim_p: int, config) -> list[tuple[Model, float, dict, dict]]:
     """Train ``folds`` in one stacked loop, then score each fold's test set.
-    Returns (model, auc, curve, run summary) per fold. During training only
+    Returns (model, auc, curve, run summary) per fold; the curve keeps the
+    ``pr_curve`` points that shape its area. During training only
     each fold's training positives and validation set are held, never its
     whole training set."""
     from . import trainer  # local import: trainer also uses this module
@@ -161,7 +162,10 @@ def _run_folds(d: Dictionary, split: FoldSplit, folds: list[int], form: str,
     results = []
     for f, (model, trace) in zip(folds, trained):
         recall, precision = pr_curve(score_set(model, split.triples.subset(members[f])))
-        curve = {"recall": recall.tolist(), "precision": precision.tolist()}
+        # a run of equal recall is a vertical segment: its inner points add 0.0
+        keep = np.ones(len(recall), dtype=bool)
+        keep[1:-1] = (recall[1:-1] != recall[:-2]) | (recall[1:-1] != recall[2:])
+        curve = {"recall": recall[keep].tolist(), "precision": precision[keep].tolist()}
         results.append((model, _area(recall, precision), curve, trace.summary()))
     return results
 
@@ -176,9 +180,10 @@ def cross_validate(d: Dictionary, split: FoldSplit, form: str,
                    dataset_name: str = "dataset", jobs: int = 1) -> EvalReport:
     """Train a fresh model per fold and aggregate test AUC-PR across folds.
 
-    All folds train in one stacked loop. With ``jobs`` > 1 the folds are
-    split into that many contiguous groups, each stacked in its own worker
-    process; every fold's model is the same either way.
+    All folds train in one stacked loop, or with ``jobs`` > 1 in that many
+    contiguous groups, each stacked in a worker process. Every fold's model
+    is the same either way while the batch size is at most every fold's
+    training positives: a stack cuts wider batches to its largest one.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")

@@ -4,23 +4,22 @@ Sign convention, stated once: ``energy`` returns the matching value with its
 leading minus sign, so lower energy means a more plausible triple, and the
 ranking score used everywhere else is ``-energy``.
 
-Training runs through one batched kernel. ``forward`` gathers the embedding
-rows of a batch of triples once and returns their energies plus a cache;
-``backward`` turns the cache and per-triple weights into the gradients of the
-weighted energy sum. Every contraction is a reshape and a matrix product.
-The kernel also takes a stack of K independent models: embeddings
-(K, n, d), every parameter block with a leading K, id and weight arrays
-(K, m). Each matrix product then runs once per model, on the same operands
-a single model would give it. The SGD step and the single-triple ``energy``
-and ``energy_gradients`` call this kernel. Validation, test and bulk
-scoring call ``energies_batch``, one path for both forms: for a fixed
-relation each form is an affine map of the entity embedding, so every
-symbol row is projected once per relation present in the call and each
-record is scored by gathers from those tables.
+A form's parameter blocks are named views into one float64 buffer, (P,) for
+a model or (K, P) for a stack of K models, in the model file's block order.
+Training runs through one kernel: ``forward`` gathers a batch's embedding
+rows once and returns energies plus a cache; ``backward`` writes the
+gradients of a weighted energy sum into a buffer laid out as the
+parameters'. Both are reshapes and matrix products. A stack adds a leading
+K to the embeddings and ids, and each product runs once per model, on the
+operands a single model would give it. Validation, test and bulk scoring
+use ``energies_batch``: for a fixed relation each form is an affine map of
+the entity embedding, so every symbol row is projected once per relation
+present in the call and each record is scored by gathers from those tables.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -62,61 +61,65 @@ class EmbeddingTable:
         return EmbeddingTable(self.vectors.copy(), self.relation_ids)
 
 
-@dataclass
-class LinearParams:
-    w_l1: np.ndarray  # (p, d)
-    w_l2: np.ndarray  # (p, d)
-    w_r1: np.ndarray  # (p, d)
-    w_r2: np.ndarray  # (p, d)
-    b_l: np.ndarray   # (p,)
-    b_r: np.ndarray   # (p,)
+class _FlatParams:
+    """Parameter blocks as named views into one contiguous float64 buffer
+    ``buf``: (P,) for one model, (K, P) for a stack of K. A subclass gives
+    the blocks' ``names`` and ``shapes(p, d)`` in the model file's order.
+    Constructing from separate arrays packs them into a new buffer;
+    ``from_buffer`` views an existing one."""
 
-    @property
-    def form(self) -> str:
-        return LINEAR
+    form = ""
+    names: tuple[str, ...] = ()
 
-    @property
-    def p(self) -> int:
-        return self.w_l1.shape[-2]
+    def __init__(self, *blocks: np.ndarray):
+        lead, p, d = np.shape(blocks[-1])[:-1], np.shape(blocks[-1])[-1], np.shape(blocks[0])[-1]
+        self._view(np.concatenate([np.reshape(b, (*lead, -1)) for b in blocks], axis=-1,
+                                  dtype=np.float64), p, d)
 
-    @property
-    def d(self) -> int:
-        return self.w_l1.shape[-1]
+    @classmethod
+    def from_buffer(cls, buf: np.ndarray, p: int, d: int):
+        params = cls.__new__(cls)
+        params._view(buf, p, d)
+        return params
 
-    def copy(self) -> "LinearParams":
-        return LinearParams(*(a.copy() for a in self.arrays()))
+    def _view(self, buf: np.ndarray, p: int, d: int) -> None:
+        self.buf, self.p, self.d = buf, p, d
+        start = 0
+        for name, shape in zip(self.names, self.shapes(p, d)):
+            size = math.prod(shape)
+            setattr(self, name, buf[..., start:start + size].reshape(*buf.shape[:-1], *shape))
+            start += size
+        if start != buf.shape[-1]:
+            raise ShapeError(f"{self.form} parameters: {buf.shape[-1]} values for p={p} d={d}")
 
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        return (self.w_l1, self.w_l2, self.w_r1, self.w_r2, self.b_l, self.b_r)
+    def __getitem__(self, index):
+        """The stacked models at ``index``: views for one, copies for a list."""
+        return self.from_buffer(self.buf[index], self.p, self.d)
 
+    def copy(self):
+        return self.from_buffer(self.buf.copy(), self.p, self.d)
 
-@dataclass
-class BilinearParams:
-    w_l: np.ndarray  # (p, d, d); modes: output, entity, relation
-    w_r: np.ndarray  # (p, d, d)
-    b_l: np.ndarray  # (p,)
-    b_r: np.ndarray  # (p,)
-
-    @property
-    def form(self) -> str:
-        return BILINEAR
-
-    @property
-    def p(self) -> int:
-        return self.w_l.shape[-3]
-
-    @property
-    def d(self) -> int:
-        return self.w_l.shape[-2]
-
-    def copy(self) -> "BilinearParams":
-        return BilinearParams(*(a.copy() for a in self.arrays()))
+    def empty_like(self):
+        return self.from_buffer(np.empty_like(self.buf), self.p, self.d)
 
     def arrays(self) -> tuple[np.ndarray, ...]:
-        return (self.w_l, self.w_r, self.b_l, self.b_r)
+        return tuple(getattr(self, name) for name in self.names)
+
+
+class LinearParams(_FlatParams):
+    form = LINEAR
+    names = ("w_l1", "w_l2", "w_r1", "w_r2", "b_l", "b_r")
+    shapes = staticmethod(lambda p, d: ((p, d),) * 4 + ((p,),) * 2)
+
+
+class BilinearParams(_FlatParams):
+    form = BILINEAR
+    names = ("w_l", "w_r", "b_l", "b_r")   # w modes: output, entity, relation
+    shapes = staticmethod(lambda p, d: ((p, d, d),) * 2 + ((p,),) * 2)
 
 
 Params = LinearParams | BilinearParams
+PARAMS = {LINEAR: LinearParams, BILINEAR: BilinearParams}
 
 
 def init_embeddings(n: int, d: int, rng: np.random.Generator,
@@ -127,17 +130,12 @@ def init_embeddings(n: int, d: int, rng: np.random.Generator,
 
 
 def init_params(form: str, d: int, p: int, rng: np.random.Generator) -> Params:
-    scale = 1.0 / np.sqrt(d)
-
-    def u(*shape):
-        return rng.uniform(-scale, scale, size=shape)
-
-    if form == LINEAR:
-        return LinearParams(u(p, d), u(p, d), u(p, d), u(p, d),
-                            np.zeros(p), np.zeros(p))
-    if form == BILINEAR:
-        return BilinearParams(u(p, d, d), u(p, d, d), np.zeros(p), np.zeros(p))
-    raise ShapeError(f"unknown form {form!r}")
+    """Weights uniform in +-1/sqrt(d), drawn block by block; biases zero."""
+    if form not in PARAMS:
+        raise ShapeError(f"unknown form {form!r}")
+    scale, cls = 1.0 / np.sqrt(d), PARAMS[form]
+    return cls(*(rng.uniform(-scale, scale, size=s) if len(s) > 1 else np.zeros(s)
+                 for s in cls.shapes(p, d)))
 
 
 def mode3_contract(t: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -168,19 +166,14 @@ def _check_ids(ids: np.ndarray, n: int) -> None:
 
 
 class Cache(NamedTuple):
-    """What ``backward`` needs from ``forward``: the gathered embedding rows,
-    the transformed embeddings u (left) and v (right) and, for the bilinear
-    form, each row's relation maps. ``flat_ids`` locates the gathered rows
-    in ``E.reshape(-1, d)`` (lhs, rel, rhs slots in turn), where the SGD
-    step adds their gradients. Stacked calls add a leading K to every
-    array."""
+    """What ``backward`` needs from ``forward``: the gathered rows, u (left)
+    and v (right), and each row's bilinear relation maps; stacked, a leading K."""
 
     el: np.ndarray                  # (m, d)
     er: np.ndarray                  # (m, d)
     eh: np.ndarray                  # (m, d)
     u: np.ndarray                   # (m, p)
     v: np.ndarray                   # (m, p)
-    flat_ids: np.ndarray            # (3m,)
     maps_l: np.ndarray | None = None  # (m, p, d)
     maps_r: np.ndarray | None = None  # (m, p, d)
 
@@ -193,56 +186,73 @@ def forward(E: np.ndarray, params: Params, lhs: np.ndarray, rel: np.ndarray,
             rhs: np.ndarray) -> tuple[np.ndarray, Cache]:
     """Energies of the triples (lhs[n], rel[n], rhs[n]) and the cache for
     ``backward``. E is the (n_symbols, d) embedding matrix, or a stack of K
-    of them with (K, m) id arrays and stacked parameters; every stacked
-    model's rows come from one gather through the flat (K * n_symbols, d)
-    view."""
-    n, d = E.shape[-2:]
-    ids = np.concatenate((lhs, rel, rhs), axis=-1)
+    of them with (K, m) id arrays and stacked parameters. The ids are
+    range-checked here, then laid out for ``_forward``."""
+    n = E.shape[-2]
+    ids = np.stack((lhs, rel, rhs))
     _check_ids(ids, n)
     if E.ndim == 3:
         ids = ids + n * np.arange(len(E))[:, None]
-    m = lhs.shape[-1]
-    rows = E.reshape(-1, d)[ids]
-    el, er, eh = rows[..., :m, :], rows[..., m:2 * m, :], rows[..., 2 * m:, :]
+    return _forward(E, params, ids)
+
+
+def _forward(E: np.ndarray, params: Params, ids: np.ndarray) -> tuple[np.ndarray, Cache]:
+    """``forward`` on checked ids: (3, m) rows of E, lhs, rel and rhs in
+    turn, or (3, K, m) rows of the flat (K * n_symbols, d) view of a stack,
+    so that every stacked model's rows come from one gather."""
+    el, er, eh = E.reshape(-1, E.shape[-1])[ids]
     if isinstance(params, LinearParams):
         u = el @ _t(params.w_l1) + er @ _t(params.w_l2) + params.b_l[..., None, :]
         v = eh @ _t(params.w_r1) + er @ _t(params.w_r2) + params.b_r[..., None, :]
-        cache = Cache(el, er, eh, u, v, ids)
+        cache = Cache(el, er, eh, u, v)
     else:
         # maps[n] is the (p, d) matrix the relation embedding er[n] selects
         maps_l = mode3_contract(params.w_l, er)
         maps_r = mode3_contract(params.w_r, er)
         u = matvec(maps_l, el) + params.b_l[..., None, :]
         v = matvec(maps_r, eh) + params.b_r[..., None, :]
-        cache = Cache(el, er, eh, u, v, ids, maps_l, maps_r)
+        cache = Cache(el, er, eh, u, v, maps_l, maps_r)
     return -(u * v).sum(axis=-1), cache
 
 
 @dataclass
 class Gradients:
-    """d(energy)/d(everything); mirrors the parameter structure plus the
-    embedding rows involved (keyed by slot, not by id). From ``backward``
-    the row gradients hold one row per triple, and stacked calls add a
-    leading K."""
+    """d(energy)/d(everything): the parameter gradients, laid out as the
+    parameters, and the gradients of the embedding rows involved, keyed by
+    slot, not by id. ``d_rows`` holds the lhs, rel and rhs slots in turn;
+    from ``backward`` each slot holds one row per triple, and stacked calls
+    put a K after the slot axis."""
 
     params: Params
-    d_lhs: np.ndarray
-    d_rel: np.ndarray
-    d_rhs: np.ndarray
+    d_rows: np.ndarray   # (3, d), or (3, m, d) / (3, K, m, d) from backward
+
+    d_lhs = property(lambda self: self.d_rows[0])
+    d_rel = property(lambda self: self.d_rows[1])
+    d_rhs = property(lambda self: self.d_rows[2])
 
 
-def backward(params: Params, cache: Cache, w: np.ndarray) -> Gradients:
-    """Gradients of sum_n w[n] * energy[n] for the triples in ``cache``. A
-    row weighted 0 adds exact zeros to every sum over rows."""
-    el, er, eh, u, v = cache.el, cache.er, cache.eh, cache.u, cache.v
+def backward(params: Params, cache: Cache, w: np.ndarray,
+             out: Params | None = None) -> Gradients:
+    """Gradients of sum_n w[n] * energy[n] for the triples in ``cache``,
+    the parameters' written into ``out`` (new when None), laid out as
+    ``params``. A row weighted 0 adds exact zeros to every sum over rows."""
+    el, er, eh, u, v = cache[:5]
     gu = -w[..., None] * v   # d/du of -w * (u . v)
     gv = -w[..., None] * u
+    g = params.empty_like() if out is None else out
+    rows = np.empty((3, *el.shape))
+    np.sum(gu, axis=-2, out=g.b_l)
+    np.sum(gv, axis=-2, out=g.b_r)
     if isinstance(params, LinearParams):
-        g = LinearParams(w_l1=_t(gu) @ el, w_l2=_t(gu) @ er,
-                         w_r1=_t(gv) @ eh, w_r2=_t(gv) @ er,
-                         b_l=gu.sum(axis=-2), b_r=gv.sum(axis=-2))
-        return Gradients(g, gu @ params.w_l1, gu @ params.w_l2 + gv @ params.w_r2,
-                         gv @ params.w_r1)
+        np.matmul(_t(gu), el, out=g.w_l1)
+        np.matmul(_t(gu), er, out=g.w_l2)
+        np.matmul(_t(gv), eh, out=g.w_r1)
+        np.matmul(_t(gv), er, out=g.w_r2)
+        np.matmul(gu, params.w_l1, out=rows[0])
+        np.matmul(gu, params.w_l2, out=rows[1])
+        rows[1] += gv @ params.w_r2
+        np.matmul(gv, params.w_r1, out=rows[2])
+        return Gradients(g, rows)
     lead, p, d = w.shape, params.p, params.d
     w_l = params.w_l.reshape(*lead[:-1], p * d, d)
     w_r = params.w_r.reshape(*lead[:-1], p * d, d)
@@ -250,12 +260,13 @@ def backward(params: Params, cache: Cache, w: np.ndarray) -> Gradients:
     # gu[n] x el[n], flattened to p*d, meets w_l and er in one GEMM each
     a_l = (gu[..., :, None] * el[..., None, :]).reshape(*lead, p * d)
     a_r = (gv[..., :, None] * eh[..., None, :]).reshape(*lead, p * d)
-    g = BilinearParams(w_l=(_t(a_l) @ er).reshape(params.w_l.shape),
-                       w_r=(_t(a_r) @ er).reshape(params.w_r.shape),
-                       b_l=gu.sum(axis=-2), b_r=gv.sum(axis=-2))
-    d_lhs = (gu[..., None, :] @ cache.maps_l)[..., 0, :]
-    d_rhs = (gv[..., None, :] @ cache.maps_r)[..., 0, :]
-    return Gradients(g, d_lhs, a_l @ w_l + a_r @ w_r, d_rhs)
+    np.matmul(_t(a_l), er, out=g.w_l.reshape(w_l.shape))
+    np.matmul(_t(a_r), er, out=g.w_r.reshape(w_r.shape))
+    np.matmul(gu[..., None, :], cache.maps_l, out=rows[0][..., None, :])
+    np.matmul(a_l, w_l, out=rows[1])
+    rows[1] += a_r @ w_r
+    np.matmul(gv[..., None, :], cache.maps_r, out=rows[2][..., None, :])
+    return Gradients(g, rows)
 
 
 def _one(t: Triple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -271,7 +282,7 @@ def energy(t: Triple, emb: EmbeddingTable, params: Params) -> float:
 def energy_gradients(t: Triple, emb: EmbeddingTable, params: Params) -> Gradients:
     _, cache = forward(emb.vectors, params, *_one(t))
     g = backward(params, cache, np.ones(1))
-    return Gradients(g.params, g.d_lhs[0], g.d_rel[0], g.d_rhs[0])
+    return Gradients(g.params, g.d_rows[:, 0])
 
 
 @dataclass

@@ -12,6 +12,8 @@ doubles, arrays in row-major order):
     parameter blocks linear:   w_l1, w_l2, w_r1, w_r2 (p*d each), b_l, b_r (p each)
                      bilinear: w_l, w_r (p*d*d each), b_l, b_r (p each)
 
+The parameter blocks are the model's one parameter buffer (``model.py``),
+written with one ``tobytes`` and read with one ``frombuffer``.
 Round-tripping reproduces every float bitwise.
 """
 
@@ -24,21 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IntegrityError
-from .model import (BILINEAR, LINEAR, BilinearParams, EmbeddingTable,
-                    LinearParams, Model)
+from .model import BILINEAR, LINEAR, PARAMS, EmbeddingTable, Model
 
 MAGIC = b"SME1"
 _FORM_CODES = {LINEAR: 0, BILINEAR: 1}
 _FORM_NAMES = {v: k for k, v in _FORM_CODES.items()}
-
-
-def _pack_bitmap(flags: list[bool]) -> bytes:
-    return bytes(np.packbits(np.array(flags, dtype=np.uint8), bitorder="little"))
-
-
-def _unpack_bitmap(raw: bytes, n: int) -> list[bool]:
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return [bool(b) for b in bits[:n]]
 
 
 def save_model(model: Model, path) -> None:
@@ -50,10 +42,9 @@ def save_model(model: Model, path) -> None:
     for s in model.symbols:
         raw = s.encode("utf-8")
         out += struct.pack("<I", len(raw)) + raw
-    out += _pack_bitmap([i in model.relation_ids for i in range(n)])
+    out += bytes(np.packbits(np.isin(np.arange(n), list(model.relation_ids)), bitorder="little"))
     out += np.ascontiguousarray(model.emb.vectors, dtype="<f8").tobytes()
-    for a in model.params.arrays():
-        out += np.ascontiguousarray(a, dtype="<f8").tobytes()
+    out += np.ascontiguousarray(model.params.buf, dtype="<f8").tobytes()
     Path(path).write_bytes(bytes(out))
 
 
@@ -89,22 +80,17 @@ def load_model(path) -> Model:
             raise IntegrityError(f"{path}: symbol {len(symbols)} is not UTF-8") from None
     if len(set(symbols)) != n:
         raise IntegrityError(f"{path}: duplicate symbol in model file")
-    flags = _unpack_bitmap(take((n + 7) // 8), n)
-    relation_ids = frozenset(i for i, f in enumerate(flags) if f)
+    bits = np.unpackbits(np.frombuffer(take((n + 7) // 8), dtype=np.uint8), bitorder="little")
+    relation_ids = frozenset(np.flatnonzero(bits[:n]).tolist())
 
     def read_floats(*shape):
         return np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
 
     emb = EmbeddingTable(read_floats(n, d), relation_ids)
-    if form == LINEAR:
-        params = LinearParams(read_floats(p, d), read_floats(p, d),
-                              read_floats(p, d), read_floats(p, d),
-                              read_floats(p), read_floats(p))
-    else:
-        params = BilinearParams(read_floats(p, d, d), read_floats(p, d, d),
-                                read_floats(p), read_floats(p))
+    cls = PARAMS[form]
+    params = cls.from_buffer(read_floats(sum(math.prod(s) for s in cls.shapes(p, d))), p, d)
     if off != len(raw):
         raise IntegrityError(f"{path}: trailing bytes in model file")
-    if not all(np.isfinite(a).all() for a in (emb.vectors, *params.arrays())):
+    if not (np.isfinite(emb.vectors).all() and np.isfinite(params.buf).all()):
         raise IntegrityError(f"{path}: non-finite weight in model file")
     return Model(form, symbols, relation_ids, emb, params)

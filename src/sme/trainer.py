@@ -3,16 +3,21 @@ validation AUC-PR.
 
 Each epoch pairs every training positive with one corruption, runs
 shuffled mini-batches, then projects every embedding row back to unit
-norm. The best-validation snapshot is what training returns.
+norm. The best-validation snapshot, a copy, is what training returns.
 
 One loop trains K independent models side by side, such as the K folds of
-a cross-validation; ``train`` is its K = 1 call. Every embedding matrix and
-parameter block carries a leading fold axis and one SGD step updates every
-fold, so the per-call cost of the step is paid once for all K. Each fold
-draws its initial weights, permutations and corruptions from its own PCG64
-stream, and a fold's pairs past the end of its epoch are weighted 0, so a
-fold's model is bitwise the model that training it alone gives. A fold
-that stops early leaves the stack.
+a cross-validation; ``train`` is its K = 1 call. The embeddings and the
+parameter buffer carry a leading fold axis and one SGD step updates every
+fold. Each fold draws its initial weights, permutations and corruptions
+from its own PCG64 stream, and its pairs past the end of its epoch weigh
+0, so a fold's model is bitwise the model that training it alone gives. A
+fold that stops early leaves the stack.
+
+``_sgd_epoch`` lays out an epoch's ids once, range-checked and offset to
+rows of the flat (K * n, d) embedding view, as (batch, slot, fold, pair),
+with the mask of the pairs that count, so the step only slices them. A
+batch size above the stack's largest training set is cut to it for the
+run: wider batches would only add padding.
 """
 
 from __future__ import annotations
@@ -20,15 +25,15 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import evaluator
 from .dataset import Dictionary, Triple, TripleSet, positives_of
 from .errors import ConfigError, NumericalError
-from .model import (EmbeddingTable, Model, Params, backward, energies_batch,
-                    forward, init_embeddings, init_params)
+from .model import (EmbeddingTable, Model, Params, _check_ids, _forward, backward,
+                    energies_batch, init_embeddings, init_params)
 
 CORRUPTION_MODES = ("lhs", "rhs", "both")
 
@@ -121,55 +126,49 @@ def _corrupt_batch(lhs, rel, rhs, mode, rng, entity_ids):
 def sgd_step(batch: list[tuple[Triple, Triple]], emb: EmbeddingTable,
              params: Params, config: TrainConfig) -> float:
     """One mini-batch update. Returns the mean ranking loss before the update."""
-    pos = np.array([[p.lhs, p.rel, p.rhs] for p, _ in batch], dtype=np.int64)
-    neg = np.array([[n.lhs, n.rel, n.rhs] for _, n in batch], dtype=np.int64)
-    return float(_sgd_step_arrays(pos[:, 0], pos[:, 1], pos[:, 2],
-                                  neg[:, 0], neg[:, 1], neg[:, 2],
-                                  emb, params, config).mean())
+    ids = np.array([[t.lhs, t.rel, t.rhs] for pair in zip(*batch) for t in pair],
+                   dtype=np.int64).T   # positives, then corruptions
+    _check_ids(ids, emb.n)
+    return float(_sgd_step_arrays(np.ones(len(batch), dtype=bool), ids, emb, params,
+                                  config).mean())
 
 
-def _sgd_step_arrays(p_lhs, p_rel, p_rhs, n_lhs, n_rel, n_rhs,
-                     emb: EmbeddingTable, params: Params, config: TrainConfig,
-                     counted: np.ndarray | None = None) -> np.ndarray:
+def _sgd_step_arrays(counted: np.ndarray, ids: np.ndarray, emb: EmbeddingTable,
+                     params: Params, config: TrainConfig,
+                     grad: Params | None = None) -> np.ndarray:
     """One mini-batch update; returns each pair's ranking loss before it.
 
-    The id arrays are (m,) for one model, or (K, m) for a stack of K with
-    (K, n, d) embeddings and stacked parameters. ``counted`` marks the
-    pairs that count; the others pad a fold's short or spent batch. A counted
-    pair with positive loss weighs +1 on its positive and -1 on its
-    corruption; every other row weighs 0 and changes nothing.
+    ``ids`` (3, 2m), range-checked by the caller, holds the lhs, rel and rhs
+    rows of ``emb.vectors``: m positives, then their m corruptions. A stack
+    of K models takes (3, K, 2m) rows of the flat (K * n, d) view and a
+    (K, m) ``counted``, which marks the pairs that count; the others pad a
+    fold's short or spent batch. A counted pair with positive loss weighs
+    +1 on its positive and -1 on its corruption; every other row weighs 0
+    and changes nothing. ``grad`` (laid out as ``params``) takes the
+    parameter gradients.
     """
-    # positives and corruptions go through one forward, positives first
-    m = p_lhs.shape[-1]
-    lhs = np.concatenate((p_lhs, n_lhs), axis=-1)
-    rel = np.concatenate((p_rel, n_rel), axis=-1)
-    rhs = np.concatenate((p_rhs, n_rhs), axis=-1)
-    energies, cache = forward(emb.vectors, params, lhs, rel, rhs)
+    energies, cache = _forward(emb.vectors, params, ids)
+    m = ids.shape[-1] // 2
     losses = ranking_loss(energies[..., :m], energies[..., m:], config.margin)
-    if not np.all(np.isfinite(losses)):
+    if not np.isfinite(losses).all():
         raise NumericalError("non-finite ranking loss; training aborted")
-    active = losses > 0
-    if counted is not None:
-        active &= counted
+    active = (losses > 0) & counted
     if not active.any():
         return losses
 
     w = active.astype(np.float64)
-    grads = backward(params, cache, np.concatenate((w, -w), axis=-1))
-    for grad in grads.params.arrays():
-        if not np.all(np.isfinite(grad)):
-            raise NumericalError("non-finite parameter gradient; training aborted")
+    grads = backward(params, cache, np.concatenate((w, -w), axis=-1), grad)
+    if not np.isfinite(grads.params.buf).all():
+        raise NumericalError("non-finite parameter gradient; training aborted")
     # one scatter-add of every row gradient, element by element, through the
     # flat view of the embeddings; bincount adds in input order, as np.add.at
     # does, at a fraction of its per-element cost
     d = emb.dim
-    at = (cache.flat_ids[..., None] * d + np.arange(d)).ravel()
-    row_grads = np.concatenate((grads.d_lhs, grads.d_rel, grads.d_rhs), axis=-2)
-    g_emb = np.bincount(at, weights=row_grads.ravel(), minlength=emb.vectors.size)
-    if not np.all(np.isfinite(g_emb)):
+    at = (ids * d)[..., None] + np.arange(d)
+    g_emb = np.bincount(at.ravel(), weights=grads.d_rows.ravel(), minlength=emb.vectors.size)
+    if not np.isfinite(g_emb).all():
         raise NumericalError("non-finite embedding gradient; training aborted")
-    for target, grad in zip(params.arrays(), grads.params.arrays()):
-        target -= config.learning_rate * grad
+    params.buf -= config.learning_rate * grads.params.buf
     emb.vectors -= config.learning_rate * g_emb.reshape(emb.vectors.shape)
     return losses
 
@@ -178,21 +177,14 @@ def _log_enabled() -> bool:
     return os.environ.get("SME_LOG", "info") != "quiet"
 
 
-def _select(params: Params, index) -> Params:
-    """The blocks of the stacked folds at ``index``: views for one fold,
-    copies for an index list."""
-    return type(params)(*(a[index] for a in params.arrays()))
-
-
 def train(train_ts: TripleSet, valid_ts: TripleSet, d: Dictionary,
           form: str, dim_d: int, dim_p: int,
           config: TrainConfig) -> tuple[Model, TrainTrace]:
     """Run SGD epochs with early stopping; returns the best-validation model."""
     if len(train_ts) == 0:
         raise ConfigError("training set is empty")
-    [result] = train_folds([positives_of(train_ts)], [valid_ts], d, form,
-                           dim_d, dim_p, config, [config.seed])
-    return result
+    return train_folds([positives_of(train_ts)], [valid_ts], d, form,
+                       dim_d, dim_p, config, [config.seed])[0]
 
 
 def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionary,
@@ -214,16 +206,16 @@ def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionar
     entity_ids = d.entity_id_array()
     if len(entity_ids) < 2:
         raise ConfigError("corruption needs at least 2 entities")
+    # fixed for the run, so a fold leaving the stack keeps the others' batches
+    config = replace(config, batch_size=min(config.batch_size, max(map(len, positives))))
 
     rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
     relation_ids = frozenset(d.relation_ids)
-    tables, blocks = [], []
-    for rng in rngs:
-        tables.append(init_embeddings(len(d), dim_d, rng, relation_ids).vectors)
-        blocks.append(init_params(form, dim_d, dim_p, rng))
-    emb = EmbeddingTable(np.stack(tables), relation_ids)
+    inits = [(init_embeddings(len(d), dim_d, rng).vectors, init_params(form, dim_d, dim_p, rng))
+             for rng in rngs]   # each fold's embeddings, then its parameters
+    emb = EmbeddingTable(np.stack([vectors for vectors, _ in inits]), relation_ids)
     emb.normalize_rows()
-    params = type(blocks[0])(*map(np.stack, zip(*(b.arrays() for b in blocks))))
+    params = inits[0][1].from_buffer(np.stack([p.buf for _, p in inits]), dim_p, dim_d)
 
     folds = list(range(len(seeds)))   # the fold in each row of the stack
     traces = [TrainTrace() for _ in folds]
@@ -243,7 +235,7 @@ def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionar
             for row, f in enumerate(folds):
                 t1 = time.perf_counter()
                 fold_emb = EmbeddingTable(emb.vectors[row], relation_ids)
-                fold_params = _select(params, row)
+                fold_params = params[row]
                 val = valid[f]
                 val_scores = -energies_batch(fold_emb, fold_params, val.lhs, val.rel, val.rhs)
                 val_auc = evaluator.auc_pr(evaluator.ScoredSet(val_scores, val.label))
@@ -269,7 +261,7 @@ def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionar
                 break
             if len(keep) < len(folds):
                 emb.vectors = emb.vectors[keep]
-                params = _select(params, keep)
+                params = params[keep]
                 folds = [folds[row] for row in keep]
         else:
             for f in folds:
@@ -282,12 +274,13 @@ def _sgd_epoch(positives: list[TripleSet], rngs: list[np.random.Generator],
                entity_ids: np.ndarray) -> np.ndarray:
     """One epoch of every fold in the stack; row r of the stack trains on
     ``positives[r]`` with ``rngs[r]``. Returns each fold's mean loss."""
-    size = config.batch_size
-    counts = np.array([len(pos) for pos in positives])
-    cols = np.arange(-(-counts.max() // size) * size)
+    k, n = len(positives), emb.n
+    counts, size = np.array([len(pos) for pos in positives]), config.batch_size
+    n_batches = -(-counts.max() // size)
+    cols = np.arange(n_batches * size)
     # lhs, rel, rhs of each fold's shuffled positives, then of their
     # corruptions; past its end a fold repeats its last pair, weighted 0
-    ids = np.empty((6, len(positives), len(cols)), dtype=np.int64)
+    ids = np.empty((6, k, len(cols)), dtype=np.int64)
     for row, (pos, rng) in enumerate(zip(positives, rngs)):
         perm = rng.permutation(len(pos))
         lhs, rel, rhs = pos.lhs[perm], pos.rel[perm], pos.rhs[perm]
@@ -295,10 +288,15 @@ def _sgd_epoch(positives: list[TripleSet], rngs: list[np.random.Generator],
         at = np.minimum(cols, len(pos) - 1)
         for slot, a in enumerate((lhs, rel, rhs, *corrupted)):
             ids[slot, row] = a[at]
-    total = np.zeros(len(positives))
-    for start in range(0, len(cols), size):
-        counted = cols[:size] < (counts - start)[:, None]
-        losses = _sgd_step_arrays(*ids[:, :, start:start + size], emb, params,
-                                  config, counted)
-        total += np.where(counted, losses, 0.0).sum(axis=-1)
+    _check_ids(ids, n)
+    ids += n * np.arange(k)[:, None]   # rows of the flat (K * n, d) view
+    # batch-major: batch, slot, fold, then the batch's positives and corruptions
+    batches = (ids.reshape(2, 3, k, n_batches, size).transpose(3, 1, 2, 0, 4)
+               .reshape(n_batches, 3, k, 2 * size))
+    counted = (cols < counts[:, None]).reshape(k, n_batches, size).swapaxes(0, 1)
+    grad = params.empty_like()
+    total = np.zeros(k)
+    for mask, batch in zip(counted, batches):
+        losses = _sgd_step_arrays(mask, batch, emb, params, config, grad)
+        total += np.where(mask, losses, 0.0).sum(axis=-1)
     return total / counts

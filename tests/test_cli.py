@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from sme import cli
+from sme.dataset import load_triples, make_folds
 from sme.modelfile import load_model
 
 from conftest import two_group_records, write_triples
@@ -243,29 +244,55 @@ class TestOneLineErrors:
         assert self.run_one_line(["inspect", "--dataset", str(manifest)], capfd) == 3
 
 
-class TestOutOfMemory:
-    """A size flag whose arrays do not fit ends in one line and exit 2. The
-    child runs under a 1 GiB address-space limit, so no run can take the
-    memory it asks for."""
+def train_capped(tsv, out, flags):
+    """``sme train`` for one epoch in a child under a 1 GiB address-space
+    limit, so no run can take more memory than that."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", SME_LOG="quiet",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "sme.cli", "train", "--dataset", str(tsv), "--epochs", "1",
+         "--out", str(out), *flags],
+        env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
 
-    @staticmethod
-    def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+class TestOutOfMemory:
+    """A size flag whose arrays do not fit ends in one line and exit 2."""
 
     @pytest.mark.parametrize("flags", [
-        ["--dim-d", "100000"],      # a 745 GiB bilinear tensor
-        ["--batch", "100000000"],   # an epoch padded to 4.47 GiB of ids
+        ["--dim-d", "100000"],                      # a 745 GiB bilinear tensor
+        ["--dim-d", "3000", "--dim-p", "3000000"],  # a 196 TiB one
     ])
     def test_usage_exit_and_one_line(self, toy_files, flags):
         tmp, _, tsv = toy_files
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "sme.cli", "train", "--dataset", str(tsv), "--epochs", "1",
-             "--out", str(tmp / "m.sme"), *flags],
-            env=env, preexec_fn=self.cap_address_space, capture_output=True, text=True,
-            timeout=300)
+        proc = train_capped(tsv, tmp / "m.sme", flags)
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
+
+
+class TestBatchCap:
+    """A batch wider than the training positives trains as one batch of
+    them all: a wider one would only add padding pairs."""
+
+    @pytest.mark.parametrize("form", ["linear", "bilinear"])
+    def test_any_wider_batch_gives_the_same_model(self, toy_files, monkeypatch, form):
+        monkeypatch.setenv("SME_LOG", "quiet")
+        tmp, _, tsv = toy_files
+        _, ts = load_triples(tsv)
+        count = make_folds(ts, 10, 0).fold_sets(0)[0].n_positive   # sme train's defaults
+
+        def model_bytes(batch):
+            out = tmp / f"m-{batch}.sme"
+            assert run(["train", "--dataset", str(tsv), "--form", form, "--epochs", "1",
+                        "--batch", str(batch), "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        expect = model_bytes(count)
+        for batch in (count + 1, 20 * count):
+            assert model_bytes(batch) == expect, batch
+        # the epoch is not padded to the batch: 100M pairs would need 4.47 GiB of ids
+        proc = train_capped(tsv, tmp / "wide.sme", ["--form", form, "--batch", "100000000"])
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp / "wide.sme").read_bytes() == expect

@@ -5,7 +5,7 @@ import pytest
 
 from sme.dataset import Triple, TripleSet, make_folds
 from sme.errors import MetricError
-from sme.evaluator import (EvalReport, ScoredSet, aggregate, auc_pr,
+from sme.evaluator import (EvalReport, ScoredSet, _area, _run_folds, aggregate, auc_pr,
                            cross_validate, pr_curve, score_set)
 from sme.model import LINEAR, EmbeddingTable, LinearParams, Model, energy
 from sme.trainer import TrainConfig
@@ -219,3 +219,40 @@ class TestCrossValidate:
         old = json.loads(report.to_json())
         del old["per_fold_run"]
         assert EvalReport.from_json(json.dumps(old)).per_fold_run == []
+
+
+class TestStoredCurves:
+    """The report keeps only the ends of each run of equal recall."""
+
+    def test_stored_area_is_fold_auc_bitwise(self, toy_dataset):
+        d, ts = toy_dataset
+        split = make_folds(ts, 4, seed=0)
+        report = cross_validate(d, split, LINEAR, 4, 4, TrainConfig(epochs_max=3, seed=3))
+        for curve, auc in zip(report.pr_curves, report.per_fold_auc):
+            area = _area(np.array(curve["recall"]), np.array(curve["precision"]))
+            assert area == auc
+
+    def test_dropped_points_lie_between_kept_neighbours(self, toy_dataset):
+        d, ts = toy_dataset
+        split = make_folds(ts, 4, seed=0)
+        config = TrainConfig(epochs_max=3, seed=3)
+        dropped = 0
+        for f, (model, auc, curve, _) in enumerate(
+                _run_folds(d, split, [0, 1, 2, 3], LINEAR, 4, 4, config)):
+            recall, precision = pr_curve(score_set(model, split.triples.subset(
+                split.members()[f])))
+            assert _area(recall, precision) == auc
+            full = list(zip(recall.tolist(), precision.tolist()))
+            stored = list(zip(curve["recall"], curve["precision"]))
+            # the stored points are the full curve's, in order, with both ends
+            assert stored[0] == full[0] and stored[-1] == full[-1]
+            points = iter(full)
+            assert all(point in points for point in stored)
+            # recall never falls, so a recall's points are one run, and its
+            # stored ends are consecutive
+            segments = [(r1, p1, p2) for (r1, p1), (r2, p2) in zip(stored, stored[1:])
+                        if r1 == r2]
+            for r, p in set(full) - set(stored):
+                assert any(r == r1 and p1 >= p >= p2 for r1, p1, p2 in segments), (r, p)
+            dropped += len(full) - len(stored)
+        assert dropped > 0

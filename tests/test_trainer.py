@@ -175,8 +175,8 @@ class TestSgdStep:
         expect = [finite_difference(loss, a.reshape(-1)).reshape(a.shape)
                   for a in targets]
         before = [a.copy() for a in targets]
-        _sgd_step_arrays(*pos.T, *neg.T, emb, params,
-                         TrainConfig(learning_rate=1.0, margin=margin))
+        _sgd_step_arrays(np.ones(len(pos), dtype=bool), np.concatenate((pos, neg)).T,
+                         emb, params, TrainConfig(learning_rate=1.0, margin=margin))
         for i, (a, b, fd) in enumerate(zip(targets, before, expect)):
             analytic = b - a   # learning rate 1: the step is the gradient
             denom = np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1e-5)
@@ -336,6 +336,35 @@ class TestStackedFolds:
                     == [(r.loss, r.val_auc) for r in alone_trace.epochs]), f
             assert trace.best_epoch == alone_trace.best_epoch
             assert trace.stop_reason == alone_trace.stop_reason
+
+    @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
+    def test_returned_models_own_their_memory(self, form, tmp_path):
+        d, ts = load_triples(write_triples(tmp_path / "toy.tsv", two_group_records()))
+        split = make_folds(ts, 4, seed=0)
+        positives, valid = [], []
+        for f in range(4):
+            train_mask, valid_mask, _ = split.roles(f)
+            positives.append(split.triples.subset(train_mask & (split.triples.label == 1)))
+            valid.append(split.triples.subset(valid_mask))
+        config = TrainConfig(epochs_max=12, patience=2, batch_size=8, learning_rate=0.05)
+        seeds = [30 + f for f in range(4)]
+        trained = train_folds(positives, valid, d, form, 4, 4, config, seeds)
+        # the best epoch is not the last, so later epochs ran after the snapshot
+        assert any(t.best_epoch < len(t.epochs) - 1 for _, t in trained)
+        for f, (model, trace) in enumerate(trained):
+            [(at_best, _)] = train_folds([positives[f]], [valid[f]], d, form, 4, 4,
+                                         replace(config, epochs_max=trace.best_epoch + 1),
+                                         [seeds[f]])
+            assert model.emb.vectors.tobytes() == at_best.emb.vectors.tobytes(), f
+            assert model.params.buf.tobytes() == at_best.params.buf.tobytes(), f
+        models = [model for model, _ in trained]
+        for model in models:
+            before = [(m.emb.vectors.tobytes(), m.params.buf.tobytes()) for m in models]
+            model.emb.vectors[...] = np.nan
+            model.params.buf[...] = np.nan
+            for other, state in zip(models, before):
+                if other is not model:
+                    assert (other.emb.vectors.tobytes(), other.params.buf.tobytes()) == state
 
     def test_epoch_loss_is_mean_pair_loss(self, toy_split):
         # With a vanishing learning rate the weights stay put, so the epoch's
