@@ -3,7 +3,9 @@
 The AUC estimator groups tied scores into a single threshold, walks
 thresholds from the highest score down, starts the curve at (recall=0,
 precision=1), and integrates precision over recall with the trapezoid
-rule. Spread across folds is reported as the sample standard deviation.
+rule. The thresholds come from one sort of the scores, and the true
+positives at each from a ``searchsorted`` in the sorted positive scores.
+Spread across folds is reported as the sample standard deviation.
 """
 
 from __future__ import annotations
@@ -35,25 +37,24 @@ def score_set(model: Model, triples: TripleSet) -> ScoredSet:
 
 
 def pr_curve(s: ScoredSet) -> tuple[np.ndarray, np.ndarray]:
-    """(recall, precision) points, tie-grouped, starting at (0, 1). A NaN or
-    infinite score has no place in the ranking and raises MetricError."""
+    """(recall, precision) points, tie-grouped, starting at (0, 1). One sort
+    ranks the scores; a group's true positives are the positives scored at
+    least its threshold, counted by ``searchsorted`` in the sorted positive
+    scores. A NaN or infinite score has no place in the ranking and raises
+    MetricError."""
     labels = np.asarray(s.labels)
     scores = np.asarray(s.scores, dtype=np.float64)
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
+    positives = scores[labels == 1]
+    n_pos, n_neg = len(positives), int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise MetricError("AUC-PR undefined: need at least one positive and one negative")
     if not np.isfinite(scores).all():
         raise MetricError("AUC-PR undefined: non-finite score")
-    # any order within a tied group gives the same curve: the group is cut
-    # only at its end, where tp and seen count the whole group
-    order = np.argsort(-scores)
-    y = labels[order]
-    sorted_scores = scores[order]
-    # last index of each tied-score group
-    ends = np.nonzero(np.diff(sorted_scores))[0]
-    ends = np.append(ends, len(sorted_scores) - 1)
-    tp = np.cumsum(y)[ends].astype(np.float64)
+    # descending scores; a tied group is cut only at its end, where tp and
+    # seen count the whole group: every record scored at least the threshold
+    ranked = np.sort(scores)[::-1]
+    ends = np.append(np.nonzero(np.diff(ranked))[0], len(ranked) - 1)
+    tp = (n_pos - np.searchsorted(np.sort(positives), ranked[ends], "left")).astype(np.float64)
     seen = (ends + 1).astype(np.float64)
     recall = np.concatenate([[0.0], tp / n_pos])
     precision = np.concatenate([[1.0], tp / seen])

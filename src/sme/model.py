@@ -160,6 +160,11 @@ def matvec(maps: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (maps @ x[..., None])[..., 0]
 
 
+# ids are range-checked before any table is indexed, so np.take's "clip"
+# mode never clips; it spares the buffered copy that "raise" makes
+_TAKE = dict(axis=0, mode="clip")
+
+
 def _check_ids(ids: np.ndarray, n: int) -> None:
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         raise LookupIdError(f"triple id outside embedding table [0, {n})")
@@ -200,7 +205,7 @@ def _forward(E: np.ndarray, params: Params, ids: np.ndarray) -> tuple[np.ndarray
     """``forward`` on checked ids: (3, m) rows of E, lhs, rel and rhs in
     turn, or (3, K, m) rows of the flat (K * n_symbols, d) view of a stack,
     so that every stacked model's rows come from one gather."""
-    el, er, eh = E.reshape(-1, E.shape[-1])[ids]
+    el, er, eh = np.take(E.reshape(-1, E.shape[-1]), ids, **_TAKE)
     if isinstance(params, LinearParams):
         u = el @ _t(params.w_l1) + er @ _t(params.w_l2) + params.b_l[..., None, :]
         v = eh @ _t(params.w_r1) + er @ _t(params.w_r2) + params.b_r[..., None, :]
@@ -314,7 +319,7 @@ class Model:
 # 0.7 MB, per side.
 _TABLE_BYTES = 16 << 20
 # Records per gather step: their u and v blocks (8192 * p * 8 B each) stay
-# in cache while they are multiplied and summed.
+# in cache for the one row contraction that scores them.
 _STEP = 8192
 
 
@@ -394,11 +399,6 @@ def _project(E, maps, offsets) -> np.ndarray:
     return t.reshape(-1, maps.shape[1])
 
 
-# ids are range-checked before any table is indexed, so np.take's "clip"
-# mode never clips; it spares the buffered copy that "raise" makes
-_TAKE = dict(axis=0, mode="clip")
-
-
 def _gather_dot(tl, tr, n: int, slot, lhs, rhs) -> np.ndarray:
     """Dot products of the rows ``slot * n + lhs`` of tl and ``slot * n + rhs``
     of tr, ``_STEP`` records at a time through two reused work buffers."""
@@ -410,6 +410,5 @@ def _gather_dot(tl, tr, n: int, slot, lhs, rhs) -> np.ndarray:
         base = slot[sl] * n
         u = np.take(tl, base + lhs[sl], out=buf_u[:len(base)], **_TAKE)
         v = np.take(tr, base + rhs[sl], out=buf_v[:len(base)], **_TAKE)
-        u *= v
-        np.sum(u, axis=1, out=out[sl])
+        np.einsum("ij,ij->i", u, v, out=out[sl])
     return out

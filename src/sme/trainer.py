@@ -32,8 +32,8 @@ import numpy as np
 from . import evaluator
 from .dataset import Dictionary, Triple, TripleSet, positives_of
 from .errors import ConfigError, NumericalError
-from .model import (EmbeddingTable, Model, Params, _check_ids, _forward, backward,
-                    energies_batch, init_embeddings, init_params)
+from .model import (_TAKE, PARAMS, EmbeddingTable, Model, Params, _check_ids, _forward,
+                    backward, energies_batch, init_embeddings, init_params)
 
 CORRUPTION_MODES = ("lhs", "rhs", "both")
 
@@ -134,8 +134,8 @@ def sgd_step(batch: list[tuple[Triple, Triple]], emb: EmbeddingTable,
 
 
 def _sgd_step_arrays(counted: np.ndarray, ids: np.ndarray, emb: EmbeddingTable,
-                     params: Params, config: TrainConfig,
-                     grad: Params | None = None) -> np.ndarray:
+                     params: Params, config: TrainConfig, grad: Params | None = None,
+                     elements: np.ndarray | None = None) -> np.ndarray:
     """One mini-batch update; returns each pair's ranking loss before it.
 
     ``ids`` (3, 2m), range-checked by the caller, holds the lhs, rel and rhs
@@ -145,7 +145,8 @@ def _sgd_step_arrays(counted: np.ndarray, ids: np.ndarray, emb: EmbeddingTable,
     fold's short or spent batch. A counted pair with positive loss weighs
     +1 on its positive and -1 on its corruption; every other row weighs 0
     and changes nothing. ``grad`` (laid out as ``params``) takes the
-    parameter gradients.
+    parameter gradients. Row i of ``elements``, ``arange(emb.vectors.size)``
+    as (rows, d), holds the flat indices of embedding row i's elements.
     """
     energies, cache = _forward(emb.vectors, params, ids)
     m = ids.shape[-1] // 2
@@ -163,8 +164,9 @@ def _sgd_step_arrays(counted: np.ndarray, ids: np.ndarray, emb: EmbeddingTable,
     # one scatter-add of every row gradient, element by element, through the
     # flat view of the embeddings; bincount adds in input order, as np.add.at
     # does, at a fraction of its per-element cost
-    d = emb.dim
-    at = (ids * d)[..., None] + np.arange(d)
+    if elements is None:
+        elements = np.arange(emb.vectors.size).reshape(-1, emb.dim)
+    at = np.take(elements, ids, **_TAKE)
     g_emb = np.bincount(at.ravel(), weights=grads.d_rows.ravel(), minlength=emb.vectors.size)
     if not np.isfinite(g_emb).all():
         raise NumericalError("non-finite embedding gradient; training aborted")
@@ -198,6 +200,11 @@ def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionar
     config.validate()
     if dim_d < 1 or dim_p < 1:
         raise ConfigError(f"dimensions must be >= 1, got d={dim_d} p={dim_p}")
+    # the stack's bytes, in Python ints: past what numpy can address, an
+    # allocation fails with a ValueError, not a MemoryError
+    blocks = PARAMS[form].shapes(dim_p, dim_d) if form in PARAMS else ()
+    if 8 * len(seeds) * max(len(d) * dim_d, sum(map(math.prod, blocks))) > np.iinfo(np.intp).max:
+        raise ConfigError(f"dimensions d={dim_d} p={dim_p} need more memory than can be addressed")
     for pos, val in zip(positives, valid):
         if len(val) == 0:
             raise ConfigError("validation set is empty")
@@ -295,8 +302,9 @@ def _sgd_epoch(positives: list[TripleSet], rngs: list[np.random.Generator],
                .reshape(n_batches, 3, k, 2 * size))
     counted = (cols < counts[:, None]).reshape(k, n_batches, size).swapaxes(0, 1)
     grad = params.empty_like()
+    elements = np.arange(emb.vectors.size).reshape(k * n, emb.dim)
     total = np.zeros(k)
     for mask, batch in zip(counted, batches):
-        losses = _sgd_step_arrays(mask, batch, emb, params, config, grad)
+        losses = _sgd_step_arrays(mask, batch, emb, params, config, grad, elements)
         total += np.where(mask, losses, 0.0).sum(axis=-1)
     return total / counts

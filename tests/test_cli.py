@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sme import cli
+from sme import cli, trainer
 from sme.dataset import load_triples, make_folds
 from sme.modelfile import load_model
 
@@ -244,16 +244,17 @@ class TestOneLineErrors:
         assert self.run_one_line(["inspect", "--dataset", str(manifest)], capfd) == 3
 
 
-def train_capped(tsv, out, flags):
-    """``sme train`` for one epoch in a child under a 1 GiB address-space
-    limit, so no run can take more memory than that."""
+def train_capped(tsv, out, flags, command="train", timeout=300):
+    """``sme train`` (or ``command``) for one epoch, unless ``flags`` give
+    ``--epochs``, in a child under a 1 GiB address-space limit, so no run
+    can take more memory than that."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", SME_LOG="quiet",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "sme.cli", "train", "--dataset", str(tsv), "--epochs", "1",
+        [sys.executable, "-m", "sme.cli", command, "--dataset", str(tsv), "--epochs", "1",
          "--out", str(out), *flags],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=env, capture_output=True, text=True, timeout=timeout,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
 
 
@@ -270,6 +271,29 @@ class TestOutOfMemory:
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
+
+
+class TestUnaddressableDimensions:
+    """A dimension whose arrays numpy could not even address is a usage
+    error, found before anything is allocated."""
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("flag, value", [("--dim-d", 2**63 - 1), ("--dim-p", 2**63)])
+    def test_usage_exit_before_allocation(self, toy_files, monkeypatch, capsys,
+                                          command, flag, value):
+        monkeypatch.setenv("SME_LOG", "quiet")
+        tmp, _, tsv = toy_files
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(trainer, "init_embeddings", refuse)
+        monkeypatch.setattr(trainer, "init_params", refuse)
+        code = run([command, "--dataset", str(tsv), "--epochs", "1", "--out", str(tmp / "out"),
+                    flag, str(value)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: dimensions ") and err.count("\n") == 1
 
 
 class TestBatchCap:

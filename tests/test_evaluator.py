@@ -87,21 +87,28 @@ class TestAucPr:
             terms = (recall[1:] - recall[:-1]) * (precision[1:] + precision[:-1]) * 0.5
             return recall, precision, float(np.cumsum(terms)[-1])
 
+        def score_sets():   # drawn lazily, each before its labels
+            for n in [3, 40, 500, 5000, 20000]:
+                for decimals in [0, 1, 2]:
+                    yield np.round(rng.normal(size=n), decimals)
+            # -0.0 and 0.0 compare equal, so they share one tied group
+            for n in [3, 40, 500, 5000]:
+                for values in ([-0.0, 0.0], [-0.0, 0.0, 1.0, -1.0]):
+                    yield rng.choice(values, size=n)
+
         rng = np.random.default_rng(17)
         reordered = 0
-        for n in [3, 40, 500, 5000, 20000]:
-            for decimals in [0, 1, 2]:
-                scores = np.round(rng.normal(size=n), decimals)
-                labels = rng.integers(0, 2, size=n)
-                labels[:2] = [0, 1]
-                want_r, want_p, want_auc = stable_reference(scores, labels)
-                s = ScoredSet(scores, labels)
-                recall, precision = pr_curve(s)
-                assert recall.tobytes() == want_r.tobytes()
-                assert precision.tobytes() == want_p.tobytes()
-                assert auc_pr(s) == want_auc
-                reordered += not np.array_equal(np.argsort(-scores),
-                                                np.argsort(-scores, kind="stable"))
+        for scores in score_sets():
+            labels = rng.integers(0, 2, size=len(scores))
+            labels[:2] = [0, 1]
+            want_r, want_p, want_auc = stable_reference(scores, labels)
+            s = ScoredSet(scores, labels)
+            recall, precision = pr_curve(s)
+            assert recall.tobytes() == want_r.tobytes()
+            assert precision.tobytes() == want_p.tobytes()
+            assert auc_pr(s) == want_auc
+            reordered += not np.array_equal(np.argsort(-scores),
+                                            np.argsort(-scores, kind="stable"))
         assert reordered   # some tied groups did come out in another order
 
     def test_tie_heavy_against_oracle(self):

@@ -1,5 +1,6 @@
-"""Property tests over the files a user hands the CLI: model files through
-``sme score``, and triple files and dataset manifests through ``sme inspect``. Whatever the bytes,
+"""Property tests over what a user hands the CLI: model files through
+``sme score``, triple files and dataset manifests through ``sme inspect``,
+and the numeric flags of ``sme train`` and ``sme eval``. Whatever the input,
 the command ends with a documented exit code (0 ok, 2 usage, 3 data,
 4 numeric) and, on failure, one ``error:`` line on stderr; never a traceback.
 """
@@ -19,6 +20,8 @@ from sme import cli  # noqa: E402
 from sme.model import BILINEAR, LINEAR  # noqa: E402
 from sme.modelfile import MAGIC, save_model  # noqa: E402
 
+from conftest import two_group_records, write_triples  # noqa: E402
+from test_cli import train_capped  # noqa: E402
 from test_modelfile import random_model  # noqa: E402
 
 # derandomized: the suite sees the same cases on every run
@@ -154,3 +157,49 @@ def test_manifest_through_inspect(raw, tmp_path_factory):
     assert_documented_outcome(code, out, err)
     if code == 0:
         assert out == "entities=2 relations=1 records=2 valid=50%\n"
+
+
+# zero, negative, small and 2**63-scale values; a huge one as a dimension
+# asks for more memory than a 1 GiB child has, or than numpy can address
+HUGE = st.sampled_from([2**31, 2**40, 2**62, 2**63 - 1, 2**63, 2**64, 10**30])
+SMALL = st.integers(-2, 4)
+NUMBER = st.one_of(SMALL, HUGE, st.just(-(2**63)))
+
+
+@st.composite
+def numeric_flags(draw):
+    """A command and some of its numeric flags. Huge ``--epochs`` come only
+    with ``--patience`` <= 2, which stops a run once validation stalls, and
+    ``--jobs`` is at most 1, so no case starts worker processes."""
+    command = draw(st.sampled_from(["train", "eval"]))
+    values = {
+        "--dim-d": draw(st.one_of(SMALL, st.integers(5, 12), HUGE)),
+        "--dim-p": draw(st.one_of(SMALL, st.integers(5, 12), HUGE)),
+        "--batch": draw(st.one_of(NUMBER, st.integers(5, 64))),
+        "--epochs": draw(NUMBER),
+        "--patience": draw(NUMBER),
+        "--folds": draw(st.one_of(NUMBER, st.integers(5, 12))),
+    }
+    if command == "train":
+        values["--fold"] = draw(st.one_of(NUMBER, st.integers(5, 12)))
+    else:
+        values["--jobs"] = draw(st.sampled_from([-(2**63), -1, 0, 1]))
+    chosen = draw(st.lists(st.sampled_from(sorted(values)), unique=True, min_size=1, max_size=4))
+    if "--epochs" in chosen and values["--epochs"] > 4:
+        values["--patience"] = draw(st.integers(-2, 2))
+        chosen = sorted({*chosen, "--patience"})
+    return command, [str(x) for flag in chosen for x in (flag, values[flag])]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(case=numeric_flags())
+def test_numeric_flags_of_train_and_eval(case, tmp_path_factory):
+    command, flags = case
+    base = tmp_path_factory.getbasetemp()
+    tsv = base / "tiny.tsv"
+    if not tsv.exists():
+        write_triples(tsv, two_group_records(n_per_group=3))
+    proc = train_capped(tsv, base / "fuzz-out", flags, command=command, timeout=60)
+    assert_documented_outcome(proc.returncode, proc.stdout, proc.stderr)
+    if proc.returncode == 0:
+        assert proc.stdout.count("\n") == 1
