@@ -1,37 +1,35 @@
 """Command-line front end: inspect, train, eval, score.
 
-Exit codes: 0 success, 2 usage/config error (including sizes whose arrays
-do not fit in memory), 3 data integrity error, 4 numerical failure. Flag
-values take precedence over manifest values, which take precedence over
-built-in defaults.
+A command that fails exits with its error's ``exit_code`` (see ``errors``),
+EXIT_USAGE when its arrays do not fit in memory and EXIT_DATA on an OS
+error. Flag values take precedence over manifest values, which take
+precedence over built-in defaults. Flags are never abbreviated.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluator, modelfile, trainer
 from .dataset import load_manifest, load_triples, make_folds
-from .errors import (ConfigError, IntegrityError, MetricError, NumericalError,
-                     OutOfDictionaryError, ParseError, SmeError)
+from .errors import (EXIT_DATA, EXIT_USAGE, ConfigError, NumericalError,
+                     OutOfDictionaryError, SmeError)
 from .model import FORMS, energies_batch
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="sme",
+        prog="sme", allow_abbrev=False,
         description="Multi-relational link prediction with semantic matching energies.")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = partial(sub.add_parser, allow_abbrev=False)
 
     def add_common_model_flags(p):
         p.add_argument("--form", choices=FORMS, default="bilinear")
@@ -48,17 +46,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="split/train seed (default: manifest value, else 0)")
 
-    p_inspect = sub.add_parser("inspect", help="ingestion statistics for a dataset")
+    p_inspect = add_parser("inspect", help="ingestion statistics for a dataset")
     p_inspect.add_argument("--dataset", required=True,
                            help="dataset manifest (JSON) or triple file (TSV)")
 
-    p_train = sub.add_parser("train", help="train one fold and write a model file")
+    p_train = add_parser("train", help="train one fold and write a model file")
     p_train.add_argument("--dataset", required=True)
     p_train.add_argument("--fold", type=int, default=0)
     p_train.add_argument("--out", default="model.sme")
     add_common_model_flags(p_train)
 
-    p_eval = sub.add_parser("eval", help="cross-validated AUC-PR evaluation")
+    p_eval = add_parser("eval", help="cross-validated AUC-PR evaluation")
     p_eval.add_argument("--dataset", required=True)
     p_eval.add_argument("--out", default="report",
                         help="output prefix; writes <out>.json and <out>.txt")
@@ -68,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "for any N while --batch is at most each fold's positives)")
     add_common_model_flags(p_eval)
 
-    p_score = sub.add_parser("score", help="score triples with a trained model")
+    p_score = add_parser("score", help="score triples with a trained model")
     p_score.add_argument("--model", required=True)
     p_score.add_argument("triples", nargs="+",
                          help="each argument is one tab-separated 'lhs<TAB>rel<TAB>rhs'")
@@ -95,13 +93,6 @@ def _resolve(flag_value, manifest_value, default):
     return default
 
 
-def _train_config(args) -> trainer.TrainConfig:
-    return trainer.TrainConfig(
-        learning_rate=args.lr, margin=args.margin, epochs_max=args.epochs,
-        batch_size=args.batch, corruption_mode=args.corruption,
-        patience=args.patience, seed=0)
-
-
 def cmd_inspect(args) -> int:
     _, d, ts = _load_dataset_arg(args.dataset)
     pct = 100.0 * ts.n_positive / len(ts)
@@ -110,12 +101,26 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
+def _training_setup(args):
+    """What ``train`` and ``eval`` start from: the manifest (or None), the
+    dictionary, the fold split and the TrainConfig. The fold count and the
+    seed come from the flag, else the manifest, else 10 and 0. A missing
+    output directory is found before the dataset is read."""
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        raise FileNotFoundError(f"output directory not found: {out_dir}")
     manifest, d, ts = _load_dataset_arg(args.dataset)
     folds = _resolve(args.folds, manifest.folds if manifest else None, 10)
     seed = _resolve(args.seed, manifest.seed if manifest else None, 0)
-    split = make_folds(ts, folds, seed)
-    config = replace(_train_config(args), seed=seed)
+    config = trainer.TrainConfig(
+        learning_rate=args.lr, margin=args.margin, epochs_max=args.epochs,
+        batch_size=args.batch, corruption_mode=args.corruption,
+        patience=args.patience, seed=seed)
+    return manifest, d, make_folds(ts, folds, seed), config
+
+
+def cmd_train(args) -> int:
+    _, d, split, config = _training_setup(args)
     train_ts, valid_ts, _ = split.fold_sets(args.fold)
     model, _ = trainer.train(train_ts, valid_ts, d, args.form,
                              args.dim_d, args.dim_p, config)
@@ -125,12 +130,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    manifest, d, ts = _load_dataset_arg(args.dataset)
-    folds = _resolve(args.folds, manifest.folds if manifest else None, 10)
-    seed = _resolve(args.seed, manifest.seed if manifest else None, 0)
+    manifest, d, split, config = _training_setup(args)
     name = manifest.name if manifest else Path(args.dataset).stem
-    split = make_folds(ts, folds, seed)
-    config = replace(_train_config(args), seed=seed)
     report = evaluator.cross_validate(d, split, args.form, args.dim_d, args.dim_p,
                                       config, dataset_name=name, jobs=args.jobs)
     json_path = f"{args.out}.json"
@@ -182,19 +183,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except SmeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return exc.exit_code
     except MemoryError as exc:   # a size flag asked for arrays that do not fit
         print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, IntegrityError, OutOfDictionaryError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (NumericalError, MetricError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except SmeError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -1,16 +1,19 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the CLI's exit codes.
 
-Exit-code mapping used by the CLI:
-  ConfigError / UsageError /
-  MemoryError                     -> 2
-  ParseError / IntegrityError /
-  OutOfDictionaryError            -> 3
-  NumericalError / MetricError    -> 4
+Each class carries the code ``sme`` exits with when it ends a command:
+EXIT_DATA for data errors and by default, EXIT_USAGE for ConfigError,
+EXIT_NUMERIC for NumericalError and MetricError.
 """
+
+EXIT_USAGE = 2     # bad flags or settings, or sizes that do not fit in memory
+EXIT_DATA = 3      # unreadable, malformed or inconsistent data
+EXIT_NUMERIC = 4   # a non-finite value or an undefined metric
 
 
 class SmeError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = EXIT_DATA
 
 
 class ShapeError(SmeError):
@@ -48,10 +51,16 @@ class IntegrityError(SmeError):
 class ConfigError(SmeError):
     """A configuration value is invalid or inconsistent."""
 
+    exit_code = EXIT_USAGE
+
 
 class NumericalError(SmeError):
     """A non-finite value appeared where finiteness is required."""
 
+    exit_code = EXIT_NUMERIC
+
 
 class MetricError(SmeError):
     """A metric is undefined for the given inputs (e.g. single-class labels)."""
+
+    exit_code = EXIT_NUMERIC

@@ -85,16 +85,8 @@ class EvalReport:
     per_fold_run: list[dict] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "dataset": self.dataset,
-            "form": self.form,
-            "per_fold_auc": self.per_fold_auc,
-            "mean": self.mean,
-            "std": self.std,
-            "config": self.config,
-            "pr_curves": self.pr_curves,
-            "per_fold_run": self.per_fold_run,
-        }, separators=(",", ":"))
+        # the fields in declaration order; vars, unlike asdict, copies no curve
+        return json.dumps(vars(self), separators=(",", ":"))
 
     @staticmethod
     def from_json(text: str) -> "EvalReport":
@@ -198,12 +190,6 @@ def cross_validate(d: Dictionary, split: FoldSplit, form: str,
             results = [r for part in pool.map(_fold_group_job, args) for r in part]
     per_fold = [auc for auc, _, _ in results]
     mean, std = aggregate(per_fold)
-    cfg_echo = {
-        "form": form, "dim_d": dim_d, "dim_p": dim_p,
-        "learning_rate": config.learning_rate, "margin": config.margin,
-        "epochs_max": config.epochs_max, "batch_size": config.batch_size,
-        "corruption_mode": config.corruption_mode, "patience": config.patience,
-        "seed": config.seed, "folds": split.k,
-    }
+    cfg_echo = {"form": form, "dim_d": dim_d, "dim_p": dim_p, **vars(config), "folds": split.k}
     return EvalReport(dataset_name, form, per_fold, mean, std, cfg_echo,
                       [curve for _, curve, _ in results], [run for _, _, run in results])

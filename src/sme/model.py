@@ -190,14 +190,10 @@ def _t(a: np.ndarray) -> np.ndarray:
 def forward(E: np.ndarray, params: Params, lhs: np.ndarray, rel: np.ndarray,
             rhs: np.ndarray) -> tuple[np.ndarray, Cache]:
     """Energies of the triples (lhs[n], rel[n], rhs[n]) and the cache for
-    ``backward``. E is the (n_symbols, d) embedding matrix, or a stack of K
-    of them with (K, m) id arrays and stacked parameters. The ids are
-    range-checked here, then laid out for ``_forward``."""
-    n = E.shape[-2]
+    ``backward``. E is one model's (n_symbols, d) embedding matrix. The ids
+    are range-checked here; a stack enters ``_forward`` directly."""
     ids = np.stack((lhs, rel, rhs))
-    _check_ids(ids, n)
-    if E.ndim == 3:
-        ids = ids + n * np.arange(len(E))[:, None]
+    _check_ids(ids, len(E))
     return _forward(E, params, ids)
 
 

@@ -183,8 +183,6 @@ def train(train_ts: TripleSet, valid_ts: TripleSet, d: Dictionary,
           form: str, dim_d: int, dim_p: int,
           config: TrainConfig) -> tuple[Model, TrainTrace]:
     """Run SGD epochs with early stopping; returns the best-validation model."""
-    if len(train_ts) == 0:
-        raise ConfigError("training set is empty")
     return train_folds([positives_of(train_ts)], [valid_ts], d, form,
                        dim_d, dim_p, config, [config.seed])[0]
 
@@ -227,8 +225,6 @@ def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionar
     folds = list(range(len(seeds)))   # the fold in each row of the stack
     traces = [TrainTrace() for _ in folds]
     best: list[Model | None] = [None for _ in folds]
-    best_auc = [-np.inf for _ in folds]
-    stale = [0 for _ in folds]
     # an overflow shows as a non-finite loss, gradient, norm or score, which
     # the checks report as one NumericalError or MetricError
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -247,22 +243,20 @@ def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionar
                 val_scores = -energies_batch(fold_emb, fold_params, val.lhs, val.rel, val.rhs)
                 val_auc = evaluator.auc_pr(evaluator.ScoredSet(val_scores, val.label))
                 secs = share + time.perf_counter() - t1
-                traces[f].epochs.append(EpochRecord(float(mean_loss[row]), val_auc, secs))
+                trace = traces[f]
+                trace.epochs.append(EpochRecord(float(mean_loss[row]), val_auc, secs))
                 if _log_enabled():
                     print(f"epoch={epoch} loss={mean_loss[row]:.6f} val_auc={val_auc:.6f} "
                           f"secs={secs:.3f}")
 
-                if val_auc > best_auc[f]:
-                    best_auc[f] = val_auc
+                # a tie is not an improvement; epochs[e] is epoch e of the fold
+                if trace.best_epoch < 0 or val_auc > trace.epochs[trace.best_epoch].val_auc:
                     best[f] = Model(form, list(d.symbols), relation_ids,
                                     fold_emb.copy(), fold_params.copy())
-                    traces[f].best_epoch = epoch
-                    stale[f] = 0
-                else:
-                    stale[f] += 1
-                    if stale[f] >= config.patience:
-                        traces[f].stop_reason = "patience"
-                        continue
+                    trace.best_epoch = epoch
+                elif epoch - trace.best_epoch >= config.patience:
+                    trace.stop_reason = "patience"
+                    continue
                 keep.append(row)
             if not keep:
                 break

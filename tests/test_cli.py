@@ -12,6 +12,9 @@ import pytest
 
 from sme import cli, trainer
 from sme.dataset import load_triples, make_folds
+from sme.errors import (ConfigError, IntegrityError, LookupIdError, MetricError,
+                        NumericalError, OutOfDictionaryError, ParseError, ShapeError,
+                        SmeError)
 from sme.modelfile import load_model
 
 from conftest import two_group_records, write_triples
@@ -222,6 +225,22 @@ class TestOneLineErrors:
         assert self.run_one_line([argv[0], "--dataset", str(manifest), "--epochs", "3",
                                   "--out", str(tmp_path / "out"), *argv[1:]], capfd) == code
 
+    @pytest.mark.parametrize("command, out", [("train", "nodir/m.sme"),
+                                              ("eval", "nodir/sub/report")])
+    def test_missing_output_directory_before_training(self, toy_files, capfd, monkeypatch,
+                                                      command, out):
+        tmp_path, manifest, _ = toy_files
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached before the output directory was checked")
+
+        monkeypatch.setattr(cli, "load_triples", refuse)
+        monkeypatch.setattr(trainer, "train_folds", refuse)
+        argv = [command, "--dataset", str(manifest), "--epochs", "1",
+                "--out", str(tmp_path / out)]
+        assert self.run_one_line(argv, capfd) == 3
+        assert not (tmp_path / "nodir").exists()
+
     @pytest.mark.parametrize("payload", [
         pytest.param(b'{"name": "toy", "triples": "toy.tsv", "folds": "abc"}', id="folds-text"),
         pytest.param(b'{"name": "toy", "triples": "toy.tsv", "folds": null}', id="folds-null"),
@@ -242,6 +261,43 @@ class TestOneLineErrors:
         manifest = tmp_path / "bad.json"
         manifest.write_bytes(payload)
         assert self.run_one_line(["inspect", "--dataset", str(manifest)], capfd) == 3
+
+
+# every error class and the exit code it is documented to end a command with
+EXIT_CODES = {ConfigError: 2, ShapeError: 3, LookupIdError: 3, OutOfDictionaryError: 3,
+              ParseError: 3, IntegrityError: 3, NumericalError: 4, MetricError: 4}
+
+
+class TestExitCodes:
+    def test_every_error_class_has_a_documented_code(self):
+        assert set(SmeError.__subclasses__()) == set(EXIT_CODES)
+
+    @pytest.mark.parametrize("cls, code", EXIT_CODES.items(),
+                             ids=[cls.__name__ for cls in EXIT_CODES])
+    def test_code_and_one_line(self, monkeypatch, capsys, cls, code):
+        def fail(args):
+            raise cls("raised by the command")
+
+        monkeypatch.setitem(cli._COMMANDS, "inspect", fail)
+        assert run(["inspect", "--dataset", "unused.tsv"]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: raised by the command\n"
+
+
+class TestNoAbbreviatedFlags:
+    """A prefix of a flag is not that flag: ``--fold`` on ``eval`` does not
+    mean ``--folds``, nor ``--epoch`` ``--epochs``."""
+
+    @pytest.mark.parametrize("argv", [["eval", "--fold", "3"], ["train", "--epoch", "2"]],
+                             ids=["eval-fold", "train-epoch"])
+    def test_usage_exit_and_no_output(self, toy_files, capsys, monkeypatch, argv):
+        monkeypatch.setenv("SME_LOG", "quiet")
+        tmp_path, manifest, _ = toy_files
+        code = run([argv[0], "--dataset", str(manifest), "--patience", "1",
+                    "--out", str(tmp_path / "out"), *argv[1:]])
+        assert code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))
 
 
 def train_capped(tsv, out, flags, command="train", timeout=300):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sme import trainer
 from sme.dataset import Triple, load_triples, make_folds, positives_of
 from sme.errors import ConfigError, NumericalError
 from sme.model import (BILINEAR, LINEAR, energies_batch, energy, energy_gradients,
@@ -259,6 +260,27 @@ class TestTrain:
                              learning_rate=1e-9)  # no real progress
         _, trace = train(train_ts, valid_ts, d, LINEAR, 4, 4, config)
         assert len(trace.epochs) < 200
+
+    @pytest.mark.parametrize("aucs, best_epoch, stop_reason", [
+        ([.5, .6, .6, .55, .7, .7, .7, .7], 4, "patience"),   # a tie is no improvement
+        ([.5, .6, .7, .8, .9, .91, .92, .93], 7, "epochs_max"),
+    ])
+    def test_early_stopping_rule(self, toy_split, monkeypatch, aucs, best_epoch, stop_reason):
+        d, split = toy_split
+        train_ts, valid_ts, _ = split.fold_sets(0)
+        config = TrainConfig(epochs_max=8, patience=3, seed=3)
+        scripted = iter(aucs)
+        monkeypatch.setattr(trainer.evaluator, "auc_pr", lambda scored: next(scripted))
+        model, trace = train(train_ts, valid_ts, d, LINEAR, 4, 4, config)
+        assert len(trace.epochs) == 8
+        assert [r.val_auc for r in trace.epochs] == aucs
+        assert (trace.best_epoch, trace.stop_reason) == (best_epoch, stop_reason)
+        # the snapshot is the model after the best epoch
+        scripted = iter(aucs)
+        expect, _ = train(train_ts, valid_ts, d, LINEAR, 4, 4,
+                          replace(config, epochs_max=best_epoch + 1))
+        assert np.array_equal(model.emb.vectors, expect.emb.vectors)
+        assert np.array_equal(model.params.buf, expect.params.buf)
 
     def test_trace_line_format(self, toy_split, capsys, monkeypatch):
         monkeypatch.setenv("SME_LOG", "info")
