@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import partial
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -143,27 +144,29 @@ def cmd_eval(args) -> int:
 
 
 def cmd_score(args) -> int:
-    # every argument is parsed and looked up before anything is printed
+    # every argument is parsed and looked up before anything is printed; the
+    # first bad argument, in command-line order, decides the error
     model = modelfile.load_model(args.model)
     index = {s: i for i, s in enumerate(model.symbols)}
-    rows = []
-    for raw in args.triples:
-        parts = raw.split("\t")
-        if len(parts) != 3:
-            raise ConfigError(
-                f"triple must be 'lhs<TAB>rel<TAB>rhs', got {raw!r}")
-        try:
-            rows.append([index[s] for s in parts])
-        except KeyError as exc:
-            raise OutOfDictionaryError(
-                f"out-of-dictionary symbol: {exc.args[0]!r}") from None
-    ids = np.array(rows, dtype=np.int64)
+    triples = args.triples
+    n_tabs = np.fromiter(map(str.count, triples, repeat("\t")), dtype=np.int64,
+                         count=len(triples))
+    malformed = np.flatnonzero(n_tabs != 2)
+    good = int(malformed[0]) if len(malformed) else len(triples)
+    # the arguments before the first malformed one hold three symbols each
+    tokens = "\t".join(triples[:good]).split("\t") if good else []
+    try:
+        ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    except KeyError as exc:
+        raise OutOfDictionaryError(f"out-of-dictionary symbol: {exc.args[0]!r}") from None
+    if good < len(triples):
+        raise ConfigError(f"triple must be 'lhs<TAB>rel<TAB>rhs', got {triples[good]!r}")
+    ids = ids.reshape(-1, 3)
     with np.errstate(over="ignore", invalid="ignore"):   # reported below instead
         scores = -energies_batch(model.emb, model.params, ids[:, 0], ids[:, 1], ids[:, 2])
     if not np.isfinite(scores).all():
         raise NumericalError("non-finite score: the model's weights overflow")
-    print("\n".join(f"{raw}\t{score:.17g}"
-                    for raw, score in zip(args.triples, scores.tolist())))
+    print("\n".join(map("{}\t{:.17g}".format, triples, scores.tolist())))
     return EXIT_OK
 
 

@@ -10,9 +10,14 @@ character is '#' is a comment; comment and blank lines are skipped but
 count towards line numbers. A repeated (lhs, rel, rhs) is an error.
 
 The loader streams the file in text blocks of about ``_BLOCK`` characters,
-each extended to the end of its last line. Each block is checked and split
-into symbols by whole-block numpy and string operations, with no Python
-loop over its records, so memory stays near one block plus the id arrays.
+each extended to the end of its last line. Each block is checked by
+whole-block numpy operations, with no Python loop over its records, and its
+symbols are interned from their bytes: every symbol is read as 64-bit words
+and hashed, equal hashes are sorted together and compared word for word,
+and only the first symbol of each run of equal ones becomes a Python string
+and a dictionary lookup. A hash collision costs one more lookup, never a
+wrong id. Time and memory stay linear in a block's bytes, and memory stays
+near one block plus the id arrays.
 A dataset manifest is a small JSON file naming the triple file plus the
 fold count and split seed.
 """
@@ -184,7 +189,9 @@ def _parse_block(text: str, symbols: _Interner, first_line: int):
     line and the index of that line in the block, or None. A record line is
     one that is neither blank nor a comment; it is bad unless it has three
     tabs, non-empty symbols and a label of one character, 0 or 1."""
-    b = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    # zero bytes past the end, so a token's last word can be read whole
+    raw = text.encode("utf-8") + bytes(_WORD)
+    b = np.frombuffer(raw, dtype=np.uint8)
     ends = np.flatnonzero(b == _NL)
     tabs = np.flatnonzero(b == _TAB)
     starts = np.concatenate(([0], ends[:-1] + 1))
@@ -202,19 +209,117 @@ def _parse_block(text: str, symbols: _Interner, first_line: int):
         kept = int(np.argmin(good))
     bad = int(lines[kept]) if kept < len(lines) else None
     lines = lines[:kept]
-    # the symbols of the kept lines, each ended by a newline: every byte of
-    # those lines but the tab before the label and the label itself
-    keep = np.zeros(len(ends), dtype=bool)
-    keep[lines] = True
-    keep = np.repeat(keep, ends - starts + 1)
-    keep[t3[:kept]] = keep[at[:kept]] = False
-    sym = b[keep]
-    sym[sym == _TAB] = _NL
-    tokens = sym.tobytes().decode("utf-8").split("\n")
-    tokens.pop()
-    ids = np.fromiter(map(symbols.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    # each kept record's lhs, rel and rhs byte ranges, in file order
+    start = np.stack((starts[lines], t1[:kept] + 1, t2[:kept] + 1), axis=1).ravel()
+    length = np.stack((t1[:kept], t2[:kept], t3[:kept]), axis=1).ravel() - start
+    ids = _intern(raw, start, length, symbols)
     block = _Block(ids.reshape(-1, 3), (label[:kept] == _ONE).astype(np.int64), first_line, lines)
     return block, bad
+
+
+_WORD = 8   # bytes per word of a token
+# _KEEP[r] keeps the first r bytes of a little-endian word
+_KEEP = np.array([(1 << 8 * r) - 1 for r in range(_WORD + 1)], dtype=np.uint64)
+
+
+def _intern(raw: bytes, start: np.ndarray, length: np.ndarray, symbols: _Interner) -> np.ndarray:
+    """The ids of the tokens ``raw[start:start + length]`` (non-empty UTF-8,
+    ``raw`` running at least 7 bytes past each), interning new symbols in
+    order of first appearance.
+
+    A token is read as little-endian words, its last zero-padded. Tokens
+    are sorted by a hash of their words and length, equal hashes in order
+    of appearance, and each is compared by length and word for word with
+    the token before it. Only the first token of each run of equal tokens
+    is decoded and looked up, so a hash collision can only split runs: it
+    costs a lookup, never a wrong id."""
+    n = len(start)
+    b = np.frombuffer(raw, dtype=np.uint8)
+    every = np.ndarray(len(b) - (_WORD - 1), dtype="<u8", buffer=b, strides=(1,))
+    word = every[start]   # each token's first word
+    word &= _KEEP[np.minimum(length, _WORD)]
+    long = np.flatnonzero(length > _WORD)
+    rest, left, first_rest = _later_words(every, start[long], length[long])
+    keys = _token_hash(word, length, long, rest, left, first_rest)
+    bits = n.bit_length()
+    low = np.uint64((1 << bits) - 1)   # a key's low bits: its token's index
+    keys &= ~low
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort()
+    order = (keys & low).view(np.int64)
+    keys >>= np.uint64(bits)
+    size, word = length[order], word[order]
+    new = np.empty(n, dtype=bool)   # whether each sorted token starts a run
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    new[1:] |= (size[1:] != size[:-1]) | (word[1:] != word[:-1])
+    pair = np.flatnonzero(~new[1:] & (size[1:] > _WORD)) + 1
+    new[pair] = _differ(rest, first_rest, np.searchsorted(long, order[pair]),
+                        np.searchsorted(long, order[pair - 1]))
+    heads = order[new]
+    seen = np.argsort(heads)   # the runs in order of their first tokens
+    firsts = heads[seen]
+    names = [raw[i:j].decode("utf-8")
+             for i, j in zip(start[firsts].tolist(), (start[firsts] + length[firsts]).tolist())]
+    run_id = np.empty(len(heads), dtype=np.int64)
+    run_id[seen] = np.fromiter(map(symbols.__getitem__, names), dtype=np.int64, count=len(names))
+    ids = np.empty(n, dtype=np.int64)
+    ids[order] = run_id[np.cumsum(new) - 1]
+    return ids
+
+
+def _later_words(every: np.ndarray, start: np.ndarray, length: np.ndarray):
+    """The words after the first of tokens longer than a word, the last
+    zero-padded; the token bytes left from each on; and the index of each
+    token's second word. ``every[i]`` is the word at byte i."""
+    count = (length - 1) // _WORD
+    first_rest = np.cumsum(count) - count
+    at = np.repeat(start + _WORD * (1 - first_rest), count)
+    at += np.arange(0, _WORD * len(at), _WORD)
+    left = np.repeat(start + length, count)
+    left -= at
+    words = every[at]
+    words &= _KEEP[np.minimum(left, _WORD)]
+    return words, left, first_rest
+
+
+def _mix(words: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """Each word mixed with the token bytes left from it on, by SplitMix64's
+    finalizer."""
+    x = left.astype(np.uint64)
+    x *= np.uint64(0x9E3779B97F4A7C15)
+    x ^= words
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _token_hash(word, length, long, rest, left, first_rest) -> np.ndarray:
+    """A 64-bit hash of each token: the wrapping sum of its words, each
+    mixed with the bytes left from it on, so the length and word order
+    count. ``word`` holds each token's first word; ``rest`` the later
+    words of the tokens that ``long`` indexes."""
+    h = _mix(word, length)
+    if len(rest):
+        h[long] += np.add.reduceat(_mix(rest, left), first_rest)
+    return h
+
+
+def _differ(rest: np.ndarray, first_rest: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Whether long tokens a[i] and c[i], of equal length, differ in a
+    later word."""
+    count = np.diff(first_rest, append=len(rest))[a]
+    sub = np.cumsum(count) - count   # each pair's first word among the pairs' words
+    pos = np.repeat(first_rest[a] - sub, count)
+    pos += np.arange(len(pos))
+    other = np.repeat(first_rest[c] - first_rest[a], count)
+    other += pos
+    differ = np.zeros(len(a), dtype=bool)
+    differ[np.searchsorted(sub, np.flatnonzero(rest[pos] != rest[other]), side="right") - 1] = True
+    return differ
 
 
 def _line_error(line: str) -> str:

@@ -245,9 +245,9 @@ def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionar
                 secs = share + time.perf_counter() - t1
                 trace = traces[f]
                 trace.epochs.append(EpochRecord(float(mean_loss[row]), val_auc, secs))
-                if _log_enabled():
+                if _log_enabled():   # flushed whole: --jobs workers may share one file
                     print(f"epoch={epoch} loss={mean_loss[row]:.6f} val_auc={val_auc:.6f} "
-                          f"secs={secs:.3f}")
+                          f"secs={secs:.3f}", flush=True)
 
                 # a tie is not an improvement; epochs[e] is epoch e of the fold
                 if trace.best_epoch < 0 or val_auc > trace.epochs[trace.best_epoch].val_auc:

@@ -1,4 +1,6 @@
 import os
+import resource
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,6 +43,18 @@ def write_triples(path: Path, records) -> Path:
     lines = ["\t".join(str(x) for x in rec) for rec in records]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def sme_capped(argv, timeout=300):
+    """``sme *argv`` in a child under a 1 GiB address-space limit, so no run
+    can take more memory than that."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", SME_LOG="quiet",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "sme.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
 
 
 def two_group_records(n_per_group=6, seed=0):

@@ -1,11 +1,6 @@
 import json
-import os
-import resource
-import subprocess
-import sys
 import time
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +12,7 @@ from sme.errors import (ConfigError, IntegrityError, LookupIdError, MetricError,
                         SmeError)
 from sme.modelfile import load_model
 
-from conftest import two_group_records, write_triples
+from conftest import sme_capped, two_group_records, write_triples
 
 
 @pytest.fixture
@@ -138,6 +133,27 @@ class TestScore:
 
     def test_malformed_triple(self, trained_model):
         assert run(["score", "--model", str(trained_model), "just-one-field"]) == 2
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["e0\tsame\te1", "e0\tsame\tnobody", "e0\tsame"], 3,
+         "error: out-of-dictionary symbol: 'nobody'\n"),
+        (["e0\tsame\te1", "e0\tsame", "e0\tsame\tnobody"], 2,
+         "error: triple must be 'lhs<TAB>rel<TAB>rhs', got 'e0\\tsame'\n"),
+    ])
+    def test_first_bad_argument_decides(self, trained_model, capsys, argv, code, message):
+        assert run(["score", "--model", str(trained_model), *argv]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err == message
+
+    def test_many_arguments_print_as_one_each(self, trained_model, capsys):
+        triples = [f"e{i % 12}\t{('same', 'other')[i % 2]}\te{i * 5 % 12}" for i in range(200)]
+        assert run(["score", "--model", str(trained_model), *triples]) == 0
+        together = capsys.readouterr().out
+        one_each = []
+        for triple in triples:
+            run(["score", "--model", str(trained_model), triple])
+            one_each.append(capsys.readouterr().out)
+        assert together == "".join(one_each)
 
 
 class TestCanonicalSmoke:
@@ -302,16 +318,10 @@ class TestNoAbbreviatedFlags:
 
 def train_capped(tsv, out, flags, command="train", timeout=300):
     """``sme train`` (or ``command``) for one epoch, unless ``flags`` give
-    ``--epochs``, in a child under a 1 GiB address-space limit, so no run
-    can take more memory than that."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", SME_LOG="quiet",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-m", "sme.cli", command, "--dataset", str(tsv), "--epochs", "1",
-         "--out", str(out), *flags],
-        env=env, capture_output=True, text=True, timeout=timeout,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    ``--epochs``, in a child under the 1 GiB address-space limit of
+    ``sme_capped``."""
+    return sme_capped([command, "--dataset", str(tsv), "--epochs", "1", "--out", str(out),
+                       *flags], timeout=timeout)
 
 
 class TestOutOfMemory:

@@ -8,7 +8,7 @@ from sme.dataset import (TripleSet, load_manifest, load_triples, make_folds,
                          positives_of)
 from sme.errors import ConfigError, IntegrityError, ParseError
 
-from conftest import load_canonical, write_triples
+from conftest import load_canonical, sme_capped, write_triples
 from oracles import load_triples_loop
 
 try:
@@ -96,8 +96,25 @@ def load_outcome(path):
     return ("ok", d.symbols, d.relation_ids, d.entity_ids, np.stack(columns, axis=1))
 
 
+def assert_reference_outcome(got, path):
+    """``got`` (from ``load_outcome``) is what ``load_triples_loop`` gives."""
+    expect = load_triples_loop(path)
+    assert got[:-1] == expect[:-1]
+    if got[0] == "ok":
+        assert np.array_equal(got[-1], expect[-1])
+    else:
+        assert got[-1] == expect[-1]
+
+
 if st is not None:
-    SYMBOL = st.sampled_from(["a", "b", "\u00e9", "1", " #", "x\x0cy", "p\u2028q", "n\x85l"])
+    SYMBOL = st.sampled_from([
+        "a", "b", "\u00e9", "1", " #", "x\x0cy", "p\u2028q", "n\x85l",
+        # symbols are interned from 8-byte words: lengths around and past a
+        # word, a NUL that zero padding must not hide, a shared first word,
+        # and a two-byte character across a word boundary
+        "abcdefg", "abcdefgh", "abcdefghi", "abcdefghj", "0123456789abcdef",
+        "0123456789" * 4, "a\x00", "1234567\u00e9",
+    ])
     LABEL = st.sampled_from(["0", "1"])
     BAD_LABEL = st.sampled_from(["10", "1 ", "", " 1", "2"])
     OTHER_LINE = st.sampled_from([
@@ -143,12 +160,35 @@ if st is not None:
         path.write_bytes(text.encode("utf-8"))
         with mock.patch.object(dataset, "_BLOCK", block):
             got = load_outcome(path)
-        expect = load_triples_loop(path)
-        assert got[:-1] == expect[:-1]
-        if got[0] == "ok":
-            assert np.array_equal(got[-1], expect[-1])
-        else:
-            assert got[-1] == expect[-1]
+        assert_reference_outcome(got, path)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(text=triple_text(), block=st.integers(1, 48))
+    def test_colliding_hashes_match_reference(text, block, tmp_path_factory):
+        """With every token hashed alike, tokens are told apart only by
+        their length and words."""
+        path = tmp_path_factory.getbasetemp() / "collide.tsv"
+        path.write_bytes(text.encode("utf-8"))
+
+        def collide(word, *rest):
+            return np.zeros(len(word), dtype=np.uint64)
+
+        with mock.patch.object(dataset, "_BLOCK", block), \
+                mock.patch.object(dataset, "_token_hash", collide):
+            got = load_outcome(path)
+        assert_reference_outcome(got, path)
+
+
+def test_long_symbol_loads_in_linear_memory(tmp_path):
+    """A 2 MiB symbol, twice, among 50,000 short records loads under the
+    1 GiB cap: memory must not grow with tokens times the longest one."""
+    big = "s" * (2 << 20)
+    records = [(f"e{i % 250}", "r", f"e{i // 250}", i % 2) for i in range(50_000)]
+    records[20_000:20_000] = [(big, "r", "e0", 1), ("e1", "r", big, 0)]
+    path = write_triples(tmp_path / "long.tsv", records)
+    proc = sme_capped(["inspect", "--dataset", str(path)], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("entities=251 relations=1 records=50002 ")
 
 
 class TestPositivesOf:

@@ -1,3 +1,5 @@
+import io
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -291,6 +293,32 @@ class TestTrain:
         out = capsys.readouterr().out
         assert out.startswith("epoch=0 loss=")
         assert "val_auc=" in out and "secs=" in out
+
+    def test_epoch_lines_flushed_whole(self, toy_split, monkeypatch):
+        """Each epoch line reaches the stream's flush before anything else is
+        written, so the block buffers of ``--jobs`` workers sharing a file
+        cannot split a line."""
+        class Recorder(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.chunks = [""]   # what was written between flushes
+
+            def write(self, text):
+                self.chunks[-1] += text
+                return super().write(text)
+
+            def flush(self):
+                self.chunks.append("")
+
+        monkeypatch.setenv("SME_LOG", "info")
+        recorder = Recorder()
+        monkeypatch.setattr(sys, "stdout", recorder)
+        d, split = toy_split
+        train_ts, valid_ts, _ = split.fold_sets(0)
+        train(train_ts, valid_ts, d, LINEAR, 4, 4, TrainConfig(epochs_max=3, patience=5, seed=0))
+        lines = recorder.getvalue().splitlines(keepends=True)
+        assert len(lines) == 3 and all(line.startswith("epoch=") for line in lines)
+        assert recorder.chunks == lines + [""]
 
     def test_loss_trend_on_learnable_data(self, toy_split):
         # mean epoch loss should head downward on an easy dataset
