@@ -2,8 +2,9 @@
 
 A command that fails exits with its error's ``exit_code`` (see ``errors``),
 EXIT_USAGE when its arrays do not fit in memory and EXIT_DATA on an OS
-error. Flag values take precedence over manifest values, which take
-precedence over built-in defaults. Flags are never abbreviated.
+error. Flag values take precedence over manifest values; the training
+defaults are ``trainer.TrainConfig``'s and the split's are ``Manifest``'s,
+which a bare triple file takes whole. Flags are never abbreviated.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluator, modelfile, trainer
-from .dataset import load_manifest, load_triples, make_folds
+from .dataset import Manifest, load_manifest, load_triples, make_folds
 from .errors import (EXIT_DATA, EXIT_USAGE, ConfigError, NumericalError,
                      OutOfDictionaryError, SmeError)
 from .model import FORMS, energies_batch
@@ -33,19 +34,21 @@ def _build_parser() -> argparse.ArgumentParser:
     add_parser = partial(sub.add_parser, allow_abbrev=False)
 
     def add_common_model_flags(p):
+        defaults = trainer.TrainConfig()
         p.add_argument("--form", choices=FORMS, default="bilinear")
         p.add_argument("--dim-d", type=int, default=10, help="entity embedding dimension")
         p.add_argument("--dim-p", type=int, default=10, help="transformed embedding dimension")
-        p.add_argument("--lr", type=float, default=0.01)
-        p.add_argument("--margin", type=float, default=1.0)
-        p.add_argument("--epochs", type=int, default=500)
-        p.add_argument("--patience", type=int, default=10)
-        p.add_argument("--batch", type=int, default=32)
-        p.add_argument("--corruption", choices=trainer.CORRUPTION_MODES, default="both")
+        p.add_argument("--lr", type=float, default=defaults.learning_rate)
+        p.add_argument("--margin", type=float, default=defaults.margin)
+        p.add_argument("--epochs", type=int, default=defaults.epochs_max)
+        p.add_argument("--patience", type=int, default=defaults.patience)
+        p.add_argument("--batch", type=int, default=defaults.batch_size)
+        p.add_argument("--corruption", choices=trainer.CORRUPTION_MODES,
+                       default=defaults.corruption_mode)
         p.add_argument("--folds", type=int, default=None,
-                       help="fold count K (default: manifest value, else 10)")
+                       help=f"fold count K (default: manifest value, else {Manifest.folds})")
         p.add_argument("--seed", type=int, default=None,
-                       help="split/train seed (default: manifest value, else 0)")
+                       help=f"split/train seed (default: manifest value, else {Manifest.seed})")
 
     p_inspect = add_parser("inspect", help="ingestion statistics for a dataset")
     p_inspect.add_argument("--dataset", required=True,
@@ -75,23 +78,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_dataset_arg(path_str: str):
+    """The manifest, dictionary and records a ``--dataset`` names: a JSON
+    manifest, or a triple file standing for a manifest with the defaults."""
     path = Path(path_str)
     if not path.exists():
         raise ConfigError(f"dataset file not found: {path}")
-    if path.suffix == ".json":
-        manifest = load_manifest(path)
-        d, ts = load_triples(manifest.triples_path)
-        return manifest, d, ts
-    d, ts = load_triples(path)
-    return None, d, ts
-
-
-def _resolve(flag_value, manifest_value, default):
-    if flag_value is not None:
-        return flag_value
-    if manifest_value is not None:
-        return manifest_value
-    return default
+    manifest = load_manifest(path) if path.suffix == ".json" else Manifest(path.stem, path)
+    d, ts = load_triples(manifest.triples_path)
+    return manifest, d, ts
 
 
 def cmd_inspect(args) -> int:
@@ -103,16 +97,16 @@ def cmd_inspect(args) -> int:
 
 
 def _training_setup(args):
-    """What ``train`` and ``eval`` start from: the manifest (or None), the
-    dictionary, the fold split and the TrainConfig. The fold count and the
-    seed come from the flag, else the manifest, else 10 and 0. A missing
-    output directory is found before the dataset is read."""
+    """What ``train`` and ``eval`` start from: the manifest, the dictionary,
+    the fold split and the TrainConfig. The fold count and the seed come
+    from the flag, else the manifest. A missing output directory is found
+    before the dataset is read."""
     out_dir = Path(args.out).parent
     if not out_dir.is_dir():
         raise FileNotFoundError(f"output directory not found: {out_dir}")
     manifest, d, ts = _load_dataset_arg(args.dataset)
-    folds = _resolve(args.folds, manifest.folds if manifest else None, 10)
-    seed = _resolve(args.seed, manifest.seed if manifest else None, 0)
+    folds = manifest.folds if args.folds is None else args.folds
+    seed = manifest.seed if args.seed is None else args.seed
     config = trainer.TrainConfig(
         learning_rate=args.lr, margin=args.margin, epochs_max=args.epochs,
         batch_size=args.batch, corruption_mode=args.corruption,
@@ -132,13 +126,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     manifest, d, split, config = _training_setup(args)
-    name = manifest.name if manifest else Path(args.dataset).stem
     report = evaluator.cross_validate(d, split, args.form, args.dim_d, args.dim_p,
-                                      config, dataset_name=name, jobs=args.jobs)
+                                      config, dataset_name=manifest.name, jobs=args.jobs)
     json_path = f"{args.out}.json"
     text_path = f"{args.out}.txt"
     report.save(json_path, text_path)
-    print(f"dataset={name} form={args.form} mean={report.mean:.6f} "
+    print(f"dataset={manifest.name} form={args.form} mean={report.mean:.6f} "
           f"std={report.std:.6f} wrote={json_path},{text_path}")
     return EXIT_OK
 

@@ -66,9 +66,6 @@ class Dictionary:
         except KeyError:
             raise OutOfDictionaryError(f"unknown symbol: {symbol!r}") from None
 
-    def is_relation(self, i: int) -> bool:
-        return i in self.relation_ids
-
     @property
     def n_relations(self) -> int:
         return len(self.relation_ids)
@@ -381,9 +378,6 @@ class FoldSplit:
         train, valid, test = self.roles(i)
         return self.triples.subset(train), self.triples.subset(valid), self.triples.subset(test)
 
-    def fold_sizes(self) -> list[int]:
-        return [int((self.assignment == i).sum()) for i in range(self.k)]
-
 
 def make_folds(ts: TripleSet, k: int, seed: int) -> FoldSplit:
     """Seeded uniform permutation sliced into k near-equal folds."""
@@ -409,16 +403,19 @@ def make_folds(ts: TripleSet, k: int, seed: int) -> FoldSplit:
 
 @dataclass
 class Manifest:
+    """A dataset's name, triple file, fold count and split seed."""
+
     name: str
     triples_path: Path
-    folds: int
-    seed: int
+    folds: int = 10
+    seed: int = 0
 
 
 def load_manifest(path) -> Manifest:
     """Read a manifest: a JSON object with string ``name`` and ``triples``
     (the triple file, relative to the manifest) and optional integer
-    ``folds`` (default 10) and ``seed`` (default 0)."""
+    ``folds`` (at least 2) and ``seed`` (at least 0), defaulting to
+    ``Manifest``'s."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -435,18 +432,18 @@ def load_manifest(path) -> Manifest:
             raise ParseError(f"manifest missing key {key!r}", path=str(path))
         if not isinstance(payload[key], str) or not payload[key] or "\0" in payload[key]:
             raise ParseError(f"manifest {key!r} must be a non-empty string", path=str(path))
-    folds, seed = (_manifest_int(payload, key, default, path)
-                   for key, default in (("folds", 10), ("seed", 0)))
-    if seed < 0:
-        raise ParseError(f"manifest 'seed' must be >= 0, got {seed}", path=str(path))
+    folds, seed = (_manifest_int(payload, key, least, path)
+                   for key, least in (("folds", 2), ("seed", 0)))
     triples_path = (path.parent / payload["triples"]).resolve()
     return Manifest(payload["name"], triples_path, folds, seed)
 
 
-def _manifest_int(payload: dict, key: str, default: int, path: Path) -> int:
-    value = payload.get(key, default)
+def _manifest_int(payload: dict, key: str, least: int, path: Path) -> int:
+    value = payload.get(key, getattr(Manifest, key))
     # bool is an int subclass; a float would be truncated
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"manifest {key!r} must be an integer, got {value!r:.40}",
                          path=str(path))
+    if value < least:
+        raise ParseError(f"manifest {key!r} must be >= {least}, got {value}", path=str(path))
     return value

@@ -20,7 +20,7 @@ present in the call and each record is scored by gathers from those tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -35,11 +35,10 @@ FORMS = (LINEAR, BILINEAR)
 
 @dataclass
 class EmbeddingTable:
-    """One d-dimensional row per symbol; relation-type ids flagged. A
+    """One d-dimensional row per symbol, entity or relation type alike. A
     training stack of K models holds (K, n_symbols, d) vectors."""
 
     vectors: np.ndarray  # (n_symbols, d) or (K, n_symbols, d)
-    relation_ids: frozenset[int] = field(default_factory=frozenset)
 
     @property
     def n(self) -> int:
@@ -58,7 +57,7 @@ class EmbeddingTable:
         np.divide(self.vectors, norms, out=self.vectors, where=norms > 0)
 
     def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(self.vectors.copy(), self.relation_ids)
+        return EmbeddingTable(self.vectors.copy())
 
 
 class _FlatParams:
@@ -122,11 +121,9 @@ Params = LinearParams | BilinearParams
 PARAMS = {LINEAR: LinearParams, BILINEAR: BilinearParams}
 
 
-def init_embeddings(n: int, d: int, rng: np.random.Generator,
-                    relation_ids=frozenset()) -> EmbeddingTable:
+def init_embeddings(n: int, d: int, rng: np.random.Generator) -> EmbeddingTable:
     scale = 1.0 / np.sqrt(d)
-    return EmbeddingTable(rng.uniform(-scale, scale, size=(n, d)),
-                          frozenset(relation_ids))
+    return EmbeddingTable(rng.uniform(-scale, scale, size=(n, d)))
 
 
 def init_params(form: str, d: int, p: int, rng: np.random.Generator) -> Params:
@@ -288,13 +285,17 @@ def energy_gradients(t: Triple, emb: EmbeddingTable, params: Params) -> Gradient
 
 @dataclass
 class Model:
-    """Trained artifact: symbol table, embeddings, and g-function weights."""
+    """Trained artifact: symbol table, embeddings, and g-function weights.
+    The form is the parameters' own."""
 
-    form: str
     symbols: list[str]
     relation_ids: frozenset[int]
     emb: EmbeddingTable
     params: Params
+
+    @property
+    def form(self) -> str:
+        return self.params.form
 
     @property
     def d(self) -> int:
@@ -303,9 +304,6 @@ class Model:
     @property
     def p(self) -> int:
         return self.params.p
-
-    def copy(self) -> "Model":
-        return replace(self, emb=self.emb.copy(), params=self.params.copy())
 
 
 # Bytes the projection tables of one ``energies_batch`` call may take; a call

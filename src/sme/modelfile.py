@@ -86,11 +86,11 @@ def load_model(path) -> Model:
     def read_floats(*shape):
         return np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
 
-    emb = EmbeddingTable(read_floats(n, d), relation_ids)
+    emb = EmbeddingTable(read_floats(n, d))
     cls = PARAMS[form]
     params = cls.from_buffer(read_floats(sum(math.prod(s) for s in cls.shapes(p, d))), p, d)
     if off != len(raw):
         raise IntegrityError(f"{path}: trailing bytes in model file")
     if not (np.isfinite(emb.vectors).all() and np.isfinite(params.buf).all()):
         raise IntegrityError(f"{path}: non-finite weight in model file")
-    return Model(form, symbols, relation_ids, emb, params)
+    return Model(symbols, relation_ids, emb, params)

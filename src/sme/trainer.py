@@ -209,16 +209,13 @@ def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionar
         if len(pos) == 0:
             raise ConfigError("training set has no positive triples")
     entity_ids = d.entity_id_array()
-    if len(entity_ids) < 2:
-        raise ConfigError("corruption needs at least 2 entities")
     # fixed for the run, so a fold leaving the stack keeps the others' batches
     config = replace(config, batch_size=min(config.batch_size, max(map(len, positives))))
 
     rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
-    relation_ids = frozenset(d.relation_ids)
     inits = [(init_embeddings(len(d), dim_d, rng).vectors, init_params(form, dim_d, dim_p, rng))
              for rng in rngs]   # each fold's embeddings, then its parameters
-    emb = EmbeddingTable(np.stack([vectors for vectors, _ in inits]), relation_ids)
+    emb = EmbeddingTable(np.stack([vectors for vectors, _ in inits]))
     emb.normalize_rows()
     params = inits[0][1].from_buffer(np.stack([p.buf for _, p in inits]), dim_p, dim_d)
 
@@ -237,7 +234,7 @@ def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionar
             keep = []
             for row, f in enumerate(folds):
                 t1 = time.perf_counter()
-                fold_emb = EmbeddingTable(emb.vectors[row], relation_ids)
+                fold_emb = EmbeddingTable(emb.vectors[row])
                 fold_params = params[row]
                 val = valid[f]
                 val_scores = -energies_batch(fold_emb, fold_params, val.lhs, val.rel, val.rhs)
@@ -251,7 +248,7 @@ def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionar
 
                 # a tie is not an improvement; epochs[e] is epoch e of the fold
                 if trace.best_epoch < 0 or val_auc > trace.epochs[trace.best_epoch].val_auc:
-                    best[f] = Model(form, list(d.symbols), relation_ids,
+                    best[f] = Model(list(d.symbols), frozenset(d.relation_ids),
                                     fold_emb.copy(), fold_params.copy())
                     trace.best_epoch = epoch
                 elif epoch - trace.best_epoch >= config.patience:

@@ -78,6 +78,18 @@ class TestTrain:
         assert run(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_triple_file_trains_as_its_manifest(self, toy_files, monkeypatch):
+        monkeypatch.setenv("SME_LOG", "quiet")
+        tmp_path, manifest, tsv = toy_files
+        models = []
+        for dataset in (manifest, tsv):
+            out = tmp_path / f"{dataset.name}.sme"
+            assert run(["train", "--dataset", str(dataset), "--folds", "4", "--seed", "0",
+                        "--dim-d", "4", "--dim-p", "4", "--epochs", "3",
+                        "--out", str(out)]) == 0
+            models.append(out.read_bytes())
+        assert models[0] == models[1]
+
     def test_missing_manifest_usage_exit(self, tmp_path):
         assert run(["train", "--dataset", str(tmp_path / "missing.json")]) == 2
 
@@ -100,6 +112,19 @@ class TestEval:
         summary = capsys.readouterr().out
         assert f"mean={payload['mean']:.6f}" in summary
         assert f"mean={payload['mean']:.6f}" in (tmp_path / "report.txt").read_text()
+
+    def test_triple_file_named_by_stem_with_default_folds(self, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.setenv("SME_LOG", "quiet")
+        tsv = write_triples(tmp_path / "groups.tsv", two_group_records())
+        prefix = tmp_path / "report"
+        code = run(["eval", "--dataset", str(tsv), "--form", "linear",
+                    "--dim-d", "4", "--dim-p", "4", "--epochs", "1", "--out", str(prefix)])
+        assert code == 0
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["dataset"] == "groups"
+        assert len(payload["per_fold_auc"]) == 10
+        assert capsys.readouterr().out.startswith("dataset=groups ")
 
 
 class TestScore:
@@ -266,6 +291,9 @@ class TestOneLineErrors:
         pytest.param(b'{"name": "toy", "triples": "toy.tsv", "seed": 1.0}', id="seed-float"),
         pytest.param(b'{"name": "toy", "triples": "toy.tsv", "seed": false}', id="seed-bool"),
         pytest.param(b'{"name": "toy", "triples": "toy.tsv", "seed": -1}', id="seed-negative"),
+        pytest.param(b'{"name": "toy", "triples": "toy.tsv", "folds": 1}', id="folds-one"),
+        pytest.param(b'{"name": "toy", "triples": "toy.tsv", "folds": 0}', id="folds-zero"),
+        pytest.param(b'{"name": "toy", "triples": "toy.tsv", "folds": -3}', id="folds-negative"),
         pytest.param(b'{"name": "toy", "triples": "."}', id="triples-directory"),
         pytest.param(b'["toy", "toy.tsv"]', id="top-level-list"),
         pytest.param(b'"toy.tsv"', id="top-level-string"),

@@ -126,11 +126,10 @@ class TestAucPr:
 
 def hand_model():
     symbols = ["a", "b", "r"]
-    emb = EmbeddingTable(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]),
-                         frozenset({2}))
+    emb = EmbeddingTable(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]))
     params = LinearParams(np.eye(2), np.zeros((2, 2)), np.eye(2),
                           np.zeros((2, 2)), np.zeros(2), np.zeros(2))
-    return Model(LINEAR, symbols, frozenset({2}), emb, params)
+    return Model(symbols, frozenset({2}), emb, params)
 
 
 class TestScoreSet:

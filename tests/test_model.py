@@ -14,7 +14,7 @@ from oracles import (energy_bilinear_formula, energy_linear_formula,
 
 def random_instance(form, seed, n=5, d=3, p=2):
     rng = np.random.default_rng(seed)
-    emb = init_embeddings(n, d, rng, frozenset({2}))
+    emb = init_embeddings(n, d, rng)
     params = init_params(form, d, p, rng)
     # non-zero biases so bias gradients are exercised
     params.b_l[:] = rng.uniform(-0.5, 0.5, size=p)
@@ -77,14 +77,13 @@ class TestGFunctions:
 
 class TestEnergy:
     def test_all_zero(self):
-        emb = EmbeddingTable(np.zeros((3, 2)), frozenset({1}))
+        emb = EmbeddingTable(np.zeros((3, 2)))
         params = LinearParams(*(np.zeros((2, 2)) for _ in range(4)),
                               np.zeros(2), np.zeros(2))
         assert energy(Triple(0, 1, 2), emb, params) == 0.0
 
     def test_unit_vector_identity(self):
-        emb = EmbeddingTable(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
-                             frozenset({1}))
+        emb = EmbeddingTable(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
         params = LinearParams(np.eye(2), np.zeros((2, 2)), np.eye(2),
                               np.zeros((2, 2)), np.zeros(2), np.zeros(2))
         assert energy(Triple(0, 1, 2), emb, params) == -1.0
@@ -111,7 +110,7 @@ class TestEnergy:
             assert abs(energy(t, emb, params) - expect) < 1e-12
 
     def test_invalid_id(self):
-        emb = EmbeddingTable(np.zeros((3, 2)), frozenset({1}))
+        emb = EmbeddingTable(np.zeros((3, 2)))
         params = LinearParams(*(np.zeros((2, 2)) for _ in range(4)),
                               np.zeros(2), np.zeros(2))
         with pytest.raises(LookupIdError):
@@ -137,7 +136,7 @@ class TestEnergy:
         er /= er.sum()
         vectors = np.stack([rng.uniform(-1, 1, size=d), er,
                             rng.uniform(-1, 1, size=d)])
-        emb = EmbeddingTable(vectors, frozenset({1}))
+        emb = EmbeddingTable(vectors)
         t = Triple(0, 1, 2)
         assert abs(energy(t, emb, bilinear) - energy(t, emb, linear)) < 1e-10
 
@@ -174,8 +173,7 @@ class TestGradients:
         assert_gradients_match_fd(form, seed)
 
     def test_zero_params_gradients(self):
-        emb = EmbeddingTable(np.random.default_rng(0).uniform(-1, 1, size=(3, 2)),
-                             frozenset({1}))
+        emb = EmbeddingTable(np.random.default_rng(0).uniform(-1, 1, size=(3, 2)))
         params = LinearParams(*(np.zeros((2, 2)) for _ in range(4)),
                               np.zeros(2), np.zeros(2))
         t = Triple(0, 1, 2)
@@ -203,12 +201,15 @@ class TestGradients:
         assert np.allclose(fd, grads.d_rhs, atol=1e-7)
 
 
+# the relation types of the 8-symbol batch instances
+RELATION_IDS = frozenset({6, 7})
+
+
 def batch_instance(form, seed, m, n=8, d=3, p=2):
-    """A random model and m triples whose ids repeat; relations 6 and 7 are
-    flagged, but every relation slot may hold any id."""
+    """A random model and m triples whose ids repeat; every relation slot
+    may hold any id, not only the relation types ``RELATION_IDS``."""
     rng = np.random.default_rng(seed)
     emb, params, _ = random_instance(form, seed, n=n, d=d, p=p)
-    emb.relation_ids = frozenset({6, 7})
     lhs, rel, rhs = (rng.integers(0, n, size=m) for _ in range(3))
     return emb, params, lhs, rel, rhs
 
@@ -224,7 +225,7 @@ class TestBatchEnergies:
     @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
     def test_matches_scalar_energy(self, form):
         rng = np.random.default_rng(4)
-        emb = init_embeddings(8, 3, rng, frozenset({6, 7}))
+        emb = init_embeddings(8, 3, rng)
         params = init_params(form, 3, 2, rng)
         lhs = rng.integers(0, 6, size=25)
         rel = rng.integers(6, 8, size=25)
@@ -239,7 +240,7 @@ class TestBatchEnergies:
         # 4-record gather steps, so 61 records take 16 steps and a 1-record tail
         monkeypatch.setattr(model_module, "_STEP", 4)
         emb, params, lhs, rel, rhs = batch_instance(form, seed=31, m=61)
-        assert not set(rel) <= emb.relation_ids     # unflagged ids in the slot
+        assert not set(rel) <= RELATION_IDS         # entity ids in the slot
         assert len(set(zip(lhs, rel))) < len(lhs)   # repeated (lhs, rel) pairs
         batch = energies_batch(emb, params, lhs, rel, rhs)
         for i, t in enumerate(map(Triple, lhs.tolist(), rel.tolist(), rhs.tolist())):

@@ -13,12 +13,12 @@ from sme.modelfile import load_model, save_model
 def random_model(form, seed=0, n=7, d=3, p=2):
     rng = np.random.default_rng(seed)
     relation_ids = frozenset({5, 6})
-    emb = init_embeddings(n, d, rng, relation_ids)
+    emb = init_embeddings(n, d, rng)
     params = init_params(form, d, p, rng)
     params.b_l[:] = rng.normal(size=p)
     params.b_r[:] = rng.normal(size=p)
     symbols = [f"sym_{i}" for i in range(n)]
-    return Model(form, symbols, relation_ids, emb, params)
+    return Model(symbols, relation_ids, emb, params)
 
 
 @pytest.mark.parametrize("form", [LINEAR, BILINEAR])

@@ -93,7 +93,7 @@ class TestRankingLoss:
 
 def make_state(form, seed=0, n=6, d=3, p=3):
     rng = np.random.default_rng(seed)
-    emb = init_embeddings(n, d, rng, frozenset({4, 5}))
+    emb = init_embeddings(n, d, rng)
     params = init_params(form, d, p, rng)
     return emb, params
 
@@ -222,6 +222,15 @@ def toy_split(tmp_path):
 
 
 class TestTrain:
+    def test_single_entity_rejected_before_any_epoch(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SME_LOG", "info")
+        path = write_triples(tmp_path / "one.tsv", [("a", f"r{i}", "a", 1) for i in range(4)])
+        d, ts = load_triples(path)
+        train_ts, valid_ts, _ = make_folds(ts, 2, seed=0).fold_sets(0)
+        with pytest.raises(ConfigError, match="at least 2 entities"):
+            train(train_ts, valid_ts, d, LINEAR, 4, 4, TrainConfig())
+        assert capsys.readouterr().out == ""
+
     def test_epochs_max_zero_rejected(self, toy_split):
         d, split = toy_split
         train_ts, valid_ts, _ = split.fold_sets(0)
@@ -428,7 +437,7 @@ class TestStackedFolds:
         _, trace = train(train_ts, valid_ts, d, LINEAR, 4, 4, config)
 
         rng = np.random.Generator(np.random.PCG64(config.seed))
-        emb = init_embeddings(len(d), 4, rng, frozenset(d.relation_ids))
+        emb = init_embeddings(len(d), 4, rng)
         emb.normalize_rows()
         params = init_params(LINEAR, 4, 4, rng)
         perm = rng.permutation(len(pos))
