@@ -6,14 +6,18 @@ ranking score used everywhere else is ``-energy``.
 
 A form's parameter blocks are named views into one float64 buffer, (P,) for
 a model or (K, P) for a stack of K models, in the model file's block order.
-Training runs through one kernel: ``forward`` gathers a batch's embedding
-rows once and returns energies plus a cache; ``backward`` writes the
-gradients of a weighted energy sum into a buffer laid out as the
-parameters'. Both are reshapes and matrix products. A stack adds a leading
-K to the embeddings and ids, and each product runs once per model, on the
-operands a single model would give it. Validation, test and bulk scoring
-use ``energies_batch``: for a fixed relation each form is an affine map of
-the entity embedding, so every symbol row is projected once per relation
+Training runs through one kernel over pairs, a positive and its corruption,
+which share their relation. A batch of m pairs has (5, m) ids, the pair
+layout: the lhs of the positives and of the corruptions, the rhs of both,
+then each pair's relation; a stack of K models has (K, 5, m). ``_forward``
+gathers those rows once and returns (2, m) energies plus a cache;
+``backward`` writes the gradients of a weighted energy sum into a buffer
+laid out as the parameters'. Both are matrix products in which the two
+sides run together and a relation row, its maps and its weight products
+are computed once per pair; a stacked model's products see the operands a
+single model would give them. Validation, test and bulk scoring use
+``energies_batch``: for a fixed relation each form is an affine map of the
+entity embedding, so every symbol row is projected once per relation
 present in the call and each record is scored by gathers from those tables.
 """
 
@@ -90,6 +94,10 @@ class _FlatParams:
             start += size
         if start != buf.shape[-1]:
             raise ShapeError(f"{self.form} parameters: {buf.shape[-1]} values for p={p} d={d}")
+        # the same blocks by side, left then right, for the kernel: in file
+        # order a side's weights are adjacent and the two biases come last
+        self.w_sides = buf[..., :-2 * p].reshape(*buf.shape[:-1], 2, *self.side_shape(p, d))
+        self.b_sides = buf[..., -2 * p:].reshape(*buf.shape[:-1], 2, p)
 
     def __getitem__(self, index):
         """The stacked models at ``index``: views for one, copies for a list."""
@@ -109,12 +117,14 @@ class LinearParams(_FlatParams):
     form = LINEAR
     names = ("w_l1", "w_l2", "w_r1", "w_r2", "b_l", "b_r")
     shapes = staticmethod(lambda p, d: ((p, d),) * 4 + ((p,),) * 2)
+    side_shape = staticmethod(lambda p, d: (2, p, d))   # entity, then relation weights
 
 
 class BilinearParams(_FlatParams):
     form = BILINEAR
     names = ("w_l", "w_r", "b_l", "b_r")   # w modes: output, entity, relation
     shapes = staticmethod(lambda p, d: ((p, d, d),) * 2 + ((p,),) * 2)
+    side_shape = staticmethod(lambda p, d: (p, d, d))
 
 
 Params = LinearParams | BilinearParams
@@ -136,25 +146,27 @@ def init_params(form: str, d: int, p: int, rng: np.random.Generator) -> Params:
 
 
 def mode3_contract(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Contract a (p, d, k) tensor with every row of an (m, k) matrix along
-    mode 3, in one GEMM: out[n, i, j] = sum_k t[i, j, k] * x[n, k]. Leading
-    axes, one per stacked model, must match: (K, p, d, k) with (K, m, k)."""
-    if (t.ndim < 3 or x.ndim != t.ndim - 1 or t.shape[:-3] != x.shape[:-2]
+    """Contract a (p, d, k) tensor, or an (s, p, d, k) stack of them, with
+    every row of an (m, k) matrix along mode 3, in one GEMM: out[n, i, j] =
+    sum_k t[i, j, k] * x[n, k]. Leading axes, one per stacked model, must
+    match: (K, p, d, k) with (K, m, k)."""
+    lead = x.shape[:-2]
+    if (x.ndim < 2 or t.ndim < x.ndim + 1 or t.shape[:len(lead)] != lead
             or t.shape[-1] != x.shape[-1]):
         raise ShapeError(f"mode3_contract: {t.shape} x {x.shape}")
-    p, d, k = t.shape[-3:]
-    flat = t.reshape(*t.shape[:-3], p * d, k)
-    return (x @ flat.swapaxes(-1, -2)).reshape(*x.shape[:-1], p, d)
+    flat = t.reshape(*lead, -1, t.shape[-1])
+    return (x @ flat.swapaxes(-1, -2)).reshape(*x.shape[:-1], *t.shape[len(lead):-1])
 
 
-def matvec(maps: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row-wise matrix-vector products: out[n] = maps[n] @ x[n] for an
-    (m, p, d) stack of matrices and an (m, d) matrix of vectors; leading
-    axes alike."""
-    if (maps.ndim < 3 or x.ndim != maps.ndim - 1
-            or maps.shape[:-2] + maps.shape[-1:] != x.shape):
+def matvec(maps: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Matrix-vector products that share their matrix, one (s, d) @ (d, p)
+    product per matrix: out[..., j, :] = maps @ x[..., j, :] for (..., p, d)
+    maps and (..., s, d) x, leading axes alike, as a pair's relation map
+    meets the entity rows of both its triples. ``out`` takes the result."""
+    if (maps.ndim < 2 or x.ndim != maps.ndim or maps.shape[:-2] != x.shape[:-2]
+            or maps.shape[-1] != x.shape[-1]):
         raise ShapeError(f"matvec: {maps.shape} x {x.shape}")
-    return (maps @ x[..., None])[..., 0]
+    return np.matmul(x, maps.swapaxes(-1, -2), out=out)
 
 
 # ids are range-checked before any table is indexed, so np.take's "clip"
@@ -168,61 +180,70 @@ def _check_ids(ids: np.ndarray, n: int) -> None:
 
 
 class Cache(NamedTuple):
-    """What ``backward`` needs from ``forward``: the gathered rows, u (left)
-    and v (right), and each row's bilinear relation maps; stacked, a leading K."""
+    """What ``backward`` needs from ``forward``: the gathered rows, u and v
+    of every triple, and each pair's bilinear maps; stacked, a leading K."""
 
-    el: np.ndarray                  # (m, d)
-    er: np.ndarray                  # (m, d)
-    eh: np.ndarray                  # (m, d)
-    u: np.ndarray                   # (m, p)
-    v: np.ndarray                   # (m, p)
-    maps_l: np.ndarray | None = None  # (m, p, d)
-    maps_r: np.ndarray | None = None  # (m, p, d)
+    rows: np.ndarray   # (5, m, d)
+    uv: np.ndarray   # side (u, v), slot, pair: linear (2, 2, m, p), bilinear (m, 2, 2, p)
+    maps: np.ndarray | None = None   # (m, 2, p, d): pair, side
 
 
 def _t(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
+def _sides(rows: np.ndarray) -> np.ndarray:
+    """The entity rows of pair-layout rows as a (2, 2m, d) view: the lhs
+    rows, then the rhs rows, each the positives' first."""
+    return rows[..., 0:4, :, :].reshape(*rows.shape[:-3], 2, -1, rows.shape[-1])
+
+
+def _pairs(rows: np.ndarray) -> np.ndarray:
+    """The same rows pair by pair, an (m, 2, 2, d) view: side, then slot."""
+    ent = rows[..., 0:4, :, :].reshape(*rows.shape[:-3], 2, 2, *rows.shape[-2:])
+    return ent.swapaxes(-2, -3).swapaxes(-3, -4)
+
+
 def forward(E: np.ndarray, params: Params, lhs: np.ndarray, rel: np.ndarray,
             rhs: np.ndarray) -> tuple[np.ndarray, Cache]:
     """Energies of the triples (lhs[n], rel[n], rhs[n]) and the cache for
-    ``backward``. E is one model's (n_symbols, d) embedding matrix. The ids
-    are range-checked here; a stack enters ``_forward`` directly."""
-    ids = np.stack((lhs, rel, rhs))
+    ``backward``, each triple paired with itself (weigh the copy 0). E is
+    one model's (n_symbols, d) embedding matrix; the ids are checked here."""
+    ids = np.stack((lhs, lhs, rhs, rhs, rel))
     _check_ids(ids, len(E))
-    return _forward(E, params, ids)
+    energies, cache = _forward(E, params, ids)
+    return energies[0], cache
 
 
 def _forward(E: np.ndarray, params: Params, ids: np.ndarray) -> tuple[np.ndarray, Cache]:
-    """``forward`` on checked ids: (3, m) rows of E, lhs, rel and rhs in
-    turn, or (3, K, m) rows of the flat (K * n_symbols, d) view of a stack,
-    so that every stacked model's rows come from one gather."""
-    el, er, eh = np.take(E.reshape(-1, E.shape[-1]), ids, **_TAKE)
+    """(2, m) energies, the positives' first, and the cache of the pairs
+    whose checked ids, rows of E, are in the pair layout (5, m); a stack
+    takes (K, 5, m) rows of the flat (K * n_symbols, d) view, so that every
+    stacked model's rows come from one gather."""
+    rows = np.take(E.reshape(-1, E.shape[-1]), ids, **_TAKE)
+    er = rows[..., 4, :, :]
     if isinstance(params, LinearParams):
-        u = el @ _t(params.w_l1) + er @ _t(params.w_l2) + params.b_l[..., None, :]
-        v = eh @ _t(params.w_r1) + er @ _t(params.w_r2) + params.b_r[..., None, :]
-        cache = Cache(el, er, eh, u, v)
-    else:
-        # maps[n] is the (p, d) matrix the relation embedding er[n] selects
-        maps_l = mode3_contract(params.w_l, er)
-        maps_r = mode3_contract(params.w_r, er)
-        u = matvec(maps_l, el) + params.b_l[..., None, :]
-        v = matvec(maps_r, eh) + params.b_r[..., None, :]
-        cache = Cache(el, er, eh, u, v, maps_l, maps_r)
-    return -(u * v).sum(axis=-1), cache
+        w = params.w_sides   # side, then its entity and relation weights
+        uv = (_sides(rows) @ _t(w[..., 0, :, :])).reshape(*rows.shape[:-3], 2, 2, -1, params.p)
+        uv += (er[..., None, :, :] @ _t(w[..., 1, :, :])
+               + params.b_sides[..., None, :])[..., None, :, :]
+        return -(uv[..., 0, :, :, :] * uv[..., 1, :, :, :]).sum(axis=-1), Cache(rows, uv)
+    # maps[n, side] is the (p, d) matrix the relation embedding er[n] selects
+    maps = mode3_contract(params.w_sides, er)
+    uv = matvec(maps, _pairs(rows))
+    uv += params.b_sides[..., None, :, None, :]
+    return _t(-(uv[..., 0, :, :] * uv[..., 1, :, :]).sum(axis=-1)), Cache(rows, uv, maps)
 
 
 @dataclass
 class Gradients:
     """d(energy)/d(everything): the parameter gradients, laid out as the
     parameters, and the gradients of the embedding rows involved, keyed by
-    slot, not by id. ``d_rows`` holds the lhs, rel and rhs slots in turn;
-    from ``backward`` each slot holds one row per triple, and stacked calls
-    put a K after the slot axis."""
+    slot, not by id: from ``energy_gradients`` the lhs, rel and rhs rows of
+    its triple, from ``backward`` the rows of the pair layout."""
 
     params: Params
-    d_rows: np.ndarray   # (3, d), or (3, m, d) / (3, K, m, d) from backward
+    d_rows: np.ndarray   # (3, d), or (5, m, d) / (K, 5, m, d) from backward
 
     d_lhs = property(lambda self: self.d_rows[0])
     d_rel = property(lambda self: self.d_rows[1])
@@ -231,39 +252,37 @@ class Gradients:
 
 def backward(params: Params, cache: Cache, w: np.ndarray,
              out: Params | None = None) -> Gradients:
-    """Gradients of sum_n w[n] * energy[n] for the triples in ``cache``,
-    the parameters' written into ``out`` (new when None), laid out as
-    ``params``. A row weighted 0 adds exact zeros to every sum over rows."""
-    el, er, eh, u, v = cache[:5]
-    gu = -w[..., None] * v   # d/du of -w * (u . v)
-    gv = -w[..., None] * u
+    """Gradients of sum_sn w[s, n] * energy[s, n] for the pairs in
+    ``cache``, w (2, m) weighting the positives, then the corruptions: the
+    parameters' written into ``out`` (new when None), laid out as
+    ``params``, and the rows' in the pair layout. A pair's two terms are
+    summed before they meet its relation; a triple weighted 0 adds exact
+    zeros to every sum."""
     g = params.empty_like() if out is None else out
-    rows = np.empty((3, *el.shape))
-    np.sum(gu, axis=-2, out=g.b_l)
-    np.sum(gv, axis=-2, out=g.b_r)
+    rows = np.empty(cache.rows.shape)
+    er = cache.rows[..., 4, :, :]
+    # d/du of -w (u . v) is -w v, d/dv is -w u: g_uv is uv, sides swapped, times -w
     if isinstance(params, LinearParams):
-        np.matmul(_t(gu), el, out=g.w_l1)
-        np.matmul(_t(gu), er, out=g.w_l2)
-        np.matmul(_t(gv), eh, out=g.w_r1)
-        np.matmul(_t(gv), er, out=g.w_r2)
-        np.matmul(gu, params.w_l1, out=rows[0])
-        np.matmul(gu, params.w_l2, out=rows[1])
-        rows[1] += gv @ params.w_r2
-        np.matmul(gv, params.w_r1, out=rows[2])
+        g_uv = -w[..., None, :, :, None] * cache.uv[..., ::-1, :, :, :]
+        pair = g_uv[..., 0, :, :] + g_uv[..., 1, :, :]   # (2, m, p), by side
+        np.sum(pair, axis=-2, out=g.b_sides)
+        g_ent = g_uv.reshape(*pair.shape[:-2], -1, params.p)   # (2, 2m, p)
+        np.matmul(_t(g_ent), _sides(cache.rows), out=g.w_sides[..., 0, :, :])
+        np.matmul(_t(pair), er[..., None, :, :], out=g.w_sides[..., 1, :, :])
+        np.matmul(g_ent, params.w_sides[..., 0, :, :], out=_sides(rows))
+        d_er = pair @ params.w_sides[..., 1, :, :]
+        np.add(d_er[..., 0, :, :], d_er[..., 1, :, :], out=rows[..., 4, :, :])
         return Gradients(g, rows)
-    lead, p, d = w.shape, params.p, params.d
-    w_l = params.w_l.reshape(*lead[:-1], p * d, d)
-    w_r = params.w_r.reshape(*lead[:-1], p * d, d)
-    # u[n, i] = sum_jk w_l[i, j, k] el[n, j] er[n, k]: the outer product
-    # gu[n] x el[n], flattened to p*d, meets w_l and er in one GEMM each
-    a_l = (gu[..., :, None] * el[..., None, :]).reshape(*lead, p * d)
-    a_r = (gv[..., :, None] * eh[..., None, :]).reshape(*lead, p * d)
-    np.matmul(_t(a_l), er, out=g.w_l.reshape(w_l.shape))
-    np.matmul(_t(a_r), er, out=g.w_r.reshape(w_r.shape))
-    np.matmul(gu[..., None, :], cache.maps_l, out=rows[0][..., None, :])
-    np.matmul(a_l, w_l, out=rows[1])
-    rows[1] += a_r @ w_r
-    np.matmul(gv[..., None, :], cache.maps_r, out=rows[2][..., None, :])
+    g_uv = -_t(w)[..., :, None, :, None] * cache.uv[..., ::-1, :, :]
+    np.sum(g_uv, axis=(-4, -2), out=g.b_sides)
+    # u[n, i] = sum_jk w_l[i, j, k] el[n, j] er[n, k]: a pair's two outer
+    # products gu x el sum in one (p, 2) @ (2, d) product per side, and the
+    # sums, flattened to 2 * p * d, meet the weights and er in one GEMM each
+    a = (_t(g_uv) @ _pairs(cache.rows)).reshape(*g_uv.shape[:-3], -1)
+    w_flat = params.w_sides.reshape(*a.shape[:-2], a.shape[-1], -1)
+    np.matmul(_t(a), er, out=g.w_sides.reshape(w_flat.shape))
+    np.matmul(a, w_flat, out=rows[..., 4, :, :])
+    matvec(_t(cache.maps), g_uv, out=_pairs(rows))
     return Gradients(g, rows)
 
 
@@ -279,8 +298,8 @@ def energy(t: Triple, emb: EmbeddingTable, params: Params) -> float:
 
 def energy_gradients(t: Triple, emb: EmbeddingTable, params: Params) -> Gradients:
     _, cache = forward(emb.vectors, params, *_one(t))
-    g = backward(params, cache, np.ones(1))
-    return Gradients(g.params, g.d_rows[:, 0])
+    g = backward(params, cache, np.array([[1.0], [0.0]]))
+    return Gradients(g.params, g.d_rows[[0, 4, 2], 0])   # lhs, rel, rhs
 
 
 @dataclass
@@ -328,8 +347,8 @@ def energies_batch(emb: EmbeddingTable, params: Params,
     are applied to every symbol row, ``Tl[r, s] = maps_l[r] @ E[s] + off_l[r]``
     (``Tr`` alike), one block of relations at a time within ``_TABLE_BYTES``,
     and each record is two row gathers and a dot product. The SGD step calls
-    ``forward``/``backward`` instead: for its 64-row batches the tables
-    would cost more than the per-row maps.
+    ``_forward``/``backward`` instead: for its 32-pair batches the tables
+    would cost more than the per-pair maps.
     """
     E = emb.vectors
     lhs, rel, rhs = np.asarray(lhs), np.asarray(rel), np.asarray(rhs)

@@ -14,10 +14,12 @@ from its own PCG64 stream, and its pairs past the end of its epoch weigh
 fold that stops early leaves the stack.
 
 ``_sgd_epoch`` lays out an epoch's ids once, range-checked and offset to
-rows of the flat (K * n, d) embedding view, as (batch, slot, fold, pair),
-with the mask of the pairs that count, so the step only slices them. A
-batch size above the stack's largest training set is cut to it for the
-run: wider batches would only add padding.
+rows of the flat (K * n, d) embedding view, as (batch, K, 5, m): each
+fold's m pairs in the kernel's pair layout (the lhs of the positives and of
+their corruptions, the rhs of both, then the relation they share), with
+the mask of the pairs that count, so the step only slices them. A batch
+size above the stack's largest training set is cut to it for the run:
+wider batches would only add padding.
 """
 
 from __future__ import annotations
@@ -125,9 +127,14 @@ def _corrupt_batch(lhs, rel, rhs, mode, rng, entity_ids):
 
 def sgd_step(batch: list[tuple[Triple, Triple]], emb: EmbeddingTable,
              params: Params, config: TrainConfig) -> float:
-    """One mini-batch update. Returns the mean ranking loss before the update."""
-    ids = np.array([[t.lhs, t.rel, t.rhs] for pair in zip(*batch) for t in pair],
-                   dtype=np.int64).T   # positives, then corruptions
+    """One mini-batch update on (positive, corruption) pairs, each pair
+    sharing its relation. Returns the mean ranking loss before the update."""
+    if not batch:
+        raise ConfigError("an SGD step needs at least one pair")
+    if any(pos.rel != neg.rel for pos, neg in batch):
+        raise ConfigError("a corruption must keep its positive's relation")
+    ids = np.array([(pos.lhs, neg.lhs, pos.rhs, neg.rhs, pos.rel) for pos, neg in batch],
+                   dtype=np.int64).T   # the kernel's pair layout
     _check_ids(ids, emb.n)
     return float(_sgd_step_arrays(np.ones(len(batch), dtype=bool), ids, emb, params,
                                   config).mean())
@@ -138,19 +145,18 @@ def _sgd_step_arrays(counted: np.ndarray, ids: np.ndarray, emb: EmbeddingTable,
                      elements: np.ndarray | None = None) -> np.ndarray:
     """One mini-batch update; returns each pair's ranking loss before it.
 
-    ``ids`` (3, 2m), range-checked by the caller, holds the lhs, rel and rhs
-    rows of ``emb.vectors``: m positives, then their m corruptions. A stack
-    of K models takes (3, K, 2m) rows of the flat (K * n, d) view and a
-    (K, m) ``counted``, which marks the pairs that count; the others pad a
-    fold's short or spent batch. A counted pair with positive loss weighs
-    +1 on its positive and -1 on its corruption; every other row weighs 0
-    and changes nothing. ``grad`` (laid out as ``params``) takes the
-    parameter gradients. Row i of ``elements``, ``arange(emb.vectors.size)``
-    as (rows, d), holds the flat indices of embedding row i's elements.
+    ``ids`` (5, m), range-checked by the caller, are rows of ``emb.vectors``
+    in the kernel's pair layout (see ``sme.model``). A stack of K models
+    takes (K, 5, m) rows of the flat (K * n, d) view and a (K, m)
+    ``counted``, which marks the pairs that count; the others pad a fold's
+    short or spent batch. A counted pair with positive loss weighs +1 on its
+    positive and -1 on its corruption; every other pair weighs 0 and changes
+    nothing. ``grad`` (laid out as ``params``) takes the parameter
+    gradients. Row i of ``elements``, ``arange(emb.vectors.size)`` as
+    (rows, d), holds the flat indices of embedding row i's elements.
     """
     energies, cache = _forward(emb.vectors, params, ids)
-    m = ids.shape[-1] // 2
-    losses = ranking_loss(energies[..., :m], energies[..., m:], config.margin)
+    losses = ranking_loss(energies[..., 0, :], energies[..., 1, :], config.margin)
     if not np.isfinite(losses).all():
         raise NumericalError("non-finite ranking loss; training aborted")
     active = (losses > 0) & counted
@@ -158,7 +164,7 @@ def _sgd_step_arrays(counted: np.ndarray, ids: np.ndarray, emb: EmbeddingTable,
         return losses
 
     w = active.astype(np.float64)
-    grads = backward(params, cache, np.concatenate((w, -w), axis=-1), grad)
+    grads = backward(params, cache, np.stack((w, -w), axis=-2), grad)
     if not np.isfinite(grads.params.buf).all():
         raise NumericalError("non-finite parameter gradient; training aborted")
     # one scatter-add of every row gradient, element by element, through the
@@ -276,26 +282,23 @@ def _sgd_epoch(positives: list[TripleSet], rngs: list[np.random.Generator],
     counts, size = np.array([len(pos) for pos in positives]), config.batch_size
     n_batches = -(-counts.max() // size)
     cols = np.arange(n_batches * size)
-    # lhs, rel, rhs of each fold's shuffled positives, then of their
-    # corruptions; past its end a fold repeats its last pair, weighted 0
-    ids = np.empty((6, k, len(cols)), dtype=np.int64)
+    # (batch, fold, 5, pair), the shuffled positives and their corruptions in
+    # the pair layout; past its end a fold repeats its last pair, weighted 0
+    ids = np.empty((n_batches, k, 5, size), dtype=np.int64)
     for row, (pos, rng) in enumerate(zip(positives, rngs)):
         perm = rng.permutation(len(pos))
         lhs, rel, rhs = pos.lhs[perm], pos.rel[perm], pos.rhs[perm]
-        corrupted = _corrupt_batch(lhs, rel, rhs, config.corruption_mode, rng, entity_ids)
-        at = np.minimum(cols, len(pos) - 1)
-        for slot, a in enumerate((lhs, rel, rhs, *corrupted)):
-            ids[slot, row] = a[at]
+        c_lhs, _, c_rhs = _corrupt_batch(lhs, rel, rhs, config.corruption_mode, rng, entity_ids)
+        at = np.minimum(cols, len(pos) - 1).reshape(n_batches, size)
+        for slot, a in enumerate((lhs, c_lhs, rhs, c_rhs, rel)):
+            ids[:, row, slot] = a[at]
     _check_ids(ids, n)
-    ids += n * np.arange(k)[:, None]   # rows of the flat (K * n, d) view
-    # batch-major: batch, slot, fold, then the batch's positives and corruptions
-    batches = (ids.reshape(2, 3, k, n_batches, size).transpose(3, 1, 2, 0, 4)
-               .reshape(n_batches, 3, k, 2 * size))
+    ids += n * np.arange(k)[:, None, None]   # rows of the flat (K * n, d) view
     counted = (cols < counts[:, None]).reshape(k, n_batches, size).swapaxes(0, 1)
     grad = params.empty_like()
     elements = np.arange(emb.vectors.size).reshape(k * n, emb.dim)
     total = np.zeros(k)
-    for mask, batch in zip(counted, batches):
+    for mask, batch in zip(counted, ids):
         losses = _sgd_step_arrays(mask, batch, emb, params, config, grad, elements)
         total += np.where(mask, losses, 0.0).sum(axis=-1)
     return total / counts

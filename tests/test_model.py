@@ -26,7 +26,7 @@ def g_left(e_lhs, e_rel, params):
     """The kernel's transformed left embedding u for one (lhs, rel) pair."""
     E = np.stack([e_lhs, e_rel, e_lhs])
     _, cache = forward(E, params, np.array([0]), np.array([1]), np.array([2]))
-    return cache.u[0]
+    return cache.uv[0, 0, 0]   # u: left side, positive slot, first pair, in either layout
 
 
 class TestGFunctions:

@@ -8,8 +8,8 @@ import pytest
 from sme import trainer
 from sme.dataset import Triple, load_triples, make_folds, positives_of
 from sme.errors import ConfigError, NumericalError
-from sme.model import (BILINEAR, LINEAR, energies_batch, energy, energy_gradients,
-                       init_embeddings, init_params)
+from sme.model import (BILINEAR, LINEAR, EmbeddingTable, energies_batch, energy,
+                       energy_gradients, init_embeddings, init_params)
 from sme.trainer import (TrainConfig, _corrupt_batch, _sgd_step_arrays, corrupt,
                          ranking_loss, sgd_step, train, train_folds)
 
@@ -142,8 +142,8 @@ class TestSgdStep:
     @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
     def test_batch_gradient_matches_oracle(self, form):
         # Ids 0-3 are entities and 4-5 relations. Eight pairs over four
-        # entities repeat ids in every slot, and pair 0's corruption has a
-        # different relation from its positive.
+        # entities repeat ids in every slot; each corruption keeps its
+        # positive's relation, as the pair kernel requires.
         emb, params = make_state(form, seed=21, n=6, d=3, p=2)
         rng = np.random.default_rng(22)
         emb.vectors[:] = rng.uniform(-1, 1, size=emb.vectors.shape)
@@ -154,7 +154,6 @@ class TestSgdStep:
         neg = pos.copy()
         neg[:4, 2] = [3, 0, 1, 2]   # rhs corrupted
         neg[4:, 0] = [1, 2, 3, 0]   # lhs corrupted
-        neg[0, 1] = 5
         formula = energy_linear_formula if form == LINEAR else energy_bilinear_formula
         vectors = emb.vectors
 
@@ -178,7 +177,8 @@ class TestSgdStep:
         expect = [finite_difference(loss, a.reshape(-1)).reshape(a.shape)
                   for a in targets]
         before = [a.copy() for a in targets]
-        _sgd_step_arrays(np.ones(len(pos), dtype=bool), np.concatenate((pos, neg)).T,
+        pair_ids = np.stack((pos[:, 0], neg[:, 0], pos[:, 2], neg[:, 2], pos[:, 1]))
+        _sgd_step_arrays(np.ones(len(pos), dtype=bool), pair_ids,
                          emb, params, TrainConfig(learning_rate=1.0, margin=margin))
         for i, (a, b, fd) in enumerate(zip(targets, before, expect)):
             analytic = b - a   # learning rate 1: the step is the gradient
@@ -197,6 +197,82 @@ class TestSgdStep:
             if i not in touched:
                 assert np.array_equal(emb.vectors[i], before[i]), i
 
+    def test_empty_batch_is_config_error(self):
+        emb, params = make_state(LINEAR)
+        with pytest.raises(ConfigError, match="at least one pair"):
+            sgd_step([], emb, params, TrainConfig())
+
+    @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
+    def test_pair_with_two_relations_is_config_error(self, form):
+        emb, params = make_state(form)
+        before = (emb.vectors.copy(), params.buf.copy())
+        batch = [(Triple(0, 4, 1), Triple(2, 4, 1)), (Triple(0, 4, 1), Triple(0, 5, 2))]
+        with pytest.raises(ConfigError, match="relation"):
+            sgd_step(batch, emb, params, TrainConfig(margin=10.0))
+        assert np.array_equal(emb.vectors, before[0]) and np.array_equal(params.buf, before[1])
+
+    @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
+    def test_pair_sums_match_per_triple_gradients(self, form):
+        # A stack of two models, eight pairs each over four entities (ids
+        # 0-3) and two relations (4-5), ids repeating in every slot, some
+        # pairs active, some not and one not counted. The step sums each
+        # pair's terms before they meet its relation; its update must still
+        # be the +- sum of the per-triple gradients of the active pairs, to
+        # rounding. A regrouping or slot-order error would show far above
+        # 1e-12, where the finite-difference oracle (1e-4) cannot see it.
+        n, k = 6, 2
+        rng = np.random.default_rng(41)
+        states = []
+        for f in range(k):
+            emb, params = make_state(form, seed=40 + f, n=n, d=3, p=2)
+            emb.vectors[:] = rng.uniform(-1, 1, size=emb.vectors.shape)
+            params.buf[:] = rng.uniform(-1, 1, size=params.buf.shape)
+            states.append((emb, params))
+        pos = rng.integers(0, 4, size=(k, 8, 3))
+        pos[..., 1] = rng.integers(4, 6, size=(k, 8))
+        neg = pos.copy()
+        side = rng.integers(0, 2, size=(k, 8)) * 2   # the lhs or the rhs corrupted
+        for f, i in np.ndindex(k, 8):
+            neg[f, i, side[f, i]] = (pos[f, i, side[f, i]] + 1 + rng.integers(3)) % 4
+        counted = np.ones((k, 8), dtype=bool)
+        counted[1, 3] = False
+
+        def triples(a):
+            return [Triple(*map(int, row)) for row in a]
+
+        gaps = [[energy(t_neg, *states[f]) - energy(t_pos, *states[f])
+                 for t_pos, t_neg in zip(triples(pos[f]), triples(neg[f]))]
+                for f in range(k)]
+        # a margin in the widest gap between the pairs' energy gaps that
+        # leaves both models with active and inactive counted pairs
+        cuts = sorted(np.concatenate(gaps))
+        width, margin = max((b - a, (a + b) / 2) for a, b in zip(cuts, cuts[1:])
+                            if all(0 < sum(g < (a + b) / 2 for g in np.array(fg)[counted[f]])
+                                   < counted[f].sum() for f, fg in enumerate(gaps)))
+        assert width > 1e-3
+
+        want_params = [params.buf.copy() for _, params in states]
+        want_emb = [emb.vectors.copy() for emb, _ in states]
+        for f, (emb, params) in enumerate(states):
+            for i, (t_pos, t_neg) in enumerate(zip(triples(pos[f]), triples(neg[f]))):
+                if not (counted[f, i] and gaps[f][i] < margin):
+                    continue
+                for t, sign in ((t_pos, 1.0), (t_neg, -1.0)):
+                    g = energy_gradients(t, emb, params)
+                    want_params[f] -= sign * g.params.buf
+                    for row, d_row in zip((t.lhs, t.rel, t.rhs), g.d_rows):
+                        want_emb[f][row] -= sign * d_row
+
+        emb = EmbeddingTable(np.stack([emb.vectors for emb, _ in states]))
+        params = states[0][1].from_buffer(np.stack([p.buf for _, p in states]), 2, 3)
+        ids = np.stack((pos[..., 0], neg[..., 0], pos[..., 2], neg[..., 2], pos[..., 1]),
+                       axis=1) + n * np.arange(k)[:, None, None]
+        _sgd_step_arrays(counted, ids, emb, params, TrainConfig(learning_rate=1.0, margin=margin))
+        for f in range(k):
+            assert np.abs(params.buf[f] - want_params[f]).max() <= 1e-12, (form, f)
+            assert np.abs(emb.vectors[f] - want_emb[f]).max() <= 1e-12, (form, f)
+            assert not np.array_equal(params.buf[f], states[f][1].buf)   # it did update
+
     def test_nonfinite_aborts(self):
         emb, params = make_state(LINEAR)
         emb.vectors[0, 0] = np.nan
@@ -206,7 +282,7 @@ class TestSgdStep:
     def test_mean_loss_reported_before_update(self):
         emb, params = make_state(BILINEAR, seed=9)
         config = TrainConfig(margin=5.0)
-        pos, neg = Triple(0, 4, 1), Triple(2, 5, 3)
+        pos, neg = Triple(0, 4, 1), Triple(2, 4, 3)
         expect = ranking_loss(energy(pos, emb, params), energy(neg, emb, params),
                               config.margin)
         got = sgd_step([(pos, neg)], emb, params, config)
