@@ -142,12 +142,12 @@ def load_triples(path) -> tuple[Dictionary, TripleSet]:
     with path.open("r", encoding="utf-8") as fh:
         try:
             for text in _blocks(fh, path):
-                block, bad = _parse_block(text, symbols, first_line)
+                block, bad, n_lines = _parse_block(text, symbols, first_line)
                 blocks.append(block)
                 if bad is not None:
                     raise ParseError(_line_error(text.split("\n", bad + 1)[bad]),
                                      path=str(path), line_no=first_line + bad + 1)
-                first_line += text.count("\n")
+                first_line += n_lines
         except ParseError as exc:
             error = exc
     ids = [b.ids for b in blocks] or [np.empty((0, 3), np.int64)]
@@ -183,9 +183,10 @@ def _blocks(fh, path: Path):
 
 def _parse_block(text: str, symbols: _Interner, first_line: int):
     """Check and intern one block. Returns its records up to its first bad
-    line and the index of that line in the block, or None. A record line is
-    one that is neither blank nor a comment; it is bad unless it has three
-    tabs, non-empty symbols and a label of one character, 0 or 1."""
+    line, the index of that line in the block, or None, and the block's
+    line count. A record line is one that is neither blank nor a comment;
+    it is bad unless it has three tabs, non-empty symbols and a label of one
+    character, 0 or 1."""
     # zero bytes past the end, so a token's last word can be read whole
     raw = text.encode("utf-8") + bytes(_WORD)
     b = np.frombuffer(raw, dtype=np.uint8)
@@ -211,7 +212,7 @@ def _parse_block(text: str, symbols: _Interner, first_line: int):
     length = np.stack((t1[:kept], t2[:kept], t3[:kept]), axis=1).ravel() - start
     ids = _intern(raw, start, length, symbols)
     block = _Block(ids.reshape(-1, 3), (label[:kept] == _ONE).astype(np.int64), first_line, lines)
-    return block, bad
+    return block, bad, len(ends)
 
 
 _WORD = 8   # bytes per word of a token

@@ -9,12 +9,14 @@ a model or (K, P) for a stack of K models, in the model file's block order.
 Training runs through one kernel over pairs, a positive and its corruption,
 which share their relation. A batch of m pairs has (5, m) ids, the pair
 layout: the lhs of the positives and of the corruptions, the rhs of both,
-then each pair's relation; a stack of K models has (K, 5, m). ``_forward``
-gathers those rows once and returns (2, m) energies plus a cache;
-``backward`` writes the gradients of a weighted energy sum into a buffer
-laid out as the parameters'. Both are matrix products in which the two
-sides run together and a relation row, its maps and its weight products
-are computed once per pair; a stacked model's products see the operands a
+then each pair's relation; a stack of K models has (K, 5, m). A
+``Workspace``, built once per epoch, holds every array a step writes and
+every view it reads. ``_forward`` gathers a batch's rows into it once and
+leaves (2, m) energies there; ``backward`` writes the gradients of a
+weighted energy sum into its buffer laid out as the parameters'. Both are
+matrix products written through ``out=``, in which the two sides run
+together and a relation row, its maps and its weight products are
+computed once per pair; a stacked model's products see the operands a
 single model would give them. Validation, test and bulk scoring use
 ``energies_batch``: for a fixed relation each form is an affine map of the
 entity embedding, so every symbol row is projected once per relation
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -179,111 +180,180 @@ def _check_ids(ids: np.ndarray, n: int) -> None:
         raise LookupIdError(f"triple id outside embedding table [0, {n})")
 
 
-class Cache(NamedTuple):
-    """What ``backward`` needs from ``forward``: the gathered rows, u and v
-    of every triple, and each pair's bilinear maps; stacked, a leading K."""
-
-    rows: np.ndarray   # (5, m, d)
-    uv: np.ndarray   # side (u, v), slot, pair: linear (2, 2, m, p), bilinear (m, 2, 2, p)
-    maps: np.ndarray | None = None   # (m, 2, p, d): pair, side
-
-
 def _t(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-def _sides(rows: np.ndarray) -> np.ndarray:
-    """The entity rows of pair-layout rows as a (2, 2m, d) view: the lhs
-    rows, then the rhs rows, each the positives' first."""
-    return rows[..., 0:4, :, :].reshape(*rows.shape[:-3], 2, -1, rows.shape[-1])
+class Workspace:
+    """Every array one SGD step writes and every view it reads, for batches
+    of m pairs of one model (E (n, d), params (P,)) or of a stack of K
+    (E (K, n, d), params (K, P)). ``_forward`` and ``backward`` write into
+    it through ``out=``, so a step allocates nothing of its own size. The
+    views stay valid while E and the parameter buffer are updated in place;
+    rebuild the workspace when either is replaced, as a stack that loses a
+    fold is. ``grad``, laid out as ``params``, takes the parameter
+    gradients and ``d_rows``, in the pair layout, the row gradients. Layout
+    by form: u and v, side (u, v), slot (positive, corruption) and pair,
+    linear (2, 2, m, p), bilinear (m, 2, 2, p), the pair's maps (m, 2, p, d)
+    by side; a stack adds a leading K to each. A stack of one runs as one
+    model, without that axis: the products then see the operands one model
+    gives them, and batched matmuls over one matrix cost more than plain
+    ones. ``rows_in``, ``losses_out`` and ``active_out`` view the arrays the
+    caller's ids, losses and mask share, with the caller's leading axes."""
 
-
-def _pairs(rows: np.ndarray) -> np.ndarray:
-    """The same rows pair by pair, an (m, 2, 2, d) view: side, then slot."""
-    ent = rows[..., 0:4, :, :].reshape(*rows.shape[:-3], 2, 2, *rows.shape[-2:])
-    return ent.swapaxes(-2, -3).swapaxes(-3, -4)
+    def __init__(self, E: np.ndarray, params: Params, m: int):
+        outer, d, p = E.shape[:-2], E.shape[-1], params.p
+        lead = () if outer == (1,) else outer
+        self.params = params if lead == outer else params[0]
+        self.flat = E.reshape(-1, d)   # a stack's rows, all in one table
+        self.grad = params.empty_like()
+        g = self.grad if lead == outer else self.grad[0]
+        self.rows = np.empty((*lead, 5, m, d))
+        self.rows_in = self.rows.reshape(*outer, 5, m, d)
+        self.d_rows = np.empty_like(self.rows)
+        # the step's scatter: row i of ``elements`` holds the flat indices
+        # of embedding row i's elements, ``at`` those of the batch's rows
+        self.elements = np.arange(E.size).reshape(-1, d)
+        self.at = np.empty(self.rows_in.shape, dtype=self.elements.dtype)
+        self.er = self.rows[..., 4, :, :]
+        # the entity rows as (2, 2m, d), lhs then rhs, and pair by pair as
+        # (m, 2, 2, d), side then slot; the same for the row gradients
+        self.sides, self.d_sides = (r[..., 0:4, :, :].reshape(*lead, 2, 2 * m, d)
+                                    for r in (self.rows, self.d_rows))
+        self.pairs, self.d_pairs = (r[..., 0:4, :, :].reshape(*lead, 2, 2, m, d)
+                                    .swapaxes(-2, -3).swapaxes(-3, -4)
+                                    for r in (self.rows, self.d_rows))
+        self.losses = np.empty((*lead, m))
+        self.losses_out = self.losses.reshape(*outer, m)
+        self.finite = np.empty((*lead, m), dtype=bool)
+        self.active = np.empty((*lead, m), dtype=bool)
+        self.active_out = self.active.reshape(*outer, m)
+        self.w = np.empty((*lead, 2, m))   # the step's weights, by slot
+        self.neg_w = np.empty_like(self.w)
+        self.grad_finite = np.empty(self.grad.buf.shape, dtype=bool)
+        self.emb_finite = np.empty(E.size, dtype=bool)
+        self.g_b = g.b_sides
+        params = self.params
+        if isinstance(params, LinearParams):
+            w = params.w_sides   # side, then its entity and relation weights
+            self.uv = np.empty((*lead, 2, 2, m, p))
+            self.uv_sides = self.uv.reshape(*lead, 2, 2 * m, p)
+            self.uv_swapped = self.uv[..., ::-1, :, :, :]
+            self.w_ent, self.w_rel = w[..., 0, :, :], w[..., 1, :, :]
+            self.w_entT, self.w_relT = _t(self.w_ent), _t(self.w_rel)
+            self.er_b = self.er[..., None, :, :]
+            self.rel_uv = np.empty((*lead, 2, m, p))   # W_2 e_r + b, by side
+            self.b = params.b_sides[..., None, :]
+            self.prod = np.empty((*lead, 2, m, p))
+            self.energies = np.empty((*lead, 2, m))
+            self.e_sums = self.energies
+            self.neg_wb = self.neg_w[..., None, :, :, None]
+            self.g_uv = np.empty_like(self.uv)
+            self.g_entT = _t(self.g_uv.reshape(*lead, 2, 2 * m, p))
+            self.g_ent = _t(self.g_entT)
+            self.pair = np.empty((*lead, 2, m, p))   # gu and gv, summed by pair
+            self.pairT = _t(self.pair)
+            self.d_er = np.empty((*lead, 2, m, d))
+            self.g_w_ent, self.g_w_rel = g.w_sides[..., 0, :, :], g.w_sides[..., 1, :, :]
+            return
+        flat = params.w_sides.reshape(*lead, 2 * p * d, d)
+        self.w_flat, self.w_flatT = flat, _t(flat)
+        self.maps = np.empty((*lead, m, 2, p, d))
+        self.maps_flat = self.maps.reshape(*lead, m, 2 * p * d)
+        self.mapsT = _t(self.maps)
+        self.uv = np.empty((*lead, m, 2, 2, p))
+        self.uv_swapped = self.uv[..., ::-1, :, :]
+        self.b = params.b_sides[..., None, :, None, :]
+        self.prod = np.empty((*lead, m, 2, p))
+        self.e_sums = np.empty((*lead, m, 2))
+        self.energies = _t(self.e_sums)
+        self.neg_wb = _t(self.neg_w)[..., :, None, :, None]
+        self.g_uv = np.empty_like(self.uv)
+        self.g_uvT = _t(self.g_uv)
+        # a pair's two outer products gu x el, summed, flattened to 2 * p * d
+        self.a = np.empty((*lead, m, 2 * p * d))
+        self.a_outer = self.a.reshape(*lead, m, 2, p, d)
+        self.aT = _t(self.a)
+        self.g_w_flat = g.w_sides.reshape(flat.shape)
+        self.d_er = self.d_rows[..., 4, :, :]
 
 
 def forward(E: np.ndarray, params: Params, lhs: np.ndarray, rel: np.ndarray,
-            rhs: np.ndarray) -> tuple[np.ndarray, Cache]:
-    """Energies of the triples (lhs[n], rel[n], rhs[n]) and the cache for
-    ``backward``, each triple paired with itself (weigh the copy 0). E is
-    one model's (n_symbols, d) embedding matrix; the ids are checked here."""
+            rhs: np.ndarray) -> tuple[np.ndarray, Workspace]:
+    """Energies of the triples (lhs[n], rel[n], rhs[n]) and the workspace
+    for ``backward``, each triple paired with itself (weigh the copy 0). E
+    is one model's (n_symbols, d) embedding matrix; the ids are checked
+    here."""
     ids = np.stack((lhs, lhs, rhs, rhs, rel))
     _check_ids(ids, len(E))
-    energies, cache = _forward(E, params, ids)
-    return energies[0], cache
+    ws = Workspace(E, params, ids.shape[-1])
+    return _forward(ws, ids)[0], ws
 
 
-def _forward(E: np.ndarray, params: Params, ids: np.ndarray) -> tuple[np.ndarray, Cache]:
-    """(2, m) energies, the positives' first, and the cache of the pairs
-    whose checked ids, rows of E, are in the pair layout (5, m); a stack
-    takes (K, 5, m) rows of the flat (K * n_symbols, d) view, so that every
-    stacked model's rows come from one gather."""
-    rows = np.take(E.reshape(-1, E.shape[-1]), ids, **_TAKE)
-    er = rows[..., 4, :, :]
-    if isinstance(params, LinearParams):
-        w = params.w_sides   # side, then its entity and relation weights
-        uv = (_sides(rows) @ _t(w[..., 0, :, :])).reshape(*rows.shape[:-3], 2, 2, -1, params.p)
-        uv += (er[..., None, :, :] @ _t(w[..., 1, :, :])
-               + params.b_sides[..., None, :])[..., None, :, :]
-        return -(uv[..., 0, :, :, :] * uv[..., 1, :, :, :]).sum(axis=-1), Cache(rows, uv)
-    # maps[n, side] is the (p, d) matrix the relation embedding er[n] selects
-    maps = mode3_contract(params.w_sides, er)
-    uv = matvec(maps, _pairs(rows))
-    uv += params.b_sides[..., None, :, None, :]
-    return _t(-(uv[..., 0, :, :] * uv[..., 1, :, :]).sum(axis=-1)), Cache(rows, uv, maps)
+def _forward(ws: Workspace, ids: np.ndarray) -> np.ndarray:
+    """(2, m) energies, the positives' first, of the pairs whose checked
+    ids, rows of the workspace's embeddings, are in the pair layout (5, m);
+    a stack takes (K, 5, m) rows of the flat (K * n_symbols, d) view, so
+    that every stacked model's rows come from one gather. Returns a view
+    into ``ws``, overwritten by its next ``_forward``."""
+    np.take(ws.flat, ids, out=ws.rows_in, **_TAKE)
+    if isinstance(ws.params, LinearParams):
+        np.matmul(ws.sides, ws.w_entT, out=ws.uv_sides)
+        np.matmul(ws.er_b, ws.w_relT, out=ws.rel_uv)
+        ws.rel_uv += ws.b
+        ws.uv += ws.rel_uv[..., None, :, :]
+        np.multiply(ws.uv[..., 0, :, :, :], ws.uv[..., 1, :, :, :], out=ws.prod)
+    else:
+        # maps[n, side] is the (p, d) matrix the relation embedding er[n] selects
+        np.matmul(ws.er, ws.w_flatT, out=ws.maps_flat)
+        matvec(ws.maps, ws.pairs, out=ws.uv)
+        ws.uv += ws.b
+        np.multiply(ws.uv[..., 0, :, :], ws.uv[..., 1, :, :], out=ws.prod)
+    np.sum(ws.prod, axis=-1, out=ws.e_sums)
+    np.negative(ws.e_sums, out=ws.e_sums)
+    return ws.energies
 
 
 @dataclass
 class Gradients:
-    """d(energy)/d(everything): the parameter gradients, laid out as the
-    parameters, and the gradients of the embedding rows involved, keyed by
-    slot, not by id: from ``energy_gradients`` the lhs, rel and rhs rows of
-    its triple, from ``backward`` the rows of the pair layout."""
+    """d(energy)/d(everything) of one triple: the parameter gradients, laid
+    out as the parameters, and the gradients of its lhs, rel and rhs rows."""
 
     params: Params
-    d_rows: np.ndarray   # (3, d), or (5, m, d) / (K, 5, m, d) from backward
+    d_rows: np.ndarray   # (3, d)
 
     d_lhs = property(lambda self: self.d_rows[0])
     d_rel = property(lambda self: self.d_rows[1])
     d_rhs = property(lambda self: self.d_rows[2])
 
 
-def backward(params: Params, cache: Cache, w: np.ndarray,
-             out: Params | None = None) -> Gradients:
-    """Gradients of sum_sn w[s, n] * energy[s, n] for the pairs in
-    ``cache``, w (2, m) weighting the positives, then the corruptions: the
-    parameters' written into ``out`` (new when None), laid out as
-    ``params``, and the rows' in the pair layout. A pair's two terms are
-    summed before they meet its relation; a triple weighted 0 adds exact
-    zeros to every sum."""
-    g = params.empty_like() if out is None else out
-    rows = np.empty(cache.rows.shape)
-    er = cache.rows[..., 4, :, :]
+def backward(ws: Workspace, w: np.ndarray) -> None:
+    """Gradients of sum_sn w[s, n] * energy[s, n] for the pairs of the last
+    ``_forward`` on ``ws``, w (2, m) weighting the positives, then the
+    corruptions: the parameters' into ``ws.grad`` and the rows' into
+    ``ws.d_rows``, in the pair layout. A pair's two terms are summed before
+    they meet its relation; a triple weighted 0 adds exact zeros to every
+    sum."""
     # d/du of -w (u . v) is -w v, d/dv is -w u: g_uv is uv, sides swapped, times -w
-    if isinstance(params, LinearParams):
-        g_uv = -w[..., None, :, :, None] * cache.uv[..., ::-1, :, :, :]
-        pair = g_uv[..., 0, :, :] + g_uv[..., 1, :, :]   # (2, m, p), by side
-        np.sum(pair, axis=-2, out=g.b_sides)
-        g_ent = g_uv.reshape(*pair.shape[:-2], -1, params.p)   # (2, 2m, p)
-        np.matmul(_t(g_ent), _sides(cache.rows), out=g.w_sides[..., 0, :, :])
-        np.matmul(_t(pair), er[..., None, :, :], out=g.w_sides[..., 1, :, :])
-        np.matmul(g_ent, params.w_sides[..., 0, :, :], out=_sides(rows))
-        d_er = pair @ params.w_sides[..., 1, :, :]
-        np.add(d_er[..., 0, :, :], d_er[..., 1, :, :], out=rows[..., 4, :, :])
-        return Gradients(g, rows)
-    g_uv = -_t(w)[..., :, None, :, None] * cache.uv[..., ::-1, :, :]
-    np.sum(g_uv, axis=(-4, -2), out=g.b_sides)
+    np.negative(w, out=ws.neg_w)
+    np.multiply(ws.neg_wb, ws.uv_swapped, out=ws.g_uv)
+    if isinstance(ws.params, LinearParams):
+        np.add(ws.g_uv[..., 0, :, :], ws.g_uv[..., 1, :, :], out=ws.pair)
+        np.sum(ws.pair, axis=-2, out=ws.g_b)
+        np.matmul(ws.g_entT, ws.sides, out=ws.g_w_ent)
+        np.matmul(ws.pairT, ws.er_b, out=ws.g_w_rel)
+        np.matmul(ws.g_ent, ws.w_ent, out=ws.d_sides)
+        np.matmul(ws.pair, ws.w_rel, out=ws.d_er)
+        np.add(ws.d_er[..., 0, :, :], ws.d_er[..., 1, :, :], out=ws.d_rows[..., 4, :, :])
+        return
+    np.sum(ws.g_uv, axis=(-4, -2), out=ws.g_b)
     # u[n, i] = sum_jk w_l[i, j, k] el[n, j] er[n, k]: a pair's two outer
     # products gu x el sum in one (p, 2) @ (2, d) product per side, and the
     # sums, flattened to 2 * p * d, meet the weights and er in one GEMM each
-    a = (_t(g_uv) @ _pairs(cache.rows)).reshape(*g_uv.shape[:-3], -1)
-    w_flat = params.w_sides.reshape(*a.shape[:-2], a.shape[-1], -1)
-    np.matmul(_t(a), er, out=g.w_sides.reshape(w_flat.shape))
-    np.matmul(a, w_flat, out=rows[..., 4, :, :])
-    matvec(_t(cache.maps), g_uv, out=_pairs(rows))
-    return Gradients(g, rows)
+    np.matmul(ws.g_uvT, ws.pairs, out=ws.a_outer)
+    np.matmul(ws.aT, ws.er, out=ws.g_w_flat)
+    np.matmul(ws.a, ws.w_flat, out=ws.d_er)
+    matvec(ws.mapsT, ws.g_uv, out=ws.d_pairs)
 
 
 def _one(t: Triple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -297,9 +367,9 @@ def energy(t: Triple, emb: EmbeddingTable, params: Params) -> float:
 
 
 def energy_gradients(t: Triple, emb: EmbeddingTable, params: Params) -> Gradients:
-    _, cache = forward(emb.vectors, params, *_one(t))
-    g = backward(params, cache, np.array([[1.0], [0.0]]))
-    return Gradients(g.params, g.d_rows[[0, 4, 2], 0])   # lhs, rel, rhs
+    _, ws = forward(emb.vectors, params, *_one(t))
+    backward(ws, np.array([[1.0], [0.0]]))
+    return Gradients(ws.grad, ws.d_rows[[0, 4, 2], 0])   # lhs, rel, rhs
 
 
 @dataclass

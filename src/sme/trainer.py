@@ -19,7 +19,10 @@ fold's m pairs in the kernel's pair layout (the lhs of the positives and of
 their corruptions, the rhs of both, then the relation they share), with
 the mask of the pairs that count, so the step only slices them. A batch
 size above the stack's largest training set is cut to it for the run:
-wider batches would only add padding.
+wider batches would only add padding. Every step of an epoch runs through
+one ``model.Workspace``, rebuilt per epoch because the stack can shrink
+between epochs, and writes its pairs' losses into one epoch buffer that is
+summed once, in the order a running total would add them.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ import numpy as np
 from . import evaluator
 from .dataset import Dictionary, Triple, TripleSet, positives_of
 from .errors import ConfigError, NumericalError
-from .model import (_TAKE, PARAMS, EmbeddingTable, Model, Params, _check_ids, _forward,
-                    backward, energies_batch, init_embeddings, init_params)
+from .model import (_TAKE, PARAMS, EmbeddingTable, Model, Params, Workspace, _check_ids,
+                    _forward, backward, energies_batch, init_embeddings, init_params)
 
 CORRUPTION_MODES = ("lhs", "rhs", "both")
 
@@ -85,10 +88,10 @@ class TrainTrace:
                 "secs": sum(r.secs for r in self.epochs)}
 
 
-def ranking_loss(e_pos, e_neg, margin: float):
+def ranking_loss(e_pos, e_neg, margin: float, out: np.ndarray | None = None):
     """Hinge on energies, elementwise: positives must sit at least `margin`
-    below their corruptions."""
-    return np.maximum(0.0, margin + e_pos - e_neg)
+    below their corruptions. ``out`` takes the result."""
+    return np.maximum(0.0, np.subtract(np.add(margin, e_pos, out=out), e_neg, out=out), out=out)
 
 
 def corrupt(t: Triple, mode: str, rng: np.random.Generator,
@@ -141,8 +144,8 @@ def sgd_step(batch: list[tuple[Triple, Triple]], emb: EmbeddingTable,
 
 
 def _sgd_step_arrays(counted: np.ndarray, ids: np.ndarray, emb: EmbeddingTable,
-                     params: Params, config: TrainConfig, grad: Params | None = None,
-                     elements: np.ndarray | None = None) -> np.ndarray:
+                     params: Params, config: TrainConfig,
+                     ws: Workspace | None = None) -> np.ndarray:
     """One mini-batch update; returns each pair's ranking loss before it.
 
     ``ids`` (5, m), range-checked by the caller, are rows of ``emb.vectors``
@@ -151,34 +154,41 @@ def _sgd_step_arrays(counted: np.ndarray, ids: np.ndarray, emb: EmbeddingTable,
     ``counted``, which marks the pairs that count; the others pad a fold's
     short or spent batch. A counted pair with positive loss weighs +1 on its
     positive and -1 on its corruption; every other pair weighs 0 and changes
-    nothing. ``grad`` (laid out as ``params``) takes the parameter
-    gradients. Row i of ``elements``, ``arange(emb.vectors.size)`` as
-    (rows, d), holds the flat indices of embedding row i's elements.
+    nothing. ``ws``, the workspace of ``emb.vectors`` and ``params`` for m
+    pairs, holds every array the step writes; without it the step builds
+    its own. The losses returned are the workspace's, overwritten by the
+    next step.
     """
-    energies, cache = _forward(emb.vectors, params, ids)
-    losses = ranking_loss(energies[..., 0, :], energies[..., 1, :], config.margin)
-    if not np.isfinite(losses).all():
+    if ws is None:
+        ws = Workspace(emb.vectors, params, ids.shape[-1])
+    energies = _forward(ws, ids)
+    losses = ranking_loss(energies[..., 0, :], energies[..., 1, :], config.margin, ws.losses)
+    if not np.isfinite(losses, out=ws.finite).all():
         raise NumericalError("non-finite ranking loss; training aborted")
-    active = (losses > 0) & counted
+    active = np.greater(losses, 0, out=ws.active)
+    ws.active_out &= counted   # the same mask, with the caller's leading axes
     if not active.any():
-        return losses
+        return ws.losses_out
 
-    w = active.astype(np.float64)
-    grads = backward(params, cache, np.stack((w, -w), axis=-2), grad)
-    if not np.isfinite(grads.params.buf).all():
+    w = ws.w
+    np.copyto(w[..., 0, :], active)
+    np.negative(w[..., 0, :], out=w[..., 1, :])
+    backward(ws, w)
+    grad = ws.grad.buf
+    if not np.isfinite(grad, out=ws.grad_finite).all():
         raise NumericalError("non-finite parameter gradient; training aborted")
     # one scatter-add of every row gradient, element by element, through the
     # flat view of the embeddings; bincount adds in input order, as np.add.at
     # does, at a fraction of its per-element cost
-    if elements is None:
-        elements = np.arange(emb.vectors.size).reshape(-1, emb.dim)
-    at = np.take(elements, ids, **_TAKE)
-    g_emb = np.bincount(at.ravel(), weights=grads.d_rows.ravel(), minlength=emb.vectors.size)
-    if not np.isfinite(g_emb).all():
+    at = np.take(ws.elements, ids, out=ws.at, **_TAKE)
+    g_emb = np.bincount(at.ravel(), weights=ws.d_rows.ravel(), minlength=emb.vectors.size)
+    if not np.isfinite(g_emb, out=ws.emb_finite).all():
         raise NumericalError("non-finite embedding gradient; training aborted")
-    params.buf -= config.learning_rate * grads.params.buf
-    emb.vectors -= config.learning_rate * g_emb.reshape(emb.vectors.shape)
-    return losses
+    grad *= config.learning_rate
+    params.buf -= grad
+    g_emb *= config.learning_rate
+    emb.vectors -= g_emb.reshape(emb.vectors.shape)
+    return ws.losses_out
 
 
 def _log_enabled() -> bool:
@@ -225,6 +235,8 @@ def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionar
     emb.normalize_rows()
     params = inits[0][1].from_buffer(np.stack([p.buf for _, p in inits]), dim_p, dim_d)
 
+    # every snapshot shares one copy of the symbol table, which nothing mutates
+    symbols, relation_ids = list(d.symbols), frozenset(d.relation_ids)
     folds = list(range(len(seeds)))   # the fold in each row of the stack
     traces = [TrainTrace() for _ in folds]
     best: list[Model | None] = [None for _ in folds]
@@ -254,8 +266,7 @@ def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionar
 
                 # a tie is not an improvement; epochs[e] is epoch e of the fold
                 if trace.best_epoch < 0 or val_auc > trace.epochs[trace.best_epoch].val_auc:
-                    best[f] = Model(list(d.symbols), frozenset(d.relation_ids),
-                                    fold_emb.copy(), fold_params.copy())
+                    best[f] = Model(symbols, relation_ids, fold_emb.copy(), fold_params.copy())
                     trace.best_epoch = epoch
                 elif epoch - trace.best_epoch >= config.patience:
                     trace.stop_reason = "patience"
@@ -295,10 +306,11 @@ def _sgd_epoch(positives: list[TripleSet], rngs: list[np.random.Generator],
     _check_ids(ids, n)
     ids += n * np.arange(k)[:, None, None]   # rows of the flat (K * n, d) view
     counted = (cols < counts[:, None]).reshape(k, n_batches, size).swapaxes(0, 1)
-    grad = params.empty_like()
-    elements = np.arange(emb.vectors.size).reshape(k * n, emb.dim)
-    total = np.zeros(k)
-    for mask, batch in zip(counted, ids):
-        losses = _sgd_step_arrays(mask, batch, emb, params, config, grad, elements)
-        total += np.where(mask, losses, 0.0).sum(axis=-1)
-    return total / counts
+    ws = Workspace(emb.vectors, params, size)
+    losses = np.empty((n_batches, k, size))
+    for b, (mask, batch) in enumerate(zip(counted, ids)):
+        losses[b] = _sgd_step_arrays(mask, batch, emb, params, config, ws)
+    # each batch's sum per fold, then the batches' sums one after another,
+    # the order a running total adds them in
+    sums = np.where(counted, losses, 0.0).sum(axis=-1)
+    return np.cumsum(sums, axis=0)[-1] / counts

@@ -8,8 +8,8 @@ import pytest
 from sme import trainer
 from sme.dataset import Triple, load_triples, make_folds, positives_of
 from sme.errors import ConfigError, NumericalError
-from sme.model import (BILINEAR, LINEAR, EmbeddingTable, energies_batch, energy,
-                       energy_gradients, init_embeddings, init_params)
+from sme.model import (BILINEAR, LINEAR, EmbeddingTable, Workspace, energies_batch,
+                       energy, energy_gradients, init_embeddings, init_params)
 from sme.trainer import (TrainConfig, _corrupt_batch, _sgd_step_arrays, corrupt,
                          ranking_loss, sgd_step, train, train_folds)
 
@@ -287,6 +287,73 @@ class TestSgdStep:
                               config.margin)
         got = sgd_step([(pos, neg)], emb, params, config)
         assert got == pytest.approx(expect, abs=1e-12)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_reuse_carries_no_state(self, form, k):
+        # An epoch runs every step through one workspace. A step after an
+        # all-inactive step (the early return) and a step after one with
+        # another mask must each be bitwise the same step on a fresh one.
+        n, m = 8, 16
+        rng = np.random.default_rng(50 + k)
+        states = [make_state(form, seed=60 + f, n=n, d=3, p=2) for f in range(k)]
+        emb = EmbeddingTable(np.stack([e.vectors for e, _ in states]))
+        params = states[0][1].from_buffer(np.stack([p.buf for _, p in states]), 2, 3)
+
+        def batch():
+            ids = rng.integers(0, 4, size=(k, 5, m))
+            ids[:, 4] = rng.integers(4, n, size=(k, m))   # the relation slot
+            return ids + n * np.arange(k)[:, None, None]
+
+        # the prior steps' pairs all pass the hinge; the step under test has
+        # pairs on both sides of it
+        wide, narrow = TrainConfig(margin=10.0, learning_rate=0.1), TrainConfig(margin=1e-3)
+        ws = Workspace(emb.vectors, params, m)
+        mask = rng.integers(0, 2, size=(k, m)).astype(bool)
+        mask[:, 0] = True
+        before = (emb.vectors.copy(), params.buf.copy())
+        priors = [(np.zeros((k, m), dtype=bool), "all inactive"), (~mask, "another mask")]
+        for prior, label in priors:
+            _sgd_step_arrays(prior, batch(), emb, params, wide, ws)
+            if label == "all inactive":
+                assert np.array_equal(emb.vectors, before[0]), label
+                assert np.array_equal(params.buf, before[1]), label
+            ids = batch()
+            fresh_emb, fresh_params = EmbeddingTable(emb.vectors.copy()), params.copy()
+            want = _sgd_step_arrays(mask, ids, fresh_emb, fresh_params, narrow).copy()
+            assert (want[mask] > 0).any() and (want[mask] == 0).any(), label
+            got = _sgd_step_arrays(mask, ids, emb, params, narrow, ws)
+            assert got.tobytes() == want.tobytes(), label
+            assert emb.vectors.tobytes() == fresh_emb.vectors.tobytes(), label
+            assert params.buf.tobytes() == fresh_params.buf.tobytes(), label
+        assert not np.array_equal(params.buf, before[1])   # the steps did update
+
+    def test_epoch_steps_through_the_module_attribute(self, toy_split, monkeypatch):
+        # The benchmark's tracer wraps trainer._sgd_step_arrays and counts a
+        # step's pairs from its first argument, the counted mask: each epoch
+        # must make one call per batch through that name.
+        d, split = toy_split
+        folds = [split.fold_sets(f) for f in range(2)]
+        positives = [positives_of(train_ts) for train_ts, _, _ in folds]
+        calls = []
+        step = trainer._sgd_step_arrays
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].copy())
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "_sgd_step_arrays", counting)
+        config = TrainConfig(epochs_max=3, patience=10, batch_size=8)
+        train_folds(positives, [valid_ts for _, valid_ts, _ in folds], d, LINEAR, 4, 4,
+                    config, [1, 2])
+        n_batches = -(-max(map(len, positives)) // config.batch_size)
+        assert len(calls) == config.epochs_max * n_batches
+        for epoch in range(config.epochs_max):
+            counted = np.stack(calls[epoch * n_batches:(epoch + 1) * n_batches])
+            assert counted.dtype == bool and counted.shape == (n_batches, 2, 8)
+            assert counted.sum(axis=(0, 2)).tolist() == list(map(len, positives))
 
 
 @pytest.fixture
