@@ -392,13 +392,10 @@ def make_folds(ts: TripleSet, k: int, seed: int) -> FoldSplit:
     rng = np.random.Generator(np.random.PCG64(seed))
     perm = rng.permutation(n)
     assignment = np.empty(n, dtype=np.int64)
-    # first (n % k) folds get the extra record
+    # fold i takes the next n // k records of the permutation, and the first
+    # n % k folds one more each
     base, extra = divmod(n, k)
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        assignment[perm[start:start + size]] = i
-        start += size
+    assignment[perm] = np.repeat(np.arange(k), base + (np.arange(k) < extra))
     return FoldSplit(k, ts, assignment)
 
 

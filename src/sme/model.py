@@ -10,17 +10,19 @@ Training runs through one kernel over pairs, a positive and its corruption,
 which share their relation. A batch of m pairs has (5, m) ids, the pair
 layout: the lhs of the positives and of the corruptions, the rhs of both,
 then each pair's relation; a stack of K models has (K, 5, m). A
-``Workspace``, built once per epoch, holds every array a step writes and
-every view it reads. ``_forward`` gathers a batch's rows into it once and
-leaves (2, m) energies there; ``backward`` writes the gradients of a
-weighted energy sum into its buffer laid out as the parameters'. Both are
-matrix products written through ``out=``, in which the two sides run
-together and a relation row, its maps and its weight products are
-computed once per pair; a stacked model's products see the operands a
-single model would give them. Validation, test and bulk scoring use
-``energies_batch``: for a fixed relation each form is an affine map of the
-entity embedding, so every symbol row is projected once per relation
-present in the call and each record is scored by gathers from those tables.
+``Workspace`` holds the embeddings and parameter buffer a step updates,
+every array it writes and every view it reads; training builds one per
+stack of models and keeps it while the stack does. ``_forward`` gathers a
+batch's rows into it once and leaves (2, m) energies there; ``backward``
+writes the gradients of a weighted energy sum into its buffer laid out as
+the parameters'. Both are numpy products written through ``out=``, in
+which the two sides run together and a relation row, its maps and its
+weight products are computed once per pair; a stacked model's products
+see the operands a single model would give them. Validation, test and
+bulk scoring use ``energies_batch``: for a fixed relation each form is an
+affine map of the entity embedding, so every symbol row is projected once
+per relation present in the call and each record is scored by gathers
+from those tables.
 """
 
 from __future__ import annotations
@@ -147,27 +149,11 @@ def init_params(form: str, d: int, p: int, rng: np.random.Generator) -> Params:
 
 
 def mode3_contract(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Contract a (p, d, k) tensor, or an (s, p, d, k) stack of them, with
-    every row of an (m, k) matrix along mode 3, in one GEMM: out[n, i, j] =
-    sum_k t[i, j, k] * x[n, k]. Leading axes, one per stacked model, must
-    match: (K, p, d, k) with (K, m, k)."""
-    lead = x.shape[:-2]
-    if (x.ndim < 2 or t.ndim < x.ndim + 1 or t.shape[:len(lead)] != lead
-            or t.shape[-1] != x.shape[-1]):
+    """Contract a (p, d, k) tensor with every row of an (m, k) matrix along
+    mode 3, in one GEMM: out[n, i, j] = sum_k t[i, j, k] * x[n, k]."""
+    if t.ndim != 3 or x.ndim != 2 or t.shape[-1] != x.shape[-1]:
         raise ShapeError(f"mode3_contract: {t.shape} x {x.shape}")
-    flat = t.reshape(*lead, -1, t.shape[-1])
-    return (x @ flat.swapaxes(-1, -2)).reshape(*x.shape[:-1], *t.shape[len(lead):-1])
-
-
-def matvec(maps: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Matrix-vector products that share their matrix, one (s, d) @ (d, p)
-    product per matrix: out[..., j, :] = maps @ x[..., j, :] for (..., p, d)
-    maps and (..., s, d) x, leading axes alike, as a pair's relation map
-    meets the entity rows of both its triples. ``out`` takes the result."""
-    if (maps.ndim < 2 or x.ndim != maps.ndim or maps.shape[:-2] != x.shape[:-2]
-            or maps.shape[-1] != x.shape[-1]):
-        raise ShapeError(f"matvec: {maps.shape} x {x.shape}")
-    return np.matmul(x, maps.swapaxes(-1, -2), out=out)
+    return (x @ t.reshape(-1, t.shape[-1]).T).reshape(len(x), *t.shape[:-1])
 
 
 # ids are range-checked before any table is indexed, so np.take's "clip"
@@ -185,25 +171,28 @@ def _t(a: np.ndarray) -> np.ndarray:
 
 
 class Workspace:
-    """Every array one SGD step writes and every view it reads, for batches
-    of m pairs of one model (E (n, d), params (P,)) or of a stack of K
-    (E (K, n, d), params (K, P)). ``_forward`` and ``backward`` write into
-    it through ``out=``, so a step allocates nothing of its own size. The
-    views stay valid while E and the parameter buffer are updated in place;
-    rebuild the workspace when either is replaced, as a stack that loses a
-    fold is. ``grad``, laid out as ``params``, takes the parameter
-    gradients and ``d_rows``, in the pair layout, the row gradients. Layout
-    by form: u and v, side (u, v), slot (positive, corruption) and pair,
-    linear (2, 2, m, p), bilinear (m, 2, 2, p), the pair's maps (m, 2, p, d)
-    by side; a stack adds a leading K to each. A stack of one runs as one
-    model, without that axis: the products then see the operands one model
-    gives them, and batched matmuls over one matrix cost more than plain
-    ones. ``rows_in``, ``losses_out`` and ``active_out`` view the arrays the
-    caller's ids, losses and mask share, with the caller's leading axes."""
+    """The state one SGD step reads and updates, for batches of m pairs of
+    one model (E (n, d), params (P,)) or of a stack of K (E (K, n, d),
+    params (K, P)): ``E`` and ``param_buf``, the caller's arrays, which the
+    step updates in place, every array it writes and every view it reads.
+    ``_forward`` and ``backward`` write into it through ``out=``, so a step
+    allocates nothing of its own size. The workspace lives as long as E
+    and the parameter buffer: rebuild it when either is replaced, as a
+    stack that loses a fold is. ``grad``, laid out as ``params``, takes the
+    parameter gradients and ``d_rows``, in the pair layout, the row
+    gradients. Layout by form: u and v, side (u, v), slot (positive,
+    corruption) and pair, linear (2, 2, m, p), bilinear (m, 2, 2, p), the
+    pair's maps (m, 2, p, d) by side; a stack adds a leading K to each. A
+    stack of one runs as one model, without that axis: the products then
+    see the operands one model gives them, and batched matmuls over one
+    matrix cost more than plain ones. ``rows_in``, ``losses_out`` and
+    ``active_out`` view the arrays the caller's ids, losses and mask share,
+    with the caller's leading axes."""
 
     def __init__(self, E: np.ndarray, params: Params, m: int):
         outer, d, p = E.shape[:-2], E.shape[-1], params.p
         lead = () if outer == (1,) else outer
+        self.E, self.param_buf = E, params.buf
         self.params = params if lead == outer else params[0]
         self.flat = E.reshape(-1, d)   # a stack's rows, all in one table
         self.grad = params.empty_like()
@@ -306,7 +295,7 @@ def _forward(ws: Workspace, ids: np.ndarray) -> np.ndarray:
     else:
         # maps[n, side] is the (p, d) matrix the relation embedding er[n] selects
         np.matmul(ws.er, ws.w_flatT, out=ws.maps_flat)
-        matvec(ws.maps, ws.pairs, out=ws.uv)
+        np.matmul(ws.pairs, ws.mapsT, out=ws.uv)
         ws.uv += ws.b
         np.multiply(ws.uv[..., 0, :, :], ws.uv[..., 1, :, :], out=ws.prod)
     np.sum(ws.prod, axis=-1, out=ws.e_sums)
@@ -353,7 +342,7 @@ def backward(ws: Workspace, w: np.ndarray) -> None:
     np.matmul(ws.g_uvT, ws.pairs, out=ws.a_outer)
     np.matmul(ws.aT, ws.er, out=ws.g_w_flat)
     np.matmul(ws.a, ws.w_flat, out=ws.d_er)
-    matvec(ws.mapsT, ws.g_uv, out=ws.d_pairs)
+    np.matmul(ws.g_uv, ws.maps, out=ws.d_pairs)
 
 
 def _one(t: Triple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -19,10 +19,12 @@ fold's m pairs in the kernel's pair layout (the lhs of the positives and of
 their corruptions, the rhs of both, then the relation they share), with
 the mask of the pairs that count, so the step only slices them. A batch
 size above the stack's largest training set is cut to it for the run:
-wider batches would only add padding. Every step of an epoch runs through
-one ``model.Workspace``, rebuilt per epoch because the stack can shrink
-between epochs, and writes its pairs' losses into one epoch buffer that is
-summed once, in the order a running total would add them.
+wider batches would only add padding. The step reads and updates the
+stack's embeddings and parameter buffer only through one
+``model.Workspace``, which lives as long as the stack: ``train_folds``
+builds it with the stack and again only when a fold leaves. Each epoch's
+steps write their pairs' losses into one buffer that is summed once, in
+the order a running total would add them.
 """
 
 from __future__ import annotations
@@ -97,15 +99,15 @@ def ranking_loss(e_pos, e_neg, margin: float, out: np.ndarray | None = None):
 def corrupt(t: Triple, mode: str, rng: np.random.Generator,
             entity_ids: np.ndarray) -> Triple:
     """Replace one entity slot of t with a different, uniformly drawn entity."""
-    lhs, rel, rhs = _corrupt_batch(np.array([t.lhs]), np.array([t.rel]),
-                                   np.array([t.rhs]), mode, rng, np.asarray(entity_ids))
-    return Triple(int(lhs[0]), int(rel[0]), int(rhs[0]))
+    lhs, rhs = _corrupt_batch(np.array([t.lhs]), np.array([t.rhs]), mode, rng,
+                              np.asarray(entity_ids))
+    return Triple(int(lhs[0]), t.rel, int(rhs[0]))
 
 
-def _corrupt_batch(lhs, rel, rhs, mode, rng, entity_ids):
-    """One corrupted copy per input triple: the lhs or rhs slot (per ``mode``;
-    a fair coin per triple for "both") replaced by a different, uniformly
-    drawn entity."""
+def _corrupt_batch(lhs, rhs, mode, rng, entity_ids):
+    """The lhs and rhs of one corrupted copy per input triple, whose
+    relation it keeps: the lhs or rhs slot (per ``mode``; a fair coin per
+    triple for "both") replaced by a different, uniformly drawn entity."""
     if mode not in CORRUPTION_MODES:
         raise ConfigError(f"corruption_mode must be one of {CORRUPTION_MODES}")
     if len(entity_ids) < 2:
@@ -125,7 +127,7 @@ def _corrupt_batch(lhs, rel, rhs, mode, rng, entity_ids):
         clash = draws == original
     c_lhs = np.where(take_lhs, draws, lhs)
     c_rhs = np.where(take_lhs, rhs, draws)
-    return c_lhs, rel.copy(), c_rhs
+    return c_lhs, c_rhs
 
 
 def sgd_step(batch: list[tuple[Triple, Triple]], emb: EmbeddingTable,
@@ -139,28 +141,25 @@ def sgd_step(batch: list[tuple[Triple, Triple]], emb: EmbeddingTable,
     ids = np.array([(pos.lhs, neg.lhs, pos.rhs, neg.rhs, pos.rel) for pos, neg in batch],
                    dtype=np.int64).T   # the kernel's pair layout
     _check_ids(ids, emb.n)
-    return float(_sgd_step_arrays(np.ones(len(batch), dtype=bool), ids, emb, params,
-                                  config).mean())
+    ws = Workspace(emb.vectors, params, len(batch))
+    return float(_sgd_step_arrays(np.ones(len(batch), dtype=bool), ids, ws, config).mean())
 
 
-def _sgd_step_arrays(counted: np.ndarray, ids: np.ndarray, emb: EmbeddingTable,
-                     params: Params, config: TrainConfig,
-                     ws: Workspace | None = None) -> np.ndarray:
-    """One mini-batch update; returns each pair's ranking loss before it.
+def _sgd_step_arrays(counted: np.ndarray, ids: np.ndarray, ws: Workspace,
+                     config: TrainConfig) -> np.ndarray:
+    """One mini-batch update of the embeddings and parameter buffer that
+    ``ws``, a workspace for m pairs, holds; returns each pair's ranking
+    loss before it.
 
-    ``ids`` (5, m), range-checked by the caller, are rows of ``emb.vectors``
-    in the kernel's pair layout (see ``sme.model``). A stack of K models
-    takes (K, 5, m) rows of the flat (K * n, d) view and a (K, m)
-    ``counted``, which marks the pairs that count; the others pad a fold's
-    short or spent batch. A counted pair with positive loss weighs +1 on its
+    ``ids`` (5, m), range-checked by the caller, are rows of ``ws.E`` in
+    the kernel's pair layout (see ``sme.model``). A stack of K models takes
+    (K, 5, m) rows of the flat (K * n, d) view and a (K, m) ``counted``,
+    which marks the pairs that count; the others pad a fold's short or
+    spent batch. A counted pair with positive loss weighs +1 on its
     positive and -1 on its corruption; every other pair weighs 0 and changes
-    nothing. ``ws``, the workspace of ``emb.vectors`` and ``params`` for m
-    pairs, holds every array the step writes; without it the step builds
-    its own. The losses returned are the workspace's, overwritten by the
+    nothing. The losses returned are the workspace's, overwritten by the
     next step.
     """
-    if ws is None:
-        ws = Workspace(emb.vectors, params, ids.shape[-1])
     energies = _forward(ws, ids)
     losses = ranking_loss(energies[..., 0, :], energies[..., 1, :], config.margin, ws.losses)
     if not np.isfinite(losses, out=ws.finite).all():
@@ -181,13 +180,13 @@ def _sgd_step_arrays(counted: np.ndarray, ids: np.ndarray, emb: EmbeddingTable,
     # flat view of the embeddings; bincount adds in input order, as np.add.at
     # does, at a fraction of its per-element cost
     at = np.take(ws.elements, ids, out=ws.at, **_TAKE)
-    g_emb = np.bincount(at.ravel(), weights=ws.d_rows.ravel(), minlength=emb.vectors.size)
+    g_emb = np.bincount(at.ravel(), weights=ws.d_rows.ravel(), minlength=ws.E.size)
     if not np.isfinite(g_emb, out=ws.emb_finite).all():
         raise NumericalError("non-finite embedding gradient; training aborted")
     grad *= config.learning_rate
-    params.buf -= grad
+    ws.param_buf -= grad
     g_emb *= config.learning_rate
-    emb.vectors -= g_emb.reshape(emb.vectors.shape)
+    ws.E -= g_emb.reshape(ws.E.shape)
     return ws.losses_out
 
 
@@ -234,6 +233,7 @@ def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionar
     emb = EmbeddingTable(np.stack([vectors for vectors, _ in inits]))
     emb.normalize_rows()
     params = inits[0][1].from_buffer(np.stack([p.buf for _, p in inits]), dim_p, dim_d)
+    ws = Workspace(emb.vectors, params, config.batch_size)
 
     # every snapshot shares one copy of the symbol table, which nothing mutates
     symbols, relation_ids = list(d.symbols), frozenset(d.relation_ids)
@@ -246,7 +246,7 @@ def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionar
         for epoch in range(config.epochs_max):
             t0 = time.perf_counter()
             mean_loss = _sgd_epoch([positives[f] for f in folds], [rngs[f] for f in folds],
-                                   emb, params, config, entity_ids)
+                                   ws, config, entity_ids)
             emb.normalize_rows()
             share = (time.perf_counter() - t0) / len(folds)
             keep = []
@@ -278,6 +278,7 @@ def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionar
                 emb.vectors = emb.vectors[keep]
                 params = params[keep]
                 folds = [folds[row] for row in keep]
+                ws = Workspace(emb.vectors, params, config.batch_size)
         else:
             for f in folds:
                 traces[f].stop_reason = "epochs_max"
@@ -285,11 +286,11 @@ def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionar
 
 
 def _sgd_epoch(positives: list[TripleSet], rngs: list[np.random.Generator],
-               emb: EmbeddingTable, params: Params, config: TrainConfig,
-               entity_ids: np.ndarray) -> np.ndarray:
-    """One epoch of every fold in the stack; row r of the stack trains on
-    ``positives[r]`` with ``rngs[r]``. Returns each fold's mean loss."""
-    k, n = len(positives), emb.n
+               ws: Workspace, config: TrainConfig, entity_ids: np.ndarray) -> np.ndarray:
+    """One epoch of every fold in the stack whose workspace is ``ws``; row r
+    of the stack trains on ``positives[r]`` with ``rngs[r]``. Returns each
+    fold's mean loss."""
+    k, n = len(positives), ws.E.shape[-2]
     counts, size = np.array([len(pos) for pos in positives]), config.batch_size
     n_batches = -(-counts.max() // size)
     cols = np.arange(n_batches * size)
@@ -299,17 +300,16 @@ def _sgd_epoch(positives: list[TripleSet], rngs: list[np.random.Generator],
     for row, (pos, rng) in enumerate(zip(positives, rngs)):
         perm = rng.permutation(len(pos))
         lhs, rel, rhs = pos.lhs[perm], pos.rel[perm], pos.rhs[perm]
-        c_lhs, _, c_rhs = _corrupt_batch(lhs, rel, rhs, config.corruption_mode, rng, entity_ids)
+        c_lhs, c_rhs = _corrupt_batch(lhs, rhs, config.corruption_mode, rng, entity_ids)
         at = np.minimum(cols, len(pos) - 1).reshape(n_batches, size)
         for slot, a in enumerate((lhs, c_lhs, rhs, c_rhs, rel)):
             ids[:, row, slot] = a[at]
     _check_ids(ids, n)
     ids += n * np.arange(k)[:, None, None]   # rows of the flat (K * n, d) view
     counted = (cols < counts[:, None]).reshape(k, n_batches, size).swapaxes(0, 1)
-    ws = Workspace(emb.vectors, params, size)
     losses = np.empty((n_batches, k, size))
     for b, (mask, batch) in enumerate(zip(counted, ids)):
-        losses[b] = _sgd_step_arrays(mask, batch, emb, params, config, ws)
+        losses[b] = _sgd_step_arrays(mask, batch, ws, config)
     # each batch's sum per fold, then the batches' sums one after another,
     # the order a running total adds them in
     sums = np.where(counted, losses, 0.0).sum(axis=-1)

@@ -209,10 +209,9 @@ class TestCanonicalSmoke:
         rng = np.random.default_rng(0)
         take = rng.choice(len(pos), size=200, replace=False)
         lhs, rel, rhs = pos.lhs[take], pos.rel[take], pos.rhs[take]
-        c_lhs, c_rel, c_rhs = _corrupt_batch(lhs, rel, rhs, "both", rng,
-                                             d.entity_id_array())
+        c_lhs, c_rhs = _corrupt_batch(lhs, rhs, "both", rng, d.entity_id_array())
         s_pos = -energies_batch(model.emb, model.params, lhs, rel, rhs)
-        s_neg = -energies_batch(model.emb, model.params, c_lhs, c_rel, c_rhs)
+        s_neg = -energies_batch(model.emb, model.params, c_lhs, rel, c_rhs)
         assert (s_pos > s_neg).mean() >= 0.90
 
 

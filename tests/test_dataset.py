@@ -250,6 +250,24 @@ class TestMakeFolds:
         with pytest.raises(ConfigError):
             make_folds(ts, 4, seed=0)
 
+    @pytest.mark.parametrize("n, k, seed", [(10, 3, 0), (103, 10, 1), (7, 7, 4), (2, 2, 9)])
+    def test_permutation_cut_into_folds_in_order(self, n, k, seed):
+        # perm is the seed's own PCG64 permutation: fold i takes the next
+        # records of it, n // k of them plus one for each of the first n % k
+        ts = TripleSet(np.arange(n), np.zeros(n, dtype=np.int64),
+                       np.arange(n), np.ones(n, dtype=np.int64))
+        perm = np.random.Generator(np.random.PCG64(seed)).permutation(n)
+        want = np.full(n, -1)
+        start = 0
+        for i in range(k):
+            size = n // k + (i < n % k)
+            want[perm[start:start + size]] = i
+            start += size
+        assert start == n and (want >= 0).all()
+        assignment = make_folds(ts, k, seed).assignment
+        assert assignment.dtype == np.int64
+        assert assignment.tolist() == want.tolist()
+
     def test_fold_arithmetic_large(self):
         # 893,025 = 10 * 89,302 + 5
         sizes = [89302 + (1 if i < 5 else 0) for i in range(10)]

@@ -1,61 +1,67 @@
-"""The two tensor contractions the bilinear kernel is built from:
-``mode3_contract`` (one relation map per pair) and ``matvec`` (that map
-applied to each of the pair's vectors), checked against the loop oracles."""
+"""The two tensor contractions the bilinear kernel is built from: the
+relation maps ``W x3 e_r`` (``mode3_contract``; the kernel's ``ws.maps``)
+and those maps applied to each of a pair's entity rows (the kernel's
+``ws.uv``), checked against the loop oracles. The kernel's values are read
+from the workspace ``forward`` leaves, whose zero biases add nothing."""
 
 import numpy as np
 import pytest
 
 from sme.errors import ShapeError
-from sme.model import matvec, mode3_contract
+from sme.model import BilinearParams, forward, mode3_contract
 
 from oracles import matvec_loop, mode3_loop
 
 
+def kernel(w_l, w_r, E, lhs, rel, rhs):
+    """The workspace of a bilinear ``forward`` of the triples (lhs[n],
+    rel[n], rhs[n]) over the rows of E: ``ws.maps[n, side]`` is the (p, d)
+    map of rel[n] on the left (0) or right (1) side, ``ws.uv[n, side, slot]``
+    that map applied to the lhs (side 0) or rhs (side 1) row, once per slot."""
+    p = w_l.shape[0]
+    params = BilinearParams(w_l, w_r, np.zeros(p), np.zeros(p))
+    _, ws = forward(np.asarray(E, dtype=float), params, *map(np.array, (lhs, rel, rhs)))
+    return ws
+
+
 class TestMatvec:
     def test_identity(self):
-        got = matvec(np.eye(2)[None], np.array([[[3.0, 4.0], [-1.0, 2.0]]]))
-        assert np.array_equal(got, [[[3.0, 4.0], [-1.0, 2.0]]])
+        # relation row e_0 selects w[:, :, 0], the identity, on both sides
+        w = np.stack([np.eye(2), np.ones((2, 2))], axis=-1)
+        E = [[3.0, 4.0], [-1.0, 2.0], [1.0, 0.0]]
+        ws = kernel(w, w, E, [0], [2], [1])
+        assert np.array_equal(ws.maps[0], [np.eye(2), np.eye(2)])
+        assert np.array_equal(ws.uv[0], [[[3.0, 4.0]] * 2, [[-1.0, 2.0]] * 2])
 
     def test_zero_matrix(self):
-        got = matvec(np.zeros((1, 2, 3)), np.array([[[1.0, -2.0, 5.0]]]))
-        assert np.array_equal(got, [[[0.0, 0.0]]])
+        w = np.zeros((2, 3, 3))
+        ws = kernel(w, w, [[1.0, -2.0, 5.0], [0.5, 1.0, 0.0], [1.0, 1.0, 1.0]], [0], [2], [1])
+        assert np.array_equal(ws.maps, np.zeros((1, 2, 2, 3)))
+        assert np.array_equal(ws.uv, np.zeros((1, 2, 2, 2)))
 
     def test_hand_computed(self):
+        # relation row e_0 maps the left side by m and the right by m.T
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        maps = np.stack([m, m.T])
-        x = np.array([[[1.0, 1.0], [0.0, 1.0]], [[1.0, -1.0], [2.0, 0.0]]])
-        got = matvec(maps, x)
-        assert np.allclose(got, [[[3.0, 7.0], [2.0, 4.0]], [[-2.0, -2.0], [2.0, 4.0]]],
-                           atol=1e-12)
-        for n in range(2):
-            for j in range(2):
-                assert np.allclose(got[n, j], matvec_loop(maps[n], x[n, j]), atol=1e-12)
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            matvec(np.eye(2)[None], np.array([[1.0, 2.0, 3.0]]))
-        with pytest.raises(ShapeError):
-            matvec(np.stack([np.eye(2)] * 2), np.array([[1.0, 2.0]]))
-        with pytest.raises(ShapeError):   # one vector stack short of a matrix each
-            matvec(np.stack([np.eye(2)] * 2), np.ones((1, 2, 2)))
-
-    def test_out_takes_the_result(self):
-        rng = np.random.default_rng(5)
-        maps = rng.uniform(-1, 1, size=(3, 4, 5))
-        x = rng.uniform(-1, 1, size=(3, 2, 5))
-        out = np.empty((3, 2, 4))
-        matvec(maps, x, out=out)
-        assert np.array_equal(out, matvec(maps, x))
+        w_l = np.stack([m, np.zeros((2, 2))], axis=-1)
+        w_r = np.stack([m.T, np.zeros((2, 2))], axis=-1)
+        E = [[1.0, 1.0], [0.0, 1.0], [1.0, -1.0], [2.0, 0.0], [1.0, 0.0]]
+        ws = kernel(w_l, w_r, E, [0, 2], [4, 4], [1, 3])
+        want = [[[3.0, 7.0], [3.0, 4.0]], [[-1.0, -1.0], [2.0, 4.0]]]   # pair, side
+        assert np.allclose(ws.uv, np.array(want)[:, :, None, :], atol=1e-12)
+        x = np.array(E)
+        for n, (l, r) in enumerate([(0, 1), (2, 3)]):
+            for side, (maps, row) in enumerate([(m, x[l]), (m.T, x[r])]):
+                for slot in range(2):
+                    assert np.allclose(ws.uv[n, side, slot], matvec_loop(maps, row), atol=1e-12)
 
     def test_distributes_over_addition(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            maps = rng.uniform(-1, 1, size=(3, 4, 5))
-            u = rng.uniform(-1, 1, size=(3, 2, 5))
-            v = rng.uniform(-1, 1, size=(3, 2, 5))
-            lhs = matvec(maps, u + v)
-            rhs = matvec(maps, u) + matvec(maps, v)
-            assert np.allclose(lhs, rhs, atol=1e-10)
+            w_l, w_r = rng.uniform(-1, 1, size=(2, 4, 5, 5))
+            u, v, r = rng.uniform(-1, 1, size=(3, 5))
+            ws = kernel(w_l, w_r, [u, v, u + v, r], [0, 1, 2], [3, 3, 3], [1, 2, 0])
+            assert np.allclose(ws.uv[2, 0], ws.uv[0, 0] + ws.uv[1, 0], atol=1e-10)
+            assert np.allclose(ws.uv[1, 1], ws.uv[0, 1] + ws.uv[2, 1], atol=1e-10)
 
 
 class TestMode3Contract:
@@ -99,13 +105,14 @@ class TestMode3Contract:
 def test_random_against_loop_oracles():
     rng = np.random.default_rng(42)
     for _ in range(10):
-        t = rng.uniform(-1, 1, size=(3, 6, 4))
-        r = rng.uniform(-1, 1, size=(5, 4))
-        x = rng.uniform(-1, 1, size=(5, 2, 6))
-        maps = mode3_contract(t, r)
-        got = matvec(maps, x)
+        w = rng.uniform(-1, 1, size=(2, 3, 4, 4))   # left, right: (p, d, d)
+        E = rng.uniform(-1, 1, size=(8, 4))
+        lhs, rhs = rng.integers(0, 6, size=(2, 5))
+        rel = rng.integers(6, 8, size=5)
+        ws = kernel(*w, E, lhs, rel, rhs)
         for n in range(5):
-            want = mode3_loop(t, r[n])
-            assert np.allclose(maps[n], want, atol=1e-12)
-            for j in range(2):
-                assert np.allclose(got[n, j], matvec_loop(want, x[n, j]), atol=1e-12)
+            for side, row in enumerate((E[lhs[n]], E[rhs[n]])):
+                want = mode3_loop(w[side], E[rel[n]])
+                assert np.allclose(ws.maps[n, side], want, atol=1e-12)
+                for slot in range(2):
+                    assert np.allclose(ws.uv[n, side, slot], matvec_loop(want, row), atol=1e-12)

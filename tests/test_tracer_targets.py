@@ -38,4 +38,5 @@ def test_no_metric_beyond_the_known_ones_is_absent():
 
 def test_sgd_step_span_counts_its_first_argument():
     # the span's size is len(args[0]) of _sgd_step_arrays: the counted mask
-    assert next(iter(inspect.signature(trainer._sgd_step_arrays).parameters)) == "counted"
+    assert tuple(inspect.signature(trainer._sgd_step_arrays).parameters) == (
+        "counted", "ids", "ws", "config")

@@ -62,16 +62,16 @@ class TestCorrupt:
         with pytest.raises(ConfigError, match="corruption_mode"):
             corrupt(Triple(0, 10, 1), "middle", rng, ids)
         with pytest.raises(ConfigError, match="corruption_mode"):
-            _corrupt_batch(ids, ids + 10, ids, "middle", rng, ids)
+            _corrupt_batch(ids, ids, "middle", rng, ids)
 
     def test_wrapper_draws_like_a_batch_of_one(self):
         entities = np.arange(6)
         rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
         for t in [Triple(0, 10, 1), Triple(5, 11, 5), Triple(2, 10, 3)] * 5:
             c = corrupt(t, "both", rng_a, entities)
-            lhs, rel, rhs = _corrupt_batch(np.array([t.lhs]), np.array([t.rel]),
-                                           np.array([t.rhs]), "both", rng_b, entities)
-            assert c == Triple(int(lhs[0]), int(rel[0]), int(rhs[0]))
+            lhs, rhs = _corrupt_batch(np.array([t.lhs]), np.array([t.rhs]), "both", rng_b,
+                                      entities)
+            assert c == Triple(int(lhs[0]), t.rel, int(rhs[0]))
 
 
 class TestRankingLoss:
@@ -179,7 +179,8 @@ class TestSgdStep:
         before = [a.copy() for a in targets]
         pair_ids = np.stack((pos[:, 0], neg[:, 0], pos[:, 2], neg[:, 2], pos[:, 1]))
         _sgd_step_arrays(np.ones(len(pos), dtype=bool), pair_ids,
-                         emb, params, TrainConfig(learning_rate=1.0, margin=margin))
+                         Workspace(emb.vectors, params, len(pos)),
+                         TrainConfig(learning_rate=1.0, margin=margin))
         for i, (a, b, fd) in enumerate(zip(targets, before, expect)):
             analytic = b - a   # learning rate 1: the step is the gradient
             denom = np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1e-5)
@@ -267,7 +268,8 @@ class TestSgdStep:
         params = states[0][1].from_buffer(np.stack([p.buf for _, p in states]), 2, 3)
         ids = np.stack((pos[..., 0], neg[..., 0], pos[..., 2], neg[..., 2], pos[..., 1]),
                        axis=1) + n * np.arange(k)[:, None, None]
-        _sgd_step_arrays(counted, ids, emb, params, TrainConfig(learning_rate=1.0, margin=margin))
+        _sgd_step_arrays(counted, ids, Workspace(emb.vectors, params, 8),
+                         TrainConfig(learning_rate=1.0, margin=margin))
         for f in range(k):
             assert np.abs(params.buf[f] - want_params[f]).max() <= 1e-12, (form, f)
             assert np.abs(emb.vectors[f] - want_emb[f]).max() <= 1e-12, (form, f)
@@ -316,15 +318,16 @@ class TestWorkspace:
         before = (emb.vectors.copy(), params.buf.copy())
         priors = [(np.zeros((k, m), dtype=bool), "all inactive"), (~mask, "another mask")]
         for prior, label in priors:
-            _sgd_step_arrays(prior, batch(), emb, params, wide, ws)
+            _sgd_step_arrays(prior, batch(), ws, wide)
             if label == "all inactive":
                 assert np.array_equal(emb.vectors, before[0]), label
                 assert np.array_equal(params.buf, before[1]), label
             ids = batch()
             fresh_emb, fresh_params = EmbeddingTable(emb.vectors.copy()), params.copy()
-            want = _sgd_step_arrays(mask, ids, fresh_emb, fresh_params, narrow).copy()
+            fresh = Workspace(fresh_emb.vectors, fresh_params, m)
+            want = _sgd_step_arrays(mask, ids, fresh, narrow).copy()
             assert (want[mask] > 0).any() and (want[mask] == 0).any(), label
-            got = _sgd_step_arrays(mask, ids, emb, params, narrow, ws)
+            got = _sgd_step_arrays(mask, ids, ws, narrow)
             assert got.tobytes() == want.tobytes(), label
             assert emb.vectors.tobytes() == fresh_emb.vectors.tobytes(), label
             assert params.buf.tobytes() == fresh_params.buf.tobytes(), label
@@ -354,6 +357,34 @@ class TestWorkspace:
             counted = np.stack(calls[epoch * n_batches:(epoch + 1) * n_batches])
             assert counted.dtype == bool and counted.shape == (n_batches, 2, 8)
             assert counted.sum(axis=(0, 2)).tolist() == list(map(len, positives))
+
+    def test_one_workspace_per_stack(self, tmp_path, monkeypatch):
+        # train_folds builds the stack's workspace once and again only at
+        # the end of an epoch at which a fold stopped and others go on
+        d, ts = load_triples(write_triples(tmp_path / "toy.tsv", two_group_records()))
+        split = make_folds(ts, 10, seed=0)
+        folds = [split.fold_sets(f) for f in range(10)]
+        built = []
+        workspace = trainer.Workspace
+
+        def counting(E, params, m):
+            built.append(len(E))
+            return workspace(E, params, m)
+
+        monkeypatch.setattr(trainer, "Workspace", counting)
+        config = TrainConfig(epochs_max=6, patience=2, batch_size=8, learning_rate=0.05)
+        traces = [trace for _, trace in train_folds(
+            [positives_of(train_ts) for train_ts, _, _ in folds],
+            [valid_ts for _, valid_ts, _ in folds], d, BILINEAR, 4, 4, config,
+            [100 + f for f in range(10)])]
+        # the folds left in the stack after epoch e: those that ran past it,
+        # and those epochs_max stopped at it; then the sizes at which it shrank
+        runs = [len(t.epochs) for t in traces]
+        sizes = [sum(r > e + 1 or (r == e + 1 and t.stop_reason == "epochs_max")
+                     for r, t in zip(runs, traces)) for e in range(max(runs))]
+        shrunk = [k for k, before in zip(sizes, [10] + sizes) if 0 < k < before]
+        assert len(shrunk) >= 2 and len(shrunk) + 1 < max(runs)
+        assert built == [10] + shrunk
 
 
 @pytest.fixture
@@ -584,10 +615,10 @@ class TestStackedFolds:
         emb.normalize_rows()
         params = init_params(LINEAR, 4, 4, rng)
         perm = rng.permutation(len(pos))
-        ids = pos.lhs[perm], pos.rel[perm], pos.rhs[perm]
-        neg = _corrupt_batch(*ids, "both", rng, d.entity_id_array())
-        hinge = np.maximum(0.0, config.margin + energies_batch(emb, params, *ids)
-                           - energies_batch(emb, params, *neg))
+        lhs, rel, rhs = pos.lhs[perm], pos.rel[perm], pos.rhs[perm]
+        c_lhs, c_rhs = _corrupt_batch(lhs, rhs, "both", rng, d.entity_id_array())
+        hinge = np.maximum(0.0, config.margin + energies_batch(emb, params, lhs, rel, rhs)
+                           - energies_batch(emb, params, c_lhs, rel, c_rhs))
         assert trace.epochs[0].loss == pytest.approx(hinge.mean(), rel=1e-12)
 
     def test_summary(self, toy_split):
