@@ -96,14 +96,21 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
+def _out_paths(args) -> list[str]:
+    """The files a ``train`` or ``eval`` command writes."""
+    return [args.out] if args.command == "train" else [f"{args.out}.json", f"{args.out}.txt"]
+
+
 def _training_setup(args):
     """What ``train`` and ``eval`` start from: the manifest, the dictionary,
     the fold split and the TrainConfig. The fold count and the seed come
-    from the flag, else the manifest. A missing output directory is found
-    before the dataset is read."""
-    out_dir = Path(args.out).parent
-    if not out_dir.is_dir():
-        raise FileNotFoundError(f"output directory not found: {out_dir}")
+    from the flag, else the manifest. A missing output directory, or an
+    output path that is a directory, is found before the dataset is read."""
+    for path in map(Path, _out_paths(args)):
+        if not path.parent.is_dir():
+            raise FileNotFoundError(f"output directory not found: {path.parent}")
+        if path.is_dir():
+            raise IsADirectoryError(f"output path is a directory: {path}")
     manifest, d, ts = _load_dataset_arg(args.dataset)
     folds = manifest.folds if args.folds is None else args.folds
     seed = manifest.seed if args.seed is None else args.seed
@@ -128,8 +135,7 @@ def cmd_eval(args) -> int:
     manifest, d, split, config = _training_setup(args)
     report = evaluator.cross_validate(d, split, args.form, args.dim_d, args.dim_p,
                                       config, dataset_name=manifest.name, jobs=args.jobs)
-    json_path = f"{args.out}.json"
-    text_path = f"{args.out}.txt"
+    json_path, text_path = _out_paths(args)
     report.save(json_path, text_path)
     print(f"dataset={manifest.name} form={args.form} mean={report.mean:.6f} "
           f"std={report.std:.6f} wrote={json_path},{text_path}")

@@ -20,9 +20,10 @@ which the two sides run together and a relation row, its maps and its
 weight products are computed once per pair; a stacked model's products
 see the operands a single model would give them. Validation, test and
 bulk scoring use ``energies_batch``: for a fixed relation each form is an
-affine map of the entity embedding, so every symbol row is projected once
-per relation present in the call and each record is scored by gathers
-from those tables.
+affine map of the entity embedding on each side, read from the same
+by-side views of the parameters as the kernel's, so every symbol row is
+projected once per relation present in the call, both sides into one
+table, and each record is scored by two gathers from it.
 """
 
 from __future__ import annotations
@@ -146,14 +147,6 @@ def init_params(form: str, d: int, p: int, rng: np.random.Generator) -> Params:
     scale, cls = 1.0 / np.sqrt(d), PARAMS[form]
     return cls(*(rng.uniform(-scale, scale, size=s) if len(s) > 1 else np.zeros(s)
                  for s in cls.shapes(p, d)))
-
-
-def mode3_contract(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Contract a (p, d, k) tensor with every row of an (m, k) matrix along
-    mode 3, in one GEMM: out[n, i, j] = sum_k t[i, j, k] * x[n, k]."""
-    if t.ndim != 3 or x.ndim != 2 or t.shape[-1] != x.shape[-1]:
-        raise ShapeError(f"mode3_contract: {t.shape} x {x.shape}")
-    return (x @ t.reshape(-1, t.shape[-1]).T).reshape(len(x), *t.shape[:-1])
 
 
 # ids are range-checked before any table is indexed, so np.take's "clip"
@@ -384,11 +377,11 @@ class Model:
         return self.params.p
 
 
-# Bytes the projection tables of one ``energies_batch`` call may take; a call
-# whose relations need more builds them one block of relations at a time. A
-# block holds at least one relation, 2 * n * p * 8 B, which is 2p/d times the
-# embedding matrix. UMLS-shaped tables take 49 * 184 * 10 * 8 B, about
-# 0.7 MB, per side.
+# Bytes the tables of one ``energies_batch`` call may take; a call whose
+# relations need more builds them one block of relations at a time. A block
+# holds at least one relation, both sides' tables 2 * n * p * 8 B, which is
+# 2p/d times the embedding matrix. UMLS-shaped tables take
+# 49 * 2 * 184 * 10 * 8 B, about 1.4 MB.
 _TABLE_BYTES = 16 << 20
 # Records per gather step: their u and v blocks (8192 * p * 8 B each) stay
 # in cache for the one row contraction that scores them.
@@ -397,90 +390,83 @@ _STEP = 8192
 
 def energies_batch(emb: EmbeddingTable, params: Params,
                    lhs: np.ndarray, rel: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Energies for parallel id arrays, from projection tables built once per call.
+    """Energies for parallel id arrays, from tables built once per call.
 
     For a fixed relation r both forms are affine maps of the entity
-    embedding, ``u = maps_l[r] @ e_lhs + off_l[r]`` and ``v`` alike (see
-    ``_relation_maps``), so u depends only on the (lhs, rel) pair and v only
-    on the (rhs, rel) pair. The maps of the relations present in the call
-    are applied to every symbol row, ``Tl[r, s] = maps_l[r] @ E[s] + off_l[r]``
-    (``Tr`` alike), one block of relations at a time within ``_TABLE_BYTES``,
-    and each record is two row gathers and a dot product. The SGD step calls
+    embedding, side by side: ``u = maps[r, 0] @ e_lhs + off[r, 0]`` and
+    ``v = maps[r, 1] @ e_rhs + off[r, 1]`` (see ``_relation_maps``), so u
+    depends only on the (lhs, rel) pair and v only on the (rhs, rel) pair.
+    The maps of the relations present in the call are applied to every
+    symbol row, ``T[r, side, s] = maps[r, side] @ E[s] + off[r, side]``, one
+    block of relations at a time within ``_TABLE_BYTES``, and each record is
+    two row gathers and a dot product. The SGD step calls
     ``_forward``/``backward`` instead: for its 32-pair batches the tables
     would cost more than the per-pair maps.
     """
     E = emb.vectors
     lhs, rel, rhs = np.asarray(lhs), np.asarray(rel), np.asarray(rhs)
-    n, p = E.shape[0], params.p
+    n = E.shape[0]
     for ids in (lhs, rel, rhs):
         _check_ids(ids, n)
+    if not len(lhs):   # all an empty table passes; it has no block size
+        return np.empty(0)
     present = np.zeros(n, dtype=bool)
     present[rel] = True
     slot = (np.cumsum(present) - 1)[rel]   # rank of each record's relation
-    maps_l, off_l, maps_r, off_r = _relation_maps(params, E, np.flatnonzero(present))
-    block = max(1, _TABLE_BYTES // (2 * n * p * 8))
+    maps, offsets = _relation_maps(params, E, np.flatnonzero(present))
+    block = max(1, _TABLE_BYTES // (2 * n * params.p * 8))
     out = np.empty(len(lhs))
-    for first in range(0, len(maps_l), block):
-        rows = (slice(None) if block >= len(maps_l)     # one block: every record
+    for first in range(0, len(maps), block):
+        rows = (slice(None) if block >= len(maps)     # one block: every record
                 else np.flatnonzero((slot >= first) & (slot < first + block)))
         blk = slice(first, first + block)
-        out[rows] = _gather_dot(_project(E, maps_l[blk], off_l[blk]),
-                                _project(E, maps_r[blk], off_r[blk]),
-                                n, slot[rows] - first, lhs[rows], rhs[rows])
+        # one GEMM per map, so a relation's rows do not depend on its block
+        t = np.matmul(E, _t(maps[blk]))   # (r, 2, n, p)
+        t += offsets[blk, :, None, :]
+        out[rows] = _gather_dot(t, n, slot[rows] - first, lhs[rows], rhs[rows])
     return np.negative(out, out=out)
 
 
-def _relation_maps(params: Params, E: np.ndarray, rels: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The (k, p, d) maps and (k, p) offsets, left then right, of the k
+def _relation_maps(params: Params, E: np.ndarray,
+                   rels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, 2, p, d) maps and (k, 2, p) offsets, by side, of the k
     relations whose embeddings are the rows ``rels`` of E. Linear: the
     entity-side weights, shared by every relation, and offsets
-    ``W_2 e_r + b``, taken from a projection of every row of E so that they
-    do not depend on how many relations the call holds (numpy multiplies a
-    one-row matrix by a matrix-vector path that may round differently).
-    Bilinear: the maps ``W x3 e_r``, taken from contractions of fixed row
-    blocks of E for the same reason, and the biases."""
-    if isinstance(params, LinearParams):
-        shape = (len(rels), *params.w_l1.shape)
-        off_l = (E @ params.w_l2.T)[rels] + params.b_l
-        off_r = (E @ params.w_r2.T)[rels] + params.b_r
-        return (np.broadcast_to(params.w_l1, shape), off_l,
-                np.broadcast_to(params.w_r1, shape), off_r)
-    shape = (len(rels), params.p)
-    return (_maps_of_rows(params.w_l, E, rels), np.broadcast_to(params.b_l, shape),
-            _maps_of_rows(params.w_r, E, rels), np.broadcast_to(params.b_r, shape))
-
-
-def _maps_of_rows(w: np.ndarray, E: np.ndarray, rels: np.ndarray) -> np.ndarray:
-    """``mode3_contract(w, E)[rels]``. E is contracted in fixed blocks of
-    rows, each within ``_TABLE_BYTES``, so every row's maps come from the
-    same product whichever rows a call asks for."""
-    step = max(1, _TABLE_BYTES // (w.shape[0] * w.shape[1] * 8))
-    out = np.empty((len(rels), *w.shape[:2]))
+    ``W_2 e_r + b``. Bilinear: the maps ``W x3 e_r`` and the biases. The
+    relation products, ``W_2 e_r`` or ``W x3 e_r`` from the (2 * p * d, d)
+    flattening of the weights, are taken from fixed blocks of E's rows, so
+    a relation's come from the same product whichever relations the call
+    holds (numpy multiplies a one-row matrix by a matrix-vector path that
+    may round differently)."""
+    p, d = params.p, params.d
+    linear = isinstance(params, LinearParams)
+    w = params.w_sides[:, 1] if linear else params.w_sides   # linear: relation weights
+    w_flat = w.reshape(-1, d)
+    step = max(1, _TABLE_BYTES // (p * d * 8))
+    rel_part = np.empty((len(rels), len(w_flat)))
     for start in range(0, len(E), step):
         here = (rels >= start) & (rels < start + step)
         if here.any():
-            out[here] = mode3_contract(w, E[start:start + step])[rels[here] - start]
-    return out
+            rel_part[here] = (E[start:start + step] @ w_flat.T)[rels[here] - start]
+    if linear:
+        offsets = rel_part.reshape(-1, 2, p) + params.b_sides
+        return np.broadcast_to(params.w_sides[:, 0], (len(rels), 2, p, d)), offsets
+    return rel_part.reshape(-1, 2, p, d), np.broadcast_to(params.b_sides, (len(rels), 2, p))
 
 
-def _project(E, maps, offsets) -> np.ndarray:
-    """Row ``r * n + s`` holds ``maps[r] @ E[s] + offsets[r]``. One GEMM per
-    map, so a relation's rows do not depend on the block they were built in."""
-    t = np.matmul(E, maps.transpose(0, 2, 1))   # (r, n, p)
-    t += offsets[:, None, :]
-    return t.reshape(-1, maps.shape[1])
-
-
-def _gather_dot(tl, tr, n: int, slot, lhs, rhs) -> np.ndarray:
-    """Dot products of the rows ``slot * n + lhs`` of tl and ``slot * n + rhs``
-    of tr, ``_STEP`` records at a time through two reused work buffers."""
+def _gather_dot(t, n: int, slot, lhs, rhs) -> np.ndarray:
+    """Dot products of u, the row ``2 * slot * n + lhs`` of the (r, 2, n, p)
+    tables t, and v, the row ``(2 * slot + 1) * n + rhs``, ``_STEP`` records
+    at a time through two reused work buffers."""
+    t = t.reshape(-1, t.shape[-1])
+    t_v = t[n:]   # v's rows, counted from the first right-side table's
     m = len(lhs)
     out = np.empty(m)
-    buf_u, buf_v = (np.empty((min(m, _STEP), tl.shape[1])) for _ in range(2))
+    buf_u, buf_v = (np.empty((min(m, _STEP), t.shape[1])) for _ in range(2))
     for start in range(0, m, _STEP):
         sl = slice(start, start + _STEP)
-        base = slot[sl] * n
-        u = np.take(tl, base + lhs[sl], out=buf_u[:len(base)], **_TAKE)
-        v = np.take(tr, base + rhs[sl], out=buf_v[:len(base)], **_TAKE)
+        base = slot[sl] * (2 * n)
+        u = np.take(t, base + lhs[sl], out=buf_u[:len(base)], **_TAKE)
+        v = np.take(t_v, base + rhs[sl], out=buf_v[:len(base)], **_TAKE)
         np.einsum("ij,ij->i", u, v, out=out[sl])
     return out

@@ -265,19 +265,29 @@ class TestOneLineErrors:
         assert self.run_one_line([argv[0], "--dataset", str(manifest), "--epochs", "3",
                                   "--out", str(tmp_path / "out"), *argv[1:]], capfd) == code
 
-    @pytest.mark.parametrize("command, out", [("train", "nodir/m.sme"),
-                                              ("eval", "nodir/sub/report")])
+    # an output path that is a directory is refused as early: ``made`` is the
+    # directory the case makes first, and "" stands for the working directory
+    @pytest.mark.parametrize("command, out, made", [
+        pytest.param("train", "nodir/m.sme", None, id="train-nodir/m.sme"),
+        pytest.param("eval", "nodir/sub/report", None, id="eval-nodir/sub/report"),
+        pytest.param("train", "dir", "dir", id="train-directory"),
+        pytest.param("train", "", None, id="train-empty"),
+        pytest.param("eval", "rep", "rep.json", id="eval-json-directory"),
+        pytest.param("eval", "rep", "rep.txt", id="eval-txt-directory")])
     def test_missing_output_directory_before_training(self, toy_files, capfd, monkeypatch,
-                                                      command, out):
+                                                      command, out, made):
         tmp_path, manifest, _ = toy_files
+        if made:
+            (tmp_path / made).mkdir()
 
         def refuse(*args, **kwargs):
             raise AssertionError("reached before the output directory was checked")
 
         monkeypatch.setattr(cli, "load_triples", refuse)
         monkeypatch.setattr(trainer, "train_folds", refuse)
+        monkeypatch.chdir(tmp_path)
         argv = [command, "--dataset", str(manifest), "--epochs", "1",
-                "--out", str(tmp_path / out)]
+                "--out", str(tmp_path / out) if out else ""]
         assert self.run_one_line(argv, capfd) == 3
         assert not (tmp_path / "nodir").exists()
 

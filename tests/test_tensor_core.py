@@ -1,14 +1,13 @@
-"""The two tensor contractions the bilinear kernel is built from: the
-relation maps ``W x3 e_r`` (``mode3_contract``; the kernel's ``ws.maps``)
-and those maps applied to each of a pair's entity rows (the kernel's
-``ws.uv``), checked against the loop oracles. The kernel's values are read
-from the workspace ``forward`` leaves, whose zero biases add nothing."""
+"""The tensor contractions the bilinear kernel and the bulk scorer are
+built from: the relation maps ``W x3 e_r`` (the scorer's ``_relation_maps``;
+the kernel's ``ws.maps``) and those maps applied to each of a pair's entity
+rows (the kernel's ``ws.uv``), checked against the loop oracles. The
+kernel's values are read from the workspace ``forward`` leaves, whose zero
+biases add nothing."""
 
 import numpy as np
-import pytest
 
-from sme.errors import ShapeError
-from sme.model import BilinearParams, forward, mode3_contract
+from sme.model import BilinearParams, LinearParams, _relation_maps, forward
 
 from oracles import matvec_loop, mode3_loop
 
@@ -64,42 +63,65 @@ class TestMatvec:
             assert np.allclose(ws.uv[1, 1], ws.uv[0, 1] + ws.uv[2, 1], atol=1e-10)
 
 
+def relation_maps(w_l, w_r, E, rels):
+    """``_relation_maps`` of bilinear weights (p, d, d) each, with biases
+    1 and 2: the (k, 2, p, d) maps and (k, 2, p) offsets of the rows
+    ``rels`` of E, by side."""
+    p = w_l.shape[0]
+    params = BilinearParams(w_l, w_r, np.ones(p), np.full(p, 2.0))
+    return _relation_maps(params, np.asarray(E, dtype=float), np.asarray(rels))
+
+
 class TestMode3Contract:
+    """The mode-3 contraction ``W x3 e_r`` as the scorer's ``_relation_maps``
+    takes it, and the linear form's maps and offsets beside it."""
+
     def test_basis_vector_selects_slice(self):
         rng = np.random.default_rng(0)
-        t = rng.uniform(-1, 1, size=(3, 4, 5))
-        got = mode3_contract(t, np.eye(5))
+        w = rng.uniform(-1, 1, size=(2, 3, 5, 5))   # left, right: (p, d, d)
+        maps, offsets = relation_maps(*w, np.eye(5), np.arange(5))
         for k in range(5):
-            assert np.allclose(got[k], t[:, :, k], atol=1e-15)
+            for side in range(2):
+                assert np.allclose(maps[k, side], w[side][:, :, k], atol=1e-15)
+        assert np.array_equal(offsets, np.broadcast_to([np.ones(3), np.full(3, 2.0)], (5, 2, 3)))
 
     def test_zero_vector(self):
-        t = np.ones((2, 3, 4))
-        assert np.array_equal(mode3_contract(t, np.zeros((1, 4))), np.zeros((1, 2, 3)))
+        w = np.ones((2, 2, 4, 4))
+        maps, _ = relation_maps(*w, [[1.0, 2.0, 3.0, 4.0], [0.0] * 4], [1])
+        assert np.array_equal(maps, np.zeros((1, 2, 2, 4)))
 
     def test_against_triple_loop(self):
         rng = np.random.default_rng(1)
-        t = rng.uniform(-1, 1, size=(2, 2, 2))
+        w = rng.uniform(-1, 1, size=(2, 2, 2, 2))
         x = rng.uniform(-1, 1, size=(3, 2))
-        got = mode3_contract(t, x)
-        for n in range(3):
-            assert np.allclose(got[n], mode3_loop(t, x[n]), atol=1e-12)
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            mode3_contract(np.zeros((2, 2, 2)), np.zeros((1, 3)))
-        with pytest.raises(ShapeError):
-            mode3_contract(np.zeros((2, 2, 2)), np.zeros(2))
+        maps, _ = relation_maps(*w, x, [2, 0, 1])
+        for k, r in enumerate([2, 0, 1]):
+            for side in range(2):
+                assert np.allclose(maps[k, side], mode3_loop(w[side], x[r]), atol=1e-12)
 
     def test_linearity(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            t = rng.uniform(-1, 1, size=(3, 4, 5))
-            u = rng.uniform(-1, 1, size=(2, 5))
-            v = rng.uniform(-1, 1, size=(2, 5))
+            w = rng.uniform(-1, 1, size=(2, 3, 5, 5))
+            u, v = rng.uniform(-1, 1, size=(2, 2, 5))
             a, b = rng.uniform(-1, 1, size=2)
-            lhs = mode3_contract(t, a * u + b * v)
-            rhs = a * mode3_contract(t, u) + b * mode3_contract(t, v)
-            assert np.allclose(lhs, rhs, atol=1e-10)
+            maps, _ = relation_maps(*w, np.concatenate([u, v, a * u + b * v]), np.arange(6))
+            assert np.allclose(maps[4:], a * maps[:2] + b * maps[2:4], atol=1e-10)
+
+    def test_linear_form(self):
+        # the entity weights, shared by every relation, and W_2 e_r + b, by side
+        rng = np.random.default_rng(2)
+        w_l1, w_l2, w_r1, w_r2 = rng.uniform(-1, 1, size=(4, 3, 4))
+        b_l, b_r = rng.uniform(-1, 1, size=(2, 3))
+        params = LinearParams(w_l1, w_l2, w_r1, w_r2, b_l, b_r)
+        E = rng.uniform(-1, 1, size=(6, 4))
+        rels = np.array([1, 4, 5])
+        maps, offsets = _relation_maps(params, E, rels)
+        assert maps.shape == (3, 2, 3, 4) and offsets.shape == (3, 2, 3)
+        for k, r in enumerate(rels):
+            assert np.array_equal(maps[k, 0], w_l1) and np.array_equal(maps[k, 1], w_r1)
+            assert np.allclose(offsets[k, 0], matvec_loop(w_l2, E[r]) + b_l, atol=1e-12)
+            assert np.allclose(offsets[k, 1], matvec_loop(w_r2, E[r]) + b_r, atol=1e-12)
 
 
 def test_random_against_loop_oracles():
