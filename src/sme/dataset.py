@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import count
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, IntegrityError, OutOfDictionaryError, ParseError
+from .errors import ConfigError, IntegrityError, ParseError
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,7 @@ class Triple:
 
 
 class Dictionary:
-    """Bijection between symbol strings and integer ids.
+    """Bijection between symbol strings and integer ids: id i is ``symbols[i]``.
 
     Ids are assigned in order of first appearance in the data file, which
     makes them stable under serialization round-trips. ``relation_ids``
@@ -53,18 +52,11 @@ class Dictionary:
 
     def __init__(self, symbols: list[str], relation_ids: set[int], entity_ids: set[int]):
         self.symbols = symbols
-        self._index = dict(zip(symbols, count()))
         self.relation_ids = relation_ids
         self.entity_ids = entity_ids
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-    def id_of(self, symbol: str) -> int:
-        try:
-            return self._index[symbol]
-        except KeyError:
-            raise OutOfDictionaryError(f"unknown symbol: {symbol!r}") from None
 
     @property
     def n_relations(self) -> int:

@@ -3,9 +3,13 @@
 The AUC estimator groups tied scores into a single threshold, walks
 thresholds from the highest score down, starts the curve at (recall=0,
 precision=1), and integrates precision over recall with the trapezoid
-rule. The thresholds come from one sort of the scores, and the true
-positives at each from a ``searchsorted`` in the sorted positive scores.
-Spread across folds is reported as the sample standard deviation.
+rule. Recall changes only at a threshold that holds a positive, so the
+curve is built from one sort of all scores and the distinct positive
+scores alone: of each run of equal recall only its first and last point
+are made. The points between them lie on the vertical segment joining
+the two and would add exact zeros to the area, so the area is that of
+every threshold's point, bitwise. Spread across folds is reported as the
+sample standard deviation.
 """
 
 from __future__ import annotations
@@ -37,10 +41,9 @@ def score_set(model: Model, triples: TripleSet) -> ScoredSet:
 
 
 def pr_curve(s: ScoredSet) -> tuple[np.ndarray, np.ndarray]:
-    """(recall, precision) points, tie-grouped, starting at (0, 1). One sort
-    ranks the scores; a group's true positives are the positives scored at
-    least its threshold, counted by ``searchsorted`` in the sorted positive
-    scores. A NaN or infinite score has no place in the ranking and raises
+    """(recall, precision) points, tie-grouped, starting at (0, 1): the
+    first and last point of each run of equal recall, in threshold order.
+    A NaN or infinite score has no place in the ranking and raises
     MetricError."""
     labels = np.asarray(s.labels)
     scores = np.asarray(s.scores, dtype=np.float64)
@@ -50,19 +53,38 @@ def pr_curve(s: ScoredSet) -> tuple[np.ndarray, np.ndarray]:
         raise MetricError("AUC-PR undefined: need at least one positive and one negative")
     if not np.isfinite(scores).all():
         raise MetricError("AUC-PR undefined: non-finite score")
-    # descending scores; a tied group is cut only at its end, where tp and
-    # seen count the whole group: every record scored at least the threshold
-    ranked = np.sort(scores)[::-1]
-    ends = np.append(np.nonzero(np.diff(ranked))[0], len(ranked) - 1)
-    tp = (n_pos - np.searchsorted(np.sort(positives), ranked[ends], "left")).astype(np.float64)
-    seen = (ends + 1).astype(np.float64)
-    recall = np.concatenate([[0.0], tp / n_pos])
-    precision = np.concatenate([[1.0], tp / seen])
+    ranked = np.sort(scores)
+    q, counts = np.unique(positives, return_counts=True)
+    q, n = q[::-1], len(ranked)   # the distinct positive scores, descending
+    # run j of equal recall spans the thresholds from q[j] down to the one
+    # just above q[j + 1] (to the lowest score for the last run): its first
+    # point counts the records scored at least q[j], its last those scored
+    # above q[j + 1]; the two are one point when no threshold lies between
+    first = n - np.searchsorted(ranked, q, "left")
+    above = n - np.searchsorted(ranked, q, "right")
+    last = np.append(above[1:], n)
+    seen = np.stack((first, last), axis=1).astype(np.float64).ravel()
+    tp = np.repeat(np.cumsum(counts[::-1]).astype(np.float64), 2)
+    keep = np.ones(len(seen), dtype=bool)
+    keep[1::2] = last > first
+    tp, seen = tp[keep], seen[keep]
+    # the run of recall 0: (0, 1), then (0, 0) at the threshold above q[0]
+    head = 2 if above[0] else 1
+    recall = np.concatenate([[0.0, 0.0][:head], tp / n_pos])
+    precision = np.concatenate([[1.0, 0.0][:head], tp / seen])
     return recall, precision
 
 
 def auc_pr(s: ScoredSet) -> float:
     return _area(*pr_curve(s))
+
+
+def require_both_classes(labels: np.ndarray, where: str) -> None:
+    """MetricError naming the set ``where`` if its labels lack a positive or
+    a negative: its AUC-PR is undefined, so training must not start."""
+    if not ((labels == 1).any() and (labels == 0).any()):
+        raise MetricError(f"AUC-PR undefined on {where}: "
+                          "need at least one positive and one negative")
 
 
 def _area(recall: np.ndarray, precision: np.ndarray) -> float:
@@ -134,31 +156,31 @@ def run_fold(d: Dictionary, split: FoldSplit, fold: int, form: str,
 def _run_folds(d: Dictionary, split: FoldSplit, folds: list[int], form: str,
                dim_d: int, dim_p: int, config) -> list[tuple[Model, float, dict, dict]]:
     """Train ``folds`` in one stacked loop, then score each fold's test set.
-    Returns (model, auc, curve, run summary) per fold; the curve keeps the
-    ``pr_curve`` points that shape its area. During training only
-    each fold's training positives and validation set are held, never its
-    whole training set."""
+    Returns (model, auc, curve, run summary) per fold; the curve is the
+    fold's ``pr_curve``. A test set without both classes is refused before
+    training. During training only each fold's training positives and
+    validation set are held, never its whole training set."""
     from . import trainer  # local import: trainer also uses this module
 
     # every set keeps record order: the trainer's permutations index into it
     members = split.members()
-    fold_positives = [m[split.triples.label[m] == 1] for m in members]
+    labels = split.triples.label
+    fold_positives = [m[labels[m] == 1] for m in members]
     positives, valid = [], []
     for f in folds:
         train, val = split.role_folds(f)
+        require_both_classes(labels[members[f]], f"fold {f}'s test set")
         rows = np.sort(np.concatenate([fold_positives[j] for j in train]))
         positives.append(split.triples.subset(rows))
         valid.append(split.triples.subset(members[val]))
     seeds = [_fold_seed(config.seed, f) for f in folds]
-    trained = trainer.train_folds(positives, valid, d, form, dim_d, dim_p, config, seeds)
+    trained = trainer.train_folds(positives, valid, d, form, dim_d, dim_p, config, seeds,
+                                  fold_ids=folds)
     del positives, valid
     results = []
     for f, (model, trace) in zip(folds, trained):
         recall, precision = pr_curve(score_set(model, split.triples.subset(members[f])))
-        # a run of equal recall is a vertical segment: its inner points add 0.0
-        keep = np.ones(len(recall), dtype=bool)
-        keep[1:-1] = (recall[1:-1] != recall[:-2]) | (recall[1:-1] != recall[2:])
-        curve = {"recall": recall[keep].tolist(), "precision": precision[keep].tolist()}
+        curve = {"recall": recall.tolist(), "precision": precision.tolist()}
         results.append((model, _area(recall, precision), curve, trace.summary()))
     return results
 

@@ -23,7 +23,11 @@ bulk scoring use ``energies_batch``: for a fixed relation each form is an
 affine map of the entity embedding on each side, read from the same
 by-side views of the parameters as the kernel's, so every symbol row is
 projected once per relation present in the call, both sides into one
-table, and each record is scored by two gathers from it.
+table, and each record is scored by two gathers from it. A
+``ScoringPlan`` holds what scoring a set of records needs that no
+parameter moves: the checked ids, the relations present and each
+record's table rows. Validation builds one per set and reuses it every
+epoch; a one-off call builds its own.
 """
 
 from __future__ import annotations
@@ -388,42 +392,92 @@ _TABLE_BYTES = 16 << 20
 _STEP = 8192
 
 
+@dataclass
+class ScoringPlan:
+    """What scoring the records (lhs, rel, rhs) takes that no parameter
+    moves, for models of n symbols and output size p: the ids, checked
+    once; ``rels``, the relations present, ascending; and per block of
+    relations within ``_TABLE_BYTES``, the slice of ``rels`` it builds
+    tables for, the records it scores (None: every record, in order) and
+    each one's flat table rows, ``u`` of its lhs and ``v`` of its rhs."""
+
+    n: int
+    p: int
+    m: int
+    rels: np.ndarray
+    blocks: list[tuple[slice, np.ndarray | None, np.ndarray, np.ndarray]]
+
+
+def scoring_plan(n: int, p: int, lhs: np.ndarray, rel: np.ndarray,
+                 rhs: np.ndarray) -> ScoringPlan:
+    """The ``ScoringPlan`` of the records (lhs[i], rel[i], rhs[i]) for
+    models of n symbols and output size p. Record i's relation is the
+    ``slot``-th present one; in its block's (r, 2, n, p) tables, u is the
+    row ``2 * slot * n + lhs`` and v the row ``(2 * slot + 1) * n + rhs``,
+    with ``slot`` counted from the block's first relation."""
+    lhs, rel, rhs = np.asarray(lhs), np.asarray(rel), np.asarray(rhs)
+    for ids in (lhs, rel, rhs):
+        _check_ids(ids, n)
+    if not len(lhs):   # all an empty table passes; it has no block size
+        return ScoringPlan(n, p, 0, np.empty(0, dtype=np.intp), [])
+    present = np.zeros(n, dtype=bool)
+    present[rel] = True
+    slot = (np.cumsum(present) - 1)[rel]   # rank of each record's relation
+    rels = np.flatnonzero(present)
+    block = max(1, _TABLE_BYTES // (2 * n * p * 8))
+    blocks = []
+    for first in range(0, len(rels), block):
+        if block >= len(rels):   # one block: every record, in order
+            rows, u, lhs_ids, rhs_ids = None, slot, lhs, rhs
+        else:
+            rows = np.flatnonzero((slot >= first) & (slot < first + block))
+            u, lhs_ids, rhs_ids = slot[rows] - first, lhs[rows], rhs[rows]
+        u *= 2 * n   # the first row of the record's left table
+        v = u + n
+        u += lhs_ids
+        v += rhs_ids
+        blocks.append((slice(first, first + block), rows, u, v))
+    return ScoringPlan(n, p, len(lhs), rels, blocks)
+
+
 def energies_batch(emb: EmbeddingTable, params: Params,
-                   lhs: np.ndarray, rel: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+                   lhs: np.ndarray, rel: np.ndarray, rhs: np.ndarray,
+                   plan: ScoringPlan | None = None) -> np.ndarray:
     """Energies for parallel id arrays, from tables built once per call.
 
     For a fixed relation r both forms are affine maps of the entity
     embedding, side by side: ``u = maps[r, 0] @ e_lhs + off[r, 0]`` and
     ``v = maps[r, 1] @ e_rhs + off[r, 1]`` (see ``_relation_maps``), so u
     depends only on the (lhs, rel) pair and v only on the (rhs, rel) pair.
-    The maps of the relations present in the call are applied to every
-    symbol row, ``T[r, side, s] = maps[r, side] @ E[s] + off[r, side]``, one
-    block of relations at a time within ``_TABLE_BYTES``, and each record is
-    two row gathers and a dot product. The SGD step calls
-    ``_forward``/``backward`` instead: for its 32-pair batches the tables
-    would cost more than the per-pair maps.
+    The maps of the relations present are applied to every symbol row,
+    ``T[r, side, s] = maps[r, side] @ E[s] + off[r, side]``, one block of
+    relations at a time within ``_TABLE_BYTES``, and each record is two
+    row gathers and a dot product. ``plan``, the records'
+    ``scoring_plan``, is built here unless given; a caller that scores the
+    same records again, as validation does every epoch, builds it once
+    and passes it with those ids, of which only the count is read again.
+    The SGD step calls ``_forward``/``backward`` instead: for its 32-pair
+    batches the tables would cost more than the per-pair maps.
     """
     E = emb.vectors
-    lhs, rel, rhs = np.asarray(lhs), np.asarray(rel), np.asarray(rhs)
     n = E.shape[0]
-    for ids in (lhs, rel, rhs):
-        _check_ids(ids, n)
-    if not len(lhs):   # all an empty table passes; it has no block size
-        return np.empty(0)
-    present = np.zeros(n, dtype=bool)
-    present[rel] = True
-    slot = (np.cumsum(present) - 1)[rel]   # rank of each record's relation
-    maps, offsets = _relation_maps(params, E, np.flatnonzero(present))
-    block = max(1, _TABLE_BYTES // (2 * n * params.p * 8))
-    out = np.empty(len(lhs))
-    for first in range(0, len(maps), block):
-        rows = (slice(None) if block >= len(maps)     # one block: every record
-                else np.flatnonzero((slot >= first) & (slot < first + block)))
-        blk = slice(first, first + block)
+    if plan is None:
+        plan = scoring_plan(n, params.p, lhs, rel, rhs)
+    elif (plan.n, plan.p, plan.m) != (n, params.p, len(lhs)):
+        raise ShapeError(f"scoring plan for {plan.m} records, n={plan.n} p={plan.p}: "
+                         f"scoring {len(lhs)} records, n={n} p={params.p}")
+    out = np.empty(plan.m)
+    if not plan.m:
+        return out
+    maps, offsets = _relation_maps(params, E, plan.rels)
+    for blk, rows, u, v in plan.blocks:
         # one GEMM per map, so a relation's rows do not depend on its block
         t = np.matmul(E, _t(maps[blk]))   # (r, 2, n, p)
         t += offsets[blk, :, None, :]
-        out[rows] = _gather_dot(t, n, slot[rows] - first, lhs[rows], rhs[rows])
+        if rows is None:
+            _gather_dot(t, u, v, out)
+        else:
+            out[rows] = _gather_dot(t, u, v, np.empty(len(rows)))
     return np.negative(out, out=out)
 
 
@@ -454,19 +508,17 @@ def _relation_maps(params: Params, E: np.ndarray,
     return rel_part.reshape(-1, 2, p, d), np.broadcast_to(params.b_sides, (len(rels), 2, p))
 
 
-def _gather_dot(t, n: int, slot, lhs, rhs) -> np.ndarray:
-    """Dot products of u, the row ``2 * slot * n + lhs`` of the (r, 2, n, p)
-    tables t, and v, the row ``(2 * slot + 1) * n + rhs``, ``_STEP`` records
-    at a time through two reused work buffers."""
+def _gather_dot(t, u, v, out) -> np.ndarray:
+    """Into ``out``, the dot products of the rows ``u`` and ``v`` of the
+    (r, 2, n, p) tables t flattened to rows, ``_STEP`` records at a time
+    through two reused work buffers."""
     t = t.reshape(-1, t.shape[-1])
-    t_v = t[n:]   # v's rows, counted from the first right-side table's
-    m = len(lhs)
-    out = np.empty(m)
+    m = len(u)
     buf_u, buf_v = (np.empty((min(m, _STEP), t.shape[1])) for _ in range(2))
     for start in range(0, m, _STEP):
         sl = slice(start, start + _STEP)
-        base = slot[sl] * (2 * n)
-        u = np.take(t, base + lhs[sl], out=buf_u[:len(base)], **_TAKE)
-        v = np.take(t_v, base + rhs[sl], out=buf_v[:len(base)], **_TAKE)
-        np.einsum("ij,ij->i", u, v, out=out[sl])
+        size = len(u[sl])
+        a = np.take(t, u[sl], out=buf_u[:size], **_TAKE)
+        b = np.take(t, v[sl], out=buf_v[:size], **_TAKE)
+        np.einsum("ij,ij->i", a, b, out=out[sl])
     return out

@@ -24,7 +24,9 @@ stack's embeddings and parameter buffer only through one
 ``model.Workspace``, which lives as long as the stack: ``train_folds``
 builds it with the stack and again only when a fold leaves. Each epoch's
 steps write their pairs' losses into one buffer that is summed once, in
-the order a running total would add them.
+the order a running total would add them. Validation scores each fold's
+validation set every epoch through the ``model.ScoringPlan`` built for it
+once, before the first epoch, when a set without both classes is refused.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from . import evaluator
 from .dataset import Dictionary, Triple, TripleSet, positives_of
 from .errors import ConfigError, NumericalError
 from .model import (_TAKE, PARAMS, EmbeddingTable, Model, Params, Workspace, _check_ids,
-                    _forward, backward, energies_batch, init_embeddings, init_params)
+                    _forward, backward, energies_batch, init_embeddings, init_params,
+                    scoring_plan)
 
 CORRUPTION_MODES = ("lhs", "rhs", "both")
 
@@ -196,20 +199,25 @@ def _log_enabled() -> bool:
 
 def train(train_ts: TripleSet, valid_ts: TripleSet, d: Dictionary,
           form: str, dim_d: int, dim_p: int,
-          config: TrainConfig) -> tuple[Model, TrainTrace]:
-    """Run SGD epochs with early stopping; returns the best-validation model."""
+          config: TrainConfig, fold: int = 0) -> tuple[Model, TrainTrace]:
+    """Run SGD epochs with early stopping; returns the best-validation model.
+    ``fold`` names the sets in error messages."""
     return train_folds([positives_of(train_ts)], [valid_ts], d, form,
-                       dim_d, dim_p, config, [config.seed])[0]
+                       dim_d, dim_p, config, [config.seed], fold_ids=[fold])[0]
 
 
 def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionary,
                 form: str, dim_d: int, dim_p: int, config: TrainConfig,
-                seeds: list[int]) -> list[tuple[Model, TrainTrace]]:
+                seeds: list[int], fold_ids: list[int] | None = None,
+                ) -> list[tuple[Model, TrainTrace]]:
     """Train one model per fold in one stacked SGD loop. Fold f learns from
     the training positives ``positives[f]``, early-stops on ``valid[f]`` and
     draws from PCG64(seeds[f]). Returns each fold's best-validation model
     and its trace. Epoch lines come epoch-major: every fold still training
-    logs epoch e before any logs epoch e + 1."""
+    logs epoch e before any logs epoch e + 1. ``fold_ids`` numbers the sets in
+    error messages (by default 0, 1, ...); a validation set without both
+    classes is refused before the first epoch. Each validation set's
+    ``scoring_plan`` is built once, for every epoch's scoring."""
     config.validate()
     if dim_d < 1 or dim_p < 1:
         raise ConfigError(f"dimensions must be >= 1, got d={dim_d} p={dim_p}")
@@ -218,12 +226,16 @@ def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionar
     blocks = PARAMS[form].shapes(dim_p, dim_d) if form in PARAMS else ()
     if 8 * len(seeds) * max(len(d) * dim_d, sum(map(math.prod, blocks))) > np.iinfo(np.intp).max:
         raise ConfigError(f"dimensions d={dim_d} p={dim_p} need more memory than can be addressed")
-    for pos, val in zip(positives, valid):
+    entity_ids = d.entity_id_array()
+    if len(entity_ids) < 2:
+        raise ConfigError("corruption needs at least 2 entities")
+    for f, pos, val in zip(fold_ids or range(len(seeds)), positives, valid):
         if len(val) == 0:
             raise ConfigError("validation set is empty")
         if len(pos) == 0:
             raise ConfigError("training set has no positive triples")
-    entity_ids = d.entity_id_array()
+        evaluator.require_both_classes(val.label, f"fold {f}'s validation set")
+    plans = [scoring_plan(len(d), dim_p, val.lhs, val.rel, val.rhs) for val in valid]
     # fixed for the run, so a fold leaving the stack keeps the others' batches
     config = replace(config, batch_size=min(config.batch_size, max(map(len, positives))))
 
@@ -255,7 +267,8 @@ def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionar
                 fold_emb = EmbeddingTable(emb.vectors[row])
                 fold_params = params[row]
                 val = valid[f]
-                val_scores = -energies_batch(fold_emb, fold_params, val.lhs, val.rel, val.rhs)
+                val_scores = -energies_batch(fold_emb, fold_params, val.lhs, val.rel, val.rhs,
+                                             plan=plans[f])
                 val_auc = evaluator.auc_pr(evaluator.ScoredSet(val_scores, val.label))
                 secs = share + time.perf_counter() - t1
                 trace = traces[f]

@@ -87,6 +87,31 @@ def auc_pr_enumeration(scores, labels):
     return area
 
 
+def pr_curve_enumeration(scores, labels):
+    """The stored PR curve, from the definition: one threshold per distinct
+    score, descending, each giving the point (tp / positives, tp / records
+    scored at least it) after the start (recall 0, precision 1); of each run
+    of consecutive points with equal recall only the first and the last are
+    kept. Returns (recall list, precision list)."""
+    n_pos = sum(1 for y in labels if y == 1)
+    points = [(0.0, 1.0)]
+    for t in sorted(set(scores), reverse=True):
+        tp = seen = 0
+        for s, y in zip(scores, labels):
+            if s >= t:
+                seen += 1
+                if y == 1:
+                    tp += 1
+        points.append((tp / n_pos, tp / seen))
+    kept = []
+    for i, (r, p) in enumerate(points):
+        first = i == 0 or points[i - 1][0] != r
+        last = i == len(points) - 1 or points[i + 1][0] != r
+        if first or last:
+            kept.append((r, p))
+    return [r for r, _ in kept], [p for _, p in kept]
+
+
 def load_triples_loop(path):
     """Line-by-line triple-file reader with the documented rules: lines end
     in \\n, \\r\\n or \\r; blank lines and lines whose first character is

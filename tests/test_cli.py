@@ -291,6 +291,49 @@ class TestOneLineErrors:
         assert self.run_one_line(argv, capfd) == 3
         assert not (tmp_path / "nodir").exists()
 
+    @staticmethod
+    def one_class_file(tmp_path):
+        """72 records, 2 of them positive: with 5 folds, some fold's test or
+        validation set holds no positive."""
+        records = [(f"e{i}", f"r{k}", f"e{j}", int((i, j, k) in ((0, 1, 0), (2, 3, 1))))
+                   for i in range(6) for j in range(6) for k in range(2)]
+        return write_triples(tmp_path / "one_class.tsv", records)
+
+    def test_one_class_validation_set_before_training(self, tmp_path, capfd, monkeypatch):
+        monkeypatch.setenv("SME_LOG", "info")
+        tsv = self.one_class_file(tmp_path)
+        _, ts = load_triples(tsv)
+        def fold_2_validates_on_no_positive(seed):
+            train_ts, valid_ts, _ = make_folds(ts, 5, seed).fold_sets(2)
+            return train_ts.n_positive > 0 and valid_ts.n_positive == 0
+
+        seed = next(filter(fold_2_validates_on_no_positive, range(100)))
+        argv = ["train", "--dataset", str(tsv), "--folds", "5", "--fold", "2",
+                "--seed", str(seed), "--epochs", "2", "--out", str(tmp_path / "m.sme")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 4
+        out, err = capfd.readouterr()
+        assert err == ("error: AUC-PR undefined on fold 2's validation set: "
+                       "need at least one positive and one negative\n")
+        assert "epoch=" not in out and not (tmp_path / "m.sme").exists()
+
+    def test_one_class_test_set_before_training(self, tmp_path, capfd, monkeypatch):
+        monkeypatch.setenv("SME_LOG", "info")
+        tsv = self.one_class_file(tmp_path)
+        _, ts = load_triples(tsv)
+        split = make_folds(ts, 5, 0)
+        first = next(f for f in range(5) if split.fold_sets(f)[2].n_positive == 0)
+        argv = ["eval", "--dataset", str(tsv), "--folds", "5", "--seed", "0",
+                "--epochs", "2", "--out", str(tmp_path / "rep")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 4
+        out, err = capfd.readouterr()
+        assert err == (f"error: AUC-PR undefined on fold {first}'s test set: "
+                       "need at least one positive and one negative\n")
+        assert "epoch=" not in out and not list(tmp_path.glob("rep*"))
+
     @pytest.mark.parametrize("payload", [
         pytest.param(b'{"name": "toy", "triples": "toy.tsv", "folds": "abc"}', id="folds-text"),
         pytest.param(b'{"name": "toy", "triples": "toy.tsv", "folds": null}', id="folds-null"),

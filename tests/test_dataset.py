@@ -30,8 +30,8 @@ class TestLoadTriples:
         assert d.n_entities == 2
         assert d.n_relations == 2
         assert ts.n_positive == 2
-        assert d.symbols[d.id_of("a")] == "a"
-        assert d.id_of("r") in d.relation_ids
+        assert d.symbols.index("a") == 0   # ids follow first appearance
+        assert d.symbols.index("r") in d.relation_ids
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = write_triples(tmp_path / "t.tsv", [("a", "r", "b", 1), ("broken",)])

@@ -10,12 +10,32 @@ from sme.evaluator import (EvalReport, ScoredSet, _area, _run_folds, aggregate, 
 from sme.model import LINEAR, EmbeddingTable, LinearParams, Model, energy
 from sme.trainer import TrainConfig
 
-from oracles import auc_pr_enumeration
+from oracles import auc_pr_enumeration, pr_curve_enumeration
 
 
 def scored(scores, labels):
     return ScoredSet(np.asarray(scores, dtype=np.float64),
                      np.asarray(labels, dtype=np.int64))
+
+
+def full_curve(scores, labels):
+    """Every threshold's (recall, precision) point after (0, 1), from a
+    stable sort, and the curve's area by sequential trapezoid sums."""
+    order = np.argsort(-scores, kind="stable")
+    y, ranked = labels[order], scores[order]
+    ends = np.append(np.nonzero(np.diff(ranked))[0], len(ranked) - 1)
+    tp = np.cumsum(y)[ends].astype(np.float64)
+    recall = np.concatenate([[0.0], tp / (labels == 1).sum()])
+    precision = np.concatenate([[1.0], tp / (ends + 1)])
+    terms = (recall[1:] - recall[:-1]) * (precision[1:] + precision[:-1]) * 0.5
+    return recall, precision, float(np.cumsum(terms)[-1])
+
+
+def thinned(recall, precision):
+    """The first and last point of each run of equal recall."""
+    keep = np.ones(len(recall), dtype=bool)
+    keep[1:-1] = (recall[1:-1] != recall[:-2]) | (recall[1:-1] != recall[2:])
+    return recall[keep], precision[keep]
 
 
 class TestAucPr:
@@ -76,17 +96,9 @@ class TestAucPr:
         assert abs(doubled - base) < 1e-12
 
     def test_tie_heavy_matches_stable_sort_bitwise(self):
-        # the curve and the AUC do not depend on the order inside a tied group
-        def stable_reference(scores, labels):
-            order = np.argsort(-scores, kind="stable")
-            y, ranked = labels[order], scores[order]
-            ends = np.append(np.nonzero(np.diff(ranked))[0], len(ranked) - 1)
-            tp = np.cumsum(y)[ends].astype(np.float64)
-            recall = np.concatenate([[0.0], tp / (labels == 1).sum()])
-            precision = np.concatenate([[1.0], tp / (ends + 1)])
-            terms = (recall[1:] - recall[:-1]) * (precision[1:] + precision[:-1]) * 0.5
-            return recall, precision, float(np.cumsum(terms)[-1])
-
+        # the curve and the AUC do not depend on the order inside a tied
+        # group; the curve is the stable-sort curve thinned, and its area
+        # is the whole stable-sort curve's
         def score_sets():   # drawn lazily, each before its labels
             for n in [3, 40, 500, 5000, 20000]:
                 for decimals in [0, 1, 2]:
@@ -101,7 +113,8 @@ class TestAucPr:
         for scores in score_sets():
             labels = rng.integers(0, 2, size=len(scores))
             labels[:2] = [0, 1]
-            want_r, want_p, want_auc = stable_reference(scores, labels)
+            full_r, full_p, want_auc = full_curve(scores, labels)
+            want_r, want_p = thinned(full_r, full_p)
             s = ScoredSet(scores, labels)
             recall, precision = pr_curve(s)
             assert recall.tobytes() == want_r.tobytes()
@@ -110,6 +123,30 @@ class TestAucPr:
             reordered += not np.array_equal(np.argsort(-scores),
                                             np.argsort(-scores, kind="stable"))
         assert reordered   # some tied groups did come out in another order
+
+    def test_curve_matches_enumeration_oracle_bitwise(self):
+        rng = np.random.default_rng(23)
+        sets = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 121))
+            kind = rng.integers(4)
+            if kind == 0:     # few distinct values: long tied groups
+                scores = rng.integers(-2, 3, size=n).astype(np.float64)
+            elif kind == 1:   # -0.0 and 0.0 tie
+                scores = rng.choice([-0.0, 0.0, 0.5, -1.0], size=n)
+            elif kind == 2:   # rounded: ties and long runs of negatives
+                scores = np.round(rng.normal(size=n), 1)
+            else:
+                scores = rng.normal(size=n)
+            labels = rng.integers(0, 2, size=n) * (rng.uniform(size=n) < rng.uniform())
+            if labels.sum() in (0, n):
+                continue
+            recall, precision = pr_curve(ScoredSet(scores, labels))
+            want_r, want_p = pr_curve_enumeration(scores.tolist(), labels.tolist())
+            assert recall.tobytes() == np.array(want_r).tobytes()
+            assert precision.tobytes() == np.array(want_p).tobytes()
+            sets += 1
+        assert sets > 200
 
     def test_tie_heavy_against_oracle(self):
         rng = np.random.default_rng(7)
@@ -245,9 +282,9 @@ class TestStoredCurves:
         dropped = 0
         for f, (model, auc, curve, _) in enumerate(
                 _run_folds(d, split, [0, 1, 2, 3], LINEAR, 4, 4, config)):
-            recall, precision = pr_curve(score_set(model, split.triples.subset(
-                split.members()[f])))
-            assert _area(recall, precision) == auc
+            s = score_set(model, split.triples.subset(split.members()[f]))
+            recall, precision, area = full_curve(s.scores, s.labels)
+            assert area == auc
             full = list(zip(recall.tolist(), precision.tolist()))
             stored = list(zip(curve["recall"], curve["precision"]))
             # the stored points are the full curve's, in order, with both ends

@@ -3,10 +3,10 @@ import pytest
 
 from sme import model as model_module
 from sme.dataset import Triple
-from sme.errors import LookupIdError, NumericalError
+from sme.errors import LookupIdError, NumericalError, ShapeError
 from sme.model import (BILINEAR, LINEAR, BilinearParams, EmbeddingTable,
                        LinearParams, energies_batch, energy, energy_gradients,
-                       forward, init_embeddings, init_params)
+                       forward, init_embeddings, init_params, scoring_plan)
 
 from oracles import (energy_bilinear_formula, energy_linear_formula,
                      finite_difference, matvec_loop, mode3_loop)
@@ -303,6 +303,42 @@ class TestBatchEnergies:
         energies_batch(emb, params, lhs, rel, rhs)
         # 8 relations, 3 relations a block: 3 blocks, each one table of both sides
         assert len(sizes) == 3 and max(sizes) <= budget
+
+    @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
+    @pytest.mark.parametrize("per_block", [None, 1, 3])
+    def test_planned_matches_one_go_bitwise(self, form, per_block, monkeypatch):
+        # a stacked row's views, scored twice with one plan as validation is,
+        # the parameters moving in between; per_block relations a block
+        n, d, p = 8, 3, 2
+        rng = np.random.default_rng(38)
+        models = [batch_instance(form, seed=38 + k, m=0, n=n, d=d, p=p)[:2] for k in range(2)]
+        E = np.stack([emb.vectors for emb, _ in models])
+        stack = models[0][1].from_buffer(np.stack([prm.buf for _, prm in models]), p, d)
+        emb, params = EmbeddingTable(E[1]), stack[1]
+        assert params.buf.base is stack.buf
+        lhs, rel, rhs = (rng.integers(0, n, size=300) for _ in range(3))
+        if per_block:
+            monkeypatch.setattr(model_module, "_TABLE_BYTES", per_block * 2 * n * p * 8)
+        plan = scoring_plan(n, p, lhs, rel, rhs)
+        assert len(plan.blocks) == (1 if per_block is None else -(-len(set(rel)) // per_block))
+        for _ in range(2):
+            planned = energies_batch(emb, params, lhs, rel, rhs, plan=plan)
+            one_go = energies_batch(emb, params, lhs, rel, rhs)
+            alone = energies_batch(EmbeddingTable(E[1].copy()), params.copy(), lhs, rel, rhs)
+            assert planned.tobytes() == one_go.tobytes() == alone.tobytes()
+            params.buf[:] += rng.normal(scale=0.1, size=params.buf.shape)
+            E[1] += rng.normal(scale=0.1, size=E[1].shape)
+
+    @pytest.mark.parametrize("n, p, m", [(9, 2, 20), (7, 2, 20), (8, 3, 20), (8, 2, 19)])
+    def test_plan_for_another_shape_is_refused(self, n, p, m):
+        emb, params, lhs, rel, rhs = batch_instance(LINEAR, seed=39, m=20, n=8, p=2)
+        plan = scoring_plan(n, p, lhs[:m] % 7, rel[:m] % 7, rhs[:m] % 7)
+        with pytest.raises(ShapeError, match="scoring plan"):
+            energies_batch(emb, params, lhs, rel, rhs, plan=plan)
+
+    def test_plan_checks_ids(self):
+        with pytest.raises(LookupIdError):
+            scoring_plan(4, 2, np.array([0]), np.array([4]), np.array([1]))
 
     def test_rejects_bad_ids(self):
         rng = np.random.default_rng(4)

@@ -570,6 +570,37 @@ class TestStackedFolds:
             assert trace.best_epoch == alone_trace.best_epoch
             assert trace.stop_reason == alone_trace.stop_reason
 
+    def test_validation_plan_built_once_per_fold(self, tmp_path, monkeypatch):
+        d, ts = load_triples(write_triples(tmp_path / "toy.tsv", two_group_records()))
+        split = make_folds(ts, 4, seed=0)
+        positives, valid = [], []
+        for f in range(4):
+            train_mask, valid_mask, _ = split.roles(f)
+            positives.append(split.triples.subset(train_mask & (split.triples.label == 1)))
+            valid.append(split.triples.subset(valid_mask))
+        built, scored = [], []
+        plan_of = trainer.scoring_plan
+
+        def count_plans(n, p, lhs, *args):
+            built.append(lhs)
+            return plan_of(n, p, lhs, *args)
+
+        def count_scores(emb, params, lhs, rel, rhs, plan=None):
+            scored.append((lhs, plan))
+            return energies_batch(emb, params, lhs, rel, rhs, plan=plan)
+
+        monkeypatch.setattr(trainer, "scoring_plan", count_plans)
+        monkeypatch.setattr(trainer, "energies_batch", count_scores)
+        config = TrainConfig(epochs_max=5, patience=2, batch_size=8, learning_rate=0.05)
+        trained = trainer.train_folds(positives, valid, d, LINEAR, 4, 4, config, [1, 2, 3, 4])
+        # one plan per fold, built before the first epoch, each scoring its
+        # own fold's validation set every epoch the fold ran
+        assert [id(lhs) for lhs in built] == [id(val.lhs) for val in valid]
+        assert len(scored) == sum(len(trace.epochs) for _, trace in trained) > 2 * len(valid)
+        plans = {id(lhs): plan for lhs, plan in scored}
+        assert len(plans) == len(valid) and None not in plans.values()
+        assert len({id(plan) for plan in plans.values()}) == len(valid)
+
     @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
     def test_returned_models_own_their_memory(self, form, tmp_path):
         d, ts = load_triples(write_triples(tmp_path / "toy.tsv", two_group_records()))
