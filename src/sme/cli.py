@@ -154,13 +154,17 @@ def cmd_score(args) -> int:
     good = int(malformed[0]) if len(malformed) else len(triples)
     # the arguments before the first malformed one hold three symbols each
     tokens = "\t".join(triples[:good]).split("\t") if good else []
-    try:
-        ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-    except KeyError as exc:
-        raise OutOfDictionaryError(f"out-of-dictionary symbol: {exc.args[0]!r}") from None
+    ids = np.fromiter(map(index.get, tokens, repeat(-1)), dtype=np.int64,
+                      count=len(tokens)).reshape(-1, 3)
+    bad = ids < 0   # unknown, or in the middle slot and no relation type
+    bad[:, 1] |= ~np.isin(ids[:, 1], list(model.relation_ids))
+    if bad.any():
+        at = int(np.argmax(bad))   # the first bad symbol, in command-line order
+        if ids.flat[at] < 0:
+            raise OutOfDictionaryError(f"out-of-dictionary symbol: {tokens[at]!r}")
+        raise OutOfDictionaryError(f"not a relation type of the model: {tokens[at]!r}")
     if good < len(triples):
         raise ConfigError(f"triple must be 'lhs<TAB>rel<TAB>rhs', got {triples[good]!r}")
-    ids = ids.reshape(-1, 3)
     with np.errstate(over="ignore", invalid="ignore"):   # reported below instead
         scores = -energies_batch(model.emb, model.params, ids[:, 0], ids[:, 1], ids[:, 2])
     if not np.isfinite(scores).all():

@@ -343,11 +343,13 @@ class FoldSplit:
     Fold i serves as the test set; fold (i+1) mod K is held out for early
     stopping; the remaining K-2 folds are the training pool. With K=2 there
     is no remainder, so the validation fold doubles as the training pool.
+    Every set is built from ``members[j]``, fold j's record indices, ascending.
     """
 
     k: int
     triples: TripleSet
     assignment: np.ndarray
+    members: list[np.ndarray]
 
     def role_folds(self, i: int) -> tuple[list[int], int]:
         """Fold i's training folds and its validation fold."""
@@ -356,20 +358,12 @@ class FoldSplit:
         valid = (i + 1) % self.k
         return [j for j in range(self.k) if j not in (i, valid)] or [valid], valid
 
-    def roles(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Boolean masks over ``triples`` of fold i's (train, valid, test) records."""
-        train, valid = self.role_folds(i)
-        in_train = np.zeros(self.k, dtype=bool)
-        in_train[train] = True
-        return in_train[self.assignment], self.assignment == valid, self.assignment == i
-
-    def members(self) -> list[np.ndarray]:
-        """Each fold's record indices, in record order."""
-        return [np.flatnonzero(self.assignment == j) for j in range(self.k)]
-
     def fold_sets(self, i: int) -> tuple[TripleSet, TripleSet, TripleSet]:
-        train, valid, test = self.roles(i)
-        return self.triples.subset(train), self.triples.subset(valid), self.triples.subset(test)
+        """Fold i's (train, valid, test) records, each in record order."""
+        train, valid = self.role_folds(i)
+        rows = np.zeros(len(self.triples), dtype=bool)   # 1 B a record, not an index's 8
+        rows[np.concatenate([self.members[j] for j in train])] = True
+        return tuple(map(self.triples.subset, (rows, self.members[valid], self.members[i])))
 
 
 def make_folds(ts: TripleSet, k: int, seed: int) -> FoldSplit:
@@ -387,8 +381,10 @@ def make_folds(ts: TripleSet, k: int, seed: int) -> FoldSplit:
     # fold i takes the next n // k records of the permutation, and the first
     # n % k folds one more each
     base, extra = divmod(n, k)
-    assignment[perm] = np.repeat(np.arange(k), base + (np.arange(k) < extra))
-    return FoldSplit(k, ts, assignment)
+    sizes = base + (np.arange(k) < extra)
+    assignment[perm] = np.repeat(np.arange(k), sizes)
+    members = [np.sort(fold) for fold in np.split(perm, np.cumsum(sizes)[:-1])]
+    return FoldSplit(k, ts, assignment, members)
 
 
 @dataclass

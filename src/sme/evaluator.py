@@ -148,7 +148,10 @@ def _fold_seed(base_seed: int, fold: int) -> int:
 
 def run_fold(d: Dictionary, split: FoldSplit, fold: int, form: str,
              dim_d: int, dim_p: int, config) -> tuple[Model, float, dict]:
-    """Train on one fold and score its test set. Returns (model, auc, curve)."""
+    """Train on one fold and score its test set. Returns (model, auc, curve).
+    A test set without both classes is refused before training."""
+    split.role_folds(fold)   # a fold outside [0, k) is a ConfigError
+    require_both_classes(split.triples.label[split.members[fold]], f"fold {fold}'s test set")
     model, auc, curve, _ = _run_folds(d, split, [fold], form, dim_d, dim_p, config)[0]
     return model, auc, curve
 
@@ -157,29 +160,26 @@ def _run_folds(d: Dictionary, split: FoldSplit, folds: list[int], form: str,
                dim_d: int, dim_p: int, config) -> list[tuple[Model, float, dict, dict]]:
     """Train ``folds`` in one stacked loop, then score each fold's test set.
     Returns (model, auc, curve, run summary) per fold; the curve is the
-    fold's ``pr_curve``. A test set without both classes is refused before
-    training. During training only each fold's training positives and
+    fold's ``pr_curve``. The callers refuse a test set without both
+    classes. During training only each fold's training positives and
     validation set are held, never its whole training set."""
     from . import trainer  # local import: trainer also uses this module
 
     # every set keeps record order: the trainer's permutations index into it
-    members = split.members()
-    labels = split.triples.label
-    fold_positives = [m[labels[m] == 1] for m in members]
+    fold_positives = [m[split.triples.label[m] == 1] for m in split.members]
     positives, valid = [], []
     for f in folds:
         train, val = split.role_folds(f)
-        require_both_classes(labels[members[f]], f"fold {f}'s test set")
         rows = np.sort(np.concatenate([fold_positives[j] for j in train]))
         positives.append(split.triples.subset(rows))
-        valid.append(split.triples.subset(members[val]))
+        valid.append(split.triples.subset(split.members[val]))
     seeds = [_fold_seed(config.seed, f) for f in folds]
     trained = trainer.train_folds(positives, valid, d, form, dim_d, dim_p, config, seeds,
                                   fold_ids=folds)
     del positives, valid
     results = []
     for f, (model, trace) in zip(folds, trained):
-        recall, precision = pr_curve(score_set(model, split.triples.subset(members[f])))
+        recall, precision = pr_curve(score_set(model, split.triples.subset(split.members[f])))
         curve = {"recall": recall.tolist(), "precision": precision.tolist()}
         results.append((model, _area(recall, precision), curve, trace.summary()))
     return results
@@ -199,9 +199,12 @@ def cross_validate(d: Dictionary, split: FoldSplit, form: str,
     contiguous groups, each stacked in a worker process. Every fold's model
     is the same either way while the batch size is at most every fold's
     training positives: a stack cuts wider batches to its largest one.
+    A test set without both classes is refused before any fold trains.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    for f, rows in enumerate(split.members):
+        require_both_classes(split.triples.label[rows], f"fold {f}'s test set")
     groups = [g.tolist() for g in np.array_split(np.arange(split.k), min(jobs, split.k))]
     args = [(d, split, group, form, dim_d, dim_p, config) for group in groups]
     if len(groups) == 1:

@@ -385,7 +385,8 @@ class Model:
 # relations need more builds them one block of relations at a time. A block
 # holds at least one relation, both sides' tables 2 * n * p * 8 B, which is
 # 2p/d times the embedding matrix. UMLS-shaped tables take
-# 49 * 2 * 184 * 10 * 8 B, about 1.4 MB.
+# 49 * 2 * 184 * 10 * 8 B, about 1.4 MB. ``_relation_maps`` sizes its
+# blocks of relation products by the same budget.
 _TABLE_BYTES = 16 << 20
 # Records per gather step: their u and v blocks (8192 * p * 8 B each) stay
 # in cache for the one row contraction that scores them.
@@ -496,7 +497,7 @@ def _relation_maps(params: Params, E: np.ndarray,
     linear = isinstance(params, LinearParams)
     w = params.w_sides[:, 1] if linear else params.w_sides   # linear: relation weights
     w_flat = w.reshape(-1, d)
-    step = max(1, _TABLE_BYTES // (p * d * 8))
+    step = max(1, _TABLE_BYTES // (len(w_flat) * 8))   # rows of E a product block takes
     rel_part = np.empty((len(rels), len(w_flat)))
     for start in range(0, len(E), step):
         here = (rels >= start) & (rels < start + step)

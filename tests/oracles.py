@@ -150,3 +150,18 @@ def load_triples_loop(path):
     entity_ids = {r[0] for r in records} | {r[2] for r in records}
     return ("ok", list(index), relation_ids, entity_ids,
             np.array(records, dtype=np.int64).reshape(-1, 4))
+
+
+def fold_sets_by_masks(split, i):
+    """Fold i's (train, valid, test) records, each as (lhs, rel, rhs, label)
+    arrays, selected by full-length boolean masks over the fold assignment:
+    the test fold is i, the validation fold (i + 1) mod K, and the training
+    folds all others, or with K = 2 the validation fold."""
+    a, k, ts = split.assignment, split.k, split.triples
+    valid = (i + 1) % k
+    in_train = np.zeros(len(a), dtype=bool)
+    for j in range(k):
+        if j not in (i, valid) or (k == 2 and j == valid):
+            in_train |= a == j
+    return [tuple(column[mask] for column in (ts.lhs, ts.rel, ts.rhs, ts.label))
+            for mask in (in_train, a == valid, a == i)]

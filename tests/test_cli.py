@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sme import cli, trainer
+from sme import cli, evaluator, trainer
 from sme.dataset import load_triples, make_folds
 from sme.errors import (ConfigError, IntegrityError, LookupIdError, MetricError,
                         NumericalError, OutOfDictionaryError, ParseError, ShapeError,
@@ -164,6 +164,13 @@ class TestScore:
          "error: out-of-dictionary symbol: 'nobody'\n"),
         (["e0\tsame\te1", "e0\tsame", "e0\tsame\tnobody"], 2,
          "error: triple must be 'lhs<TAB>rel<TAB>rhs', got 'e0\\tsame'\n"),
+        # e1 is a symbol of the model, but no relation type
+        (["e0\tsame\te1", "e0\te1\tnobody", "e0\tsame\tnobody", "e0\tsame"], 3,
+         "error: not a relation type of the model: 'e1'\n"),
+        (["e0\tsame\tnobody", "e0\te1\te2"], 3,
+         "error: out-of-dictionary symbol: 'nobody'\n"),
+        (["e0\tsame\te1", "nobody\te1\te2"], 3,
+         "error: out-of-dictionary symbol: 'nobody'\n"),
     ])
     def test_first_bad_argument_decides(self, trained_model, capsys, argv, code, message):
         assert run(["score", "--model", str(trained_model), *argv]) == code
@@ -333,6 +340,29 @@ class TestOneLineErrors:
         assert err == (f"error: AUC-PR undefined on fold {first}'s test set: "
                        "need at least one positive and one negative\n")
         assert "epoch=" not in out and not list(tmp_path.glob("rep*"))
+
+    def test_one_class_test_set_before_any_worker(self, tmp_path, monkeypatch):
+        # with --jobs 2 the refusal comes before the pool starts, and is the
+        # --jobs 1 line; run_fold refuses its own fold alike
+        d, ts = load_triples(self.one_class_file(tmp_path))
+        split = make_folds(ts, 5, 0)
+        first = next(f for f in range(5) if split.fold_sets(f)[2].n_positive == 0)
+        config = trainer.TrainConfig(epochs_max=2)
+        with pytest.raises(MetricError, match=f"fold {first}'s test set") as serial:
+            evaluator.cross_validate(d, split, "linear", 4, 4, config, jobs=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool started")
+
+        monkeypatch.setattr(evaluator, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(MetricError) as parallel:
+            evaluator.cross_validate(d, split, "linear", 4, 4, config, jobs=2)
+        assert str(parallel.value) == str(serial.value)
+        with pytest.raises(MetricError) as alone:
+            evaluator.run_fold(d, split, first, "linear", 4, 4, config)
+        assert str(alone.value) == str(serial.value)
+        with pytest.raises(ConfigError, match="outside"):
+            evaluator.run_fold(d, split, 5, "linear", 4, 4, config)
 
     @pytest.mark.parametrize("payload", [
         pytest.param(b'{"name": "toy", "triples": "toy.tsv", "folds": "abc"}', id="folds-text"),

@@ -8,8 +8,8 @@ from sme.dataset import (TripleSet, load_manifest, load_triples, make_folds,
                          positives_of)
 from sme.errors import ConfigError, IntegrityError, ParseError
 
-from conftest import load_canonical, sme_capped, write_triples
-from oracles import load_triples_loop
+from conftest import load_canonical, sme_capped, two_group_records, write_triples
+from oracles import fold_sets_by_masks, load_triples_loop
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -243,6 +243,17 @@ class TestMakeFolds:
         groups = [set(train.lhs), set(valid.lhs), set(test.lhs)]
         assert sum(len(g) for g in groups) == n
         assert groups[0] | groups[1] | groups[2] == set(range(n))
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_fold_sets_match_masks_bitwise(self, k, tmp_path):
+        _, ts = load_triples(write_triples(tmp_path / "toy.tsv", two_group_records()))
+        split = make_folds(ts, k, seed=5)
+        for i in range(k):
+            got = split.fold_sets(i)
+            for part, want in zip(got, fold_sets_by_masks(split, i)):
+                for column, expect in zip((part.lhs, part.rel, part.rhs, part.label), want):
+                    assert column.dtype == expect.dtype, (k, i)
+                    assert column.tobytes() == expect.tobytes(), (k, i)
 
     def test_k_too_large(self):
         ts = TripleSet(np.arange(3), np.zeros(3, dtype=np.int64),

@@ -282,7 +282,7 @@ class TestStoredCurves:
         dropped = 0
         for f, (model, auc, curve, _) in enumerate(
                 _run_folds(d, split, [0, 1, 2, 3], LINEAR, 4, 4, config)):
-            s = score_set(model, split.triples.subset(split.members()[f]))
+            s = score_set(model, split.fold_sets(f)[2])
             recall, precision, area = full_curve(s.scores, s.labels)
             assert area == auc
             full = list(zip(recall.tolist(), precision.tolist()))

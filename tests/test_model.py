@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -303,6 +305,25 @@ class TestBatchEnergies:
         energies_batch(emb, params, lhs, rel, rhs)
         # 8 relations, 3 relations a block: 3 blocks, each one table of both sides
         assert len(sizes) == 3 and max(sizes) <= budget
+
+    @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
+    def test_relation_products_stay_within_budget(self, form, monkeypatch):
+        # a block of relation products holds a row of 2 * p * d doubles
+        # (bilinear) or 2 * p (linear) per row of E; with few relations the
+        # block's product is the call's working memory
+        n, d, p = 1000, 10, 10
+        emb, params, _ = random_instance(form, seed=40, n=n, d=d, p=p)
+        budget = 160_000
+        monkeypatch.setattr(model_module, "_TABLE_BYTES", budget)
+        rels = np.arange(0, n, 100)
+        tracemalloc.start()
+        try:
+            maps, offsets = model_module._relation_maps(params, emb.vectors, rels)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert maps.shape == (len(rels), 2, p, d) and offsets.shape == (len(rels), 2, p)
+        assert peak - held <= 1.25 * budget
 
     @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
     @pytest.mark.parametrize("per_block", [None, 1, 3])

@@ -547,9 +547,9 @@ class TestStackedFolds:
         split = make_folds(ts, 10, seed=0)
         positives, valid = [], []
         for f in range(10):
-            train_mask, valid_mask, _ = split.roles(f)
-            positives.append(split.triples.subset(train_mask & (split.triples.label == 1)))
-            valid.append(split.triples.subset(valid_mask))
+            train_ts, valid_ts, _ = split.fold_sets(f)
+            positives.append(positives_of(train_ts))
+            valid.append(valid_ts)
         config = TrainConfig(epochs_max=6, patience=2, batch_size=8, learning_rate=0.05)
         seeds = [100 + f for f in range(10)]
         stacked = train_folds(positives, valid, d, form, 4, 4, config, seeds)
@@ -575,9 +575,9 @@ class TestStackedFolds:
         split = make_folds(ts, 4, seed=0)
         positives, valid = [], []
         for f in range(4):
-            train_mask, valid_mask, _ = split.roles(f)
-            positives.append(split.triples.subset(train_mask & (split.triples.label == 1)))
-            valid.append(split.triples.subset(valid_mask))
+            train_ts, valid_ts, _ = split.fold_sets(f)
+            positives.append(positives_of(train_ts))
+            valid.append(valid_ts)
         built, scored = [], []
         plan_of = trainer.scoring_plan
 
@@ -607,9 +607,9 @@ class TestStackedFolds:
         split = make_folds(ts, 4, seed=0)
         positives, valid = [], []
         for f in range(4):
-            train_mask, valid_mask, _ = split.roles(f)
-            positives.append(split.triples.subset(train_mask & (split.triples.label == 1)))
-            valid.append(split.triples.subset(valid_mask))
+            train_ts, valid_ts, _ = split.fold_sets(f)
+            positives.append(positives_of(train_ts))
+            valid.append(valid_ts)
         config = TrainConfig(epochs_max=12, patience=2, batch_size=8, learning_rate=0.05)
         seeds = [30 + f for f in range(4)]
         trained = train_folds(positives, valid, d, form, 4, 4, config, seeds)
