@@ -123,8 +123,8 @@ def _training_setup(args):
 
 def cmd_train(args) -> int:
     _, d, split, config = _training_setup(args)
-    train_ts, valid_ts, _ = split.fold_sets(args.fold)
-    model, _ = trainer.train(train_ts, valid_ts, d, args.form,
+    positives, valid_ts, _ = split.fold_sets(args.fold)
+    model, _ = trainer.train(positives, valid_ts, d, args.form,
                              args.dim_d, args.dim_p, config, fold=args.fold)
     modelfile.save_model(model, args.out)
     print(f"wrote {args.out}")

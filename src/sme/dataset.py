@@ -343,13 +343,14 @@ class FoldSplit:
     Fold i serves as the test set; fold (i+1) mod K is held out for early
     stopping; the remaining K-2 folds are the training pool. With K=2 there
     is no remainder, so the validation fold doubles as the training pool.
-    Every set is built from ``members[j]``, fold j's record indices, ascending.
+    ``members[j]`` holds fold j's record indices and ``positives[j]`` those
+    of its positives, each ascending, made once with the split.
     """
 
     k: int
     triples: TripleSet
-    assignment: np.ndarray
     members: list[np.ndarray]
+    positives: list[np.ndarray]
 
     def role_folds(self, i: int) -> tuple[list[int], int]:
         """Fold i's training folds and its validation fold."""
@@ -359,10 +360,11 @@ class FoldSplit:
         return [j for j in range(self.k) if j not in (i, valid)] or [valid], valid
 
     def fold_sets(self, i: int) -> tuple[TripleSet, TripleSet, TripleSet]:
-        """Fold i's (train, valid, test) records, each in record order."""
+        """Fold i's training positives (the trainer draws its negatives by
+        corruption), validation records and test records, each in record
+        order: the trainer's permutations index into them."""
         train, valid = self.role_folds(i)
-        rows = np.zeros(len(self.triples), dtype=bool)   # 1 B a record, not an index's 8
-        rows[np.concatenate([self.members[j] for j in train])] = True
+        rows = np.sort(np.concatenate([self.positives[j] for j in train]))
         return tuple(map(self.triples.subset, (rows, self.members[valid], self.members[i])))
 
 
@@ -375,16 +377,12 @@ def make_folds(ts: TripleSet, k: int, seed: int) -> FoldSplit:
         raise ConfigError(f"fold count {k} exceeds record count {n}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    perm = rng.permutation(n)
-    assignment = np.empty(n, dtype=np.int64)
+    perm = np.random.Generator(np.random.PCG64(seed)).permutation(n)
     # fold i takes the next n // k records of the permutation, and the first
     # n % k folds one more each
-    base, extra = divmod(n, k)
-    sizes = base + (np.arange(k) < extra)
-    assignment[perm] = np.repeat(np.arange(k), sizes)
+    sizes = n // k + (np.arange(k) < n % k)
     members = [np.sort(fold) for fold in np.split(perm, np.cumsum(sizes)[:-1])]
-    return FoldSplit(k, ts, assignment, members)
+    return FoldSplit(k, ts, members, [m[ts.label[m] == 1] for m in members])
 
 
 @dataclass

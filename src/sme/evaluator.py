@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import trainer
 from .dataset import Dictionary, FoldSplit, TripleSet
 from .errors import ConfigError, MetricError
 from .model import Model, energies_batch
@@ -161,21 +162,11 @@ def _run_folds(d: Dictionary, split: FoldSplit, folds: list[int], form: str,
     """Train ``folds`` in one stacked loop, then score each fold's test set.
     Returns (model, auc, curve, run summary) per fold; the curve is the
     fold's ``pr_curve``. The callers refuse a test set without both
-    classes. During training only each fold's training positives and
-    validation set are held, never its whole training set."""
-    from . import trainer  # local import: trainer also uses this module
-
-    # every set keeps record order: the trainer's permutations index into it
-    fold_positives = [m[split.triples.label[m] == 1] for m in split.members]
-    positives, valid = [], []
-    for f in folds:
-        train, val = split.role_folds(f)
-        rows = np.sort(np.concatenate([fold_positives[j] for j in train]))
-        positives.append(split.triples.subset(rows))
-        valid.append(split.triples.subset(split.members[val]))
+    classes. A fold trains on the first two of its ``fold_sets``; its
+    test set is built after training, from ``split.members``."""
+    positives, valid = zip(*(split.fold_sets(f)[:2] for f in folds))
     seeds = [_fold_seed(config.seed, f) for f in folds]
-    trained = trainer.train_folds(positives, valid, d, form, dim_d, dim_p, config, seeds,
-                                  fold_ids=folds)
+    trained = trainer.train_folds(positives, valid, d, form, dim_d, dim_p, config, seeds, folds)
     del positives, valid
     results = []
     for f, (model, trace) in zip(folds, trained):
@@ -199,13 +190,14 @@ def cross_validate(d: Dictionary, split: FoldSplit, form: str,
     contiguous groups, each stacked in a worker process. Every fold's model
     is the same either way while the batch size is at most every fold's
     training positives: a stack cuts wider batches to its largest one.
-    A test set without both classes is refused before any fold trains.
+    A one-class test set or a refused setting ends the run before any fold trains.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     for f, rows in enumerate(split.members):
         require_both_classes(split.triples.label[rows], f"fold {f}'s test set")
     groups = [g.tolist() for g in np.array_split(np.arange(split.k), min(jobs, split.k))]
+    trainer.check_settings(config, d, form, dim_d, dim_p, max(map(len, groups)))
     args = [(d, split, group, form, dim_d, dim_p, config) for group in groups]
     if len(groups) == 1:
         results = _fold_group_job(args[0])

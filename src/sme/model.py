@@ -485,7 +485,7 @@ def energies_batch(emb: EmbeddingTable, params: Params,
 def _relation_maps(params: Params, E: np.ndarray,
                    rels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (k, 2, p, d) maps and (k, 2, p) offsets, by side, of the k
-    relations whose embeddings are the rows ``rels`` of E. Linear: the
+    relations whose embeddings are the rows ``rels`` of E, ascending. Linear: the
     entity-side weights, shared by every relation, and offsets
     ``W_2 e_r + b``. Bilinear: the maps ``W x3 e_r`` and the biases. The
     relation products, ``W_2 e_r`` or ``W x3 e_r`` from the (2 * p * d, d)
@@ -499,12 +499,13 @@ def _relation_maps(params: Params, E: np.ndarray,
     w_flat = w.reshape(-1, d)
     step = max(1, _TABLE_BYTES // (len(w_flat) * 8))   # rows of E a product block takes
     rel_part = np.empty((len(rels), len(w_flat)))
-    for start in range(0, len(E), step):
-        here = (rels >= start) & (rels < start + step)
-        if here.any():
-            rel_part[here] = (E[start:start + step] @ w_flat.T)[rels[here] - start]
+    for start in np.unique(rels // step) * step:   # the blocks that hold relations
+        lo, hi = np.searchsorted(rels, (start, start + step))
+        np.take(E[start:start + step] @ w_flat.T, rels[lo:hi] - start,
+                out=rel_part[lo:hi], **_TAKE)
     if linear:
-        offsets = rel_part.reshape(-1, 2, p) + params.b_sides
+        offsets = rel_part.reshape(-1, 2, p)
+        offsets += params.b_sides
         return np.broadcast_to(params.w_sides[:, 0], (len(rels), 2, p, d)), offsets
     return rel_part.reshape(-1, 2, p, d), np.broadcast_to(params.b_sides, (len(rels), 2, p))
 

@@ -71,6 +71,8 @@ class TrainConfig:
             raise ConfigError(f"corruption_mode must be one of {CORRUPTION_MODES}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -206,6 +208,19 @@ def train(train_ts: TripleSet, valid_ts: TripleSet, d: Dictionary,
                        dim_d, dim_p, config, [config.seed], fold_ids=[fold])[0]
 
 
+def check_settings(config: TrainConfig, d: Dictionary, form: str,
+                   dim_d: int, dim_p: int, k: int) -> None:
+    """The checks of ``train_folds`` that read no records, for a stack of k models."""
+    config.validate()
+    if dim_d < 1 or dim_p < 1:
+        raise ConfigError(f"dimensions must be >= 1, got d={dim_d} p={dim_p}")
+    # the stack's bytes, in Python ints: past what numpy can address, an
+    # allocation fails with a ValueError, not a MemoryError
+    blocks = PARAMS[form].shapes(dim_p, dim_d) if form in PARAMS else ()
+    if 8 * k * max(len(d) * dim_d, sum(map(math.prod, blocks))) > np.iinfo(np.intp).max:
+        raise ConfigError(f"dimensions d={dim_d} p={dim_p} need more memory than can be addressed")
+
+
 def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionary,
                 form: str, dim_d: int, dim_p: int, config: TrainConfig,
                 seeds: list[int], fold_ids: list[int] | None = None,
@@ -218,14 +233,7 @@ def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionar
     error messages (by default 0, 1, ...); a validation set without both
     classes is refused before the first epoch. Each validation set's
     ``scoring_plan`` is built once, for every epoch's scoring."""
-    config.validate()
-    if dim_d < 1 or dim_p < 1:
-        raise ConfigError(f"dimensions must be >= 1, got d={dim_d} p={dim_p}")
-    # the stack's bytes, in Python ints: past what numpy can address, an
-    # allocation fails with a ValueError, not a MemoryError
-    blocks = PARAMS[form].shapes(dim_p, dim_d) if form in PARAMS else ()
-    if 8 * len(seeds) * max(len(d) * dim_d, sum(map(math.prod, blocks))) > np.iinfo(np.intp).max:
-        raise ConfigError(f"dimensions d={dim_d} p={dim_p} need more memory than can be addressed")
+    check_settings(config, d, form, dim_d, dim_p, len(seeds))
     entity_ids = d.entity_id_array()
     if len(entity_ids) < 2:
         raise ConfigError("corruption needs at least 2 entities")

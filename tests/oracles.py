@@ -152,16 +152,28 @@ def load_triples_loop(path):
             np.array(records, dtype=np.int64).reshape(-1, 4))
 
 
-def fold_sets_by_masks(split, i):
-    """Fold i's (train, valid, test) records, each as (lhs, rel, rhs, label)
-    arrays, selected by full-length boolean masks over the fold assignment:
-    the test fold is i, the validation fold (i + 1) mod K, and the training
-    folds all others, or with K = 2 the validation fold."""
-    a, k, ts = split.assignment, split.k, split.triples
+def fold_masks(split, i):
+    """Full-length boolean masks of fold i's whole training set, validation
+    set and test set over the fold of each record: the test fold is i, the
+    validation fold (i + 1) mod K, and the training folds all others, or
+    with K = 2 the validation fold."""
+    k, n = split.k, len(split.triples)
+    a = np.full(n, -1)
+    for j, rows in enumerate(split.members):
+        a[rows] = j
     valid = (i + 1) % k
-    in_train = np.zeros(len(a), dtype=bool)
+    in_train = np.zeros(n, dtype=bool)
     for j in range(k):
         if j not in (i, valid) or (k == 2 and j == valid):
             in_train |= a == j
+    return in_train, a == valid, a == i
+
+
+def fold_sets_by_masks(split, i):
+    """Fold i's training positives, validation records and test records,
+    each as (lhs, rel, rhs, label) arrays selected by ``fold_masks``; the
+    positives are the label-1 records of the whole training set."""
+    ts = split.triples
+    in_train, valid, test = fold_masks(split, i)
     return [tuple(column[mask] for column in (ts.lhs, ts.rel, ts.rhs, ts.label))
-            for mask in (in_train, a == valid, a == i)]
+            for mask in (in_train & (ts.label == 1), valid, test)]

@@ -210,21 +210,23 @@ class TestMakeFolds:
         ts = TripleSet(np.arange(4), np.zeros(4, dtype=np.int64),
                        np.arange(4), np.ones(4, dtype=np.int64))
         split = make_folds(ts, 2, seed=0)
-        assert np.bincount(split.assignment, minlength=2).tolist() == [2, 2]
+        assert [len(rows) for rows in split.members] == [2, 2]
+        assert [len(rows) for rows in split.positives] == [2, 2]
 
     def test_determinism(self):
         ts = TripleSet(np.arange(50), np.zeros(50, dtype=np.int64),
-                       np.arange(50), np.ones(50, dtype=np.int64))
-        a = make_folds(ts, 5, seed=9).assignment
-        b = make_folds(ts, 5, seed=9).assignment
-        assert np.array_equal(a, b)
+                       np.arange(50), np.arange(50) % 2)
+        a, b = make_folds(ts, 5, seed=9), make_folds(ts, 5, seed=9)
+        for field in ("members", "positives"):
+            for x, y in zip(getattr(a, field), getattr(b, field), strict=True):
+                assert np.array_equal(x, y), field
 
     def test_partition_and_near_equal_sizes(self):
         n = 103
         ts = TripleSet(np.arange(n), np.zeros(n, dtype=np.int64),
                        np.arange(n), np.ones(n, dtype=np.int64))
         split = make_folds(ts, 10, seed=1)
-        sizes = np.bincount(split.assignment, minlength=10)
+        sizes = [len(rows) for rows in split.members]
         assert sum(sizes) == n
         assert max(sizes) - min(sizes) <= 1
         # every record lands in exactly one test fold
@@ -266,7 +268,7 @@ class TestMakeFolds:
         # perm is the seed's own PCG64 permutation: fold i takes the next
         # records of it, n // k of them plus one for each of the first n % k
         ts = TripleSet(np.arange(n), np.zeros(n, dtype=np.int64),
-                       np.arange(n), np.ones(n, dtype=np.int64))
+                       np.arange(n), (np.arange(n) % 3 != 1).astype(np.int64))
         perm = np.random.Generator(np.random.PCG64(seed)).permutation(n)
         want = np.full(n, -1)
         start = 0
@@ -275,9 +277,11 @@ class TestMakeFolds:
             want[perm[start:start + size]] = i
             start += size
         assert start == n and (want >= 0).all()
-        assignment = make_folds(ts, k, seed).assignment
-        assert assignment.dtype == np.int64
-        assert assignment.tolist() == want.tolist()
+        split = make_folds(ts, k, seed)
+        for i, (rows, positives) in enumerate(zip(split.members, split.positives, strict=True)):
+            assert rows.dtype == positives.dtype == np.int64
+            assert rows.tolist() == np.flatnonzero(want == i).tolist()
+            assert positives.tolist() == np.flatnonzero((want == i) & (ts.label == 1)).tolist()
 
     def test_fold_arithmetic_large(self):
         # 893,025 = 10 * 89,302 + 5

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from sme import evaluator
 from sme.dataset import Triple, TripleSet, make_folds
-from sme.errors import MetricError
+from sme.errors import ConfigError, MetricError
 from sme.evaluator import (EvalReport, ScoredSet, _area, _run_folds, aggregate, auc_pr,
                            cross_validate, pr_curve, score_set)
 from sme.model import LINEAR, EmbeddingTable, LinearParams, Model, energy
@@ -244,6 +245,28 @@ class TestCrossValidate:
         def without_secs(runs):
             return [{k: v for k, v in r.items() if k != "secs"} for r in runs]
         assert without_secs(grouped.per_fold_run) == without_secs(one.per_fold_run)
+
+    @pytest.mark.parametrize("change, match", [
+        pytest.param(dict(config=TrainConfig(learning_rate=-1.0)), "learning_rate", id="lr"),
+        pytest.param(dict(config=TrainConfig(seed=-1)), "seed", id="seed"),
+        pytest.param(dict(dim_p=0), "dimensions must be", id="dim-p"),
+        pytest.param(dict(dim_d=1 << 60), "addressed", id="addressable"),
+    ])
+    def test_bad_settings_refused_before_any_worker(self, toy_dataset, monkeypatch,
+                                                    change, match):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool started")
+
+        monkeypatch.setattr(evaluator, "ProcessPoolExecutor", no_pool)
+        d, ts = toy_dataset
+        split = make_folds(ts, 4, seed=0)
+        args = {"form": LINEAR, "dim_d": 4, "dim_p": 4, "config": TrainConfig(epochs_max=1),
+                **change}
+        with pytest.raises(ConfigError, match=match) as parallel:
+            cross_validate(d, split, jobs=2, **args)
+        with pytest.raises(ConfigError) as serial:
+            cross_validate(d, split, jobs=1, **args)
+        assert str(parallel.value) == str(serial.value)
 
     def test_per_fold_run_summary(self, toy_dataset):
         d, ts = toy_dataset

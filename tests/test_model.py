@@ -309,21 +309,23 @@ class TestBatchEnergies:
     @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
     def test_relation_products_stay_within_budget(self, form, monkeypatch):
         # a block of relation products holds a row of 2 * p * d doubles
-        # (bilinear) or 2 * p (linear) per row of E; with few relations the
-        # block's product is the call's working memory
+        # (bilinear) or 2 * p (linear) per row of E; the block's product is
+        # the call's working memory beyond its result, with few relations
+        # (every 100th row of E) and with every row of E a relation
         n, d, p = 1000, 10, 10
         emb, params, _ = random_instance(form, seed=40, n=n, d=d, p=p)
         budget = 160_000
         monkeypatch.setattr(model_module, "_TABLE_BYTES", budget)
-        rels = np.arange(0, n, 100)
-        tracemalloc.start()
-        try:
-            maps, offsets = model_module._relation_maps(params, emb.vectors, rels)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert maps.shape == (len(rels), 2, p, d) and offsets.shape == (len(rels), 2, p)
-        assert peak - held <= 1.25 * budget
+        for every in (100, 1):
+            rels = np.arange(0, n, every)
+            tracemalloc.start()
+            try:
+                maps, offsets = model_module._relation_maps(params, emb.vectors, rels)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert maps.shape == (len(rels), 2, p, d) and offsets.shape == (len(rels), 2, p)
+            assert peak - held <= 1.25 * budget, every
 
     @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
     @pytest.mark.parametrize("per_block", [None, 1, 3])

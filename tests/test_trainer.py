@@ -15,7 +15,7 @@ from sme.trainer import (TrainConfig, _corrupt_batch, _sgd_step_arrays, corrupt,
 
 from conftest import two_group_records, write_triples
 from oracles import (energy_bilinear_formula, energy_linear_formula,
-                     finite_difference)
+                     finite_difference, fold_masks)
 
 
 class TestCorrupt:
@@ -410,6 +410,31 @@ class TestTrain:
         train_ts, valid_ts, _ = split.fold_sets(0)
         with pytest.raises(ConfigError):
             train(train_ts, valid_ts, d, LINEAR, 4, 4, TrainConfig(epochs_max=0))
+
+    def test_negative_seed_rejected(self, toy_split):
+        d, split = toy_split
+        train_ts, valid_ts, _ = split.fold_sets(0)
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            train(train_ts, valid_ts, d, LINEAR, 4, 4, TrainConfig(seed=-1))
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_training_positives_train_as_whole_training_set(self, k, tmp_path):
+        # sme train trains on fold_sets(i)[:2]; the model is bitwise the one
+        # trained on the fold's whole training set, negatives included,
+        # selected by full-length masks
+        d, ts = load_triples(write_triples(tmp_path / "toy.tsv", two_group_records()))
+        split = make_folds(ts, k, seed=3)
+        config = TrainConfig(epochs_max=4, patience=2, batch_size=8, learning_rate=0.05, seed=7)
+        for i in range(k):
+            positives, valid_ts = split.fold_sets(i)[:2]
+            in_train, in_valid, _ = fold_masks(split, i)
+            whole = ts.subset(in_train)
+            assert 0 < len(positives) < len(whole)
+            for form in (LINEAR, BILINEAR):
+                got, _ = train(positives, valid_ts, d, form, 4, 4, config, fold=i)
+                want, _ = train(whole, ts.subset(in_valid), d, form, 4, 4, config, fold=i)
+                assert got.emb.vectors.tobytes() == want.emb.vectors.tobytes(), (k, i, form)
+                assert got.params.buf.tobytes() == want.params.buf.tobytes(), (k, i, form)
 
     def test_single_epoch_returns_post_epoch_snapshot(self, toy_split):
         d, split = toy_split
