@@ -18,7 +18,9 @@ writes the gradients of a weighted energy sum into its buffer laid out as
 the parameters'. Both are numpy products written through ``out=``, in
 which the two sides run together and a relation row, its maps and its
 weight products are computed once per pair; a stacked model's products
-see the operands a single model would give them. Validation, test and
+see the operands a single model would give them. The sums over a small
+axis, each energy's p terms and each bias gradient's m pairs, are BLAS
+GEMVs against ones (minus ones for the energies). Validation, test and
 bulk scoring use ``energies_batch``: for a fixed relation each form is an
 affine map of the entity embedding on each side, read from the same
 by-side views of the parameters as the kernel's, so every symbol row is
@@ -184,7 +186,8 @@ class Workspace:
     see the operands one model gives them, and batched matmuls over one
     matrix cost more than plain ones. ``rows_in``, ``losses_out`` and
     ``active_out`` view the arrays the caller's ids, losses and mask share,
-    with the caller's leading axes."""
+    with the caller's leading axes. ``ones_m`` and ``minus_ones_p`` are the
+    vectors the small sums run against."""
 
     def __init__(self, E: np.ndarray, params: Params, m: int):
         outer, d, p = E.shape[:-2], E.shape[-1], params.p
@@ -219,6 +222,8 @@ class Workspace:
         self.grad_finite = np.empty(self.grad.buf.shape, dtype=bool)
         self.emb_finite = np.empty(E.size, dtype=bool)
         self.g_b = g.b_sides
+        self.ones_m, self.minus_ones_p = np.ones(m), np.full(p, -1.0)
+        self.prod_rows, self.e_rows = np.empty((*lead, 2 * m, p)), np.empty((*lead, 2 * m))
         params = self.params
         if isinstance(params, LinearParams):
             w = params.w_sides   # side, then its entity and relation weights
@@ -230,9 +235,8 @@ class Workspace:
             self.er_b = self.er[..., None, :, :]
             self.rel_uv = np.empty((*lead, 2, m, p))   # W_2 e_r + b, by side
             self.b = params.b_sides[..., None, :]
-            self.prod = np.empty((*lead, 2, m, p))
-            self.energies = np.empty((*lead, 2, m))
-            self.e_sums = self.energies
+            self.prod = self.prod_rows.reshape(*lead, 2, m, p)
+            self.energies = self.e_rows.reshape(*lead, 2, m)
             self.neg_wb = self.neg_w[..., None, :, :, None]
             self.g_uv = np.empty_like(self.uv)
             self.g_entT = _t(self.g_uv.reshape(*lead, 2, 2 * m, p))
@@ -250,12 +254,13 @@ class Workspace:
         self.uv = np.empty((*lead, m, 2, 2, p))
         self.uv_swapped = self.uv[..., ::-1, :, :]
         self.b = params.b_sides[..., None, :, None, :]
-        self.prod = np.empty((*lead, m, 2, p))
-        self.e_sums = np.empty((*lead, m, 2))
-        self.energies = _t(self.e_sums)
+        self.prod = self.prod_rows.reshape(*lead, m, 2, p)
+        self.energies = _t(self.e_rows.reshape(*lead, m, 2))
         self.neg_wb = _t(self.neg_w)[..., :, None, :, None]
         self.g_uv = np.empty_like(self.uv)
-        self.g_uvT = _t(self.g_uv)
+        self.g_uvT, self.g_uv_flat = _t(self.g_uv), self.g_uv.reshape(*lead, m, 4 * p)
+        self.b_sums = np.empty((*lead, 2, 2, p))   # g_uv summed over the pairs
+        self.b_sums_flat = self.b_sums.reshape(*lead, 4 * p)
         # a pair's two outer products gu x el, summed, flattened to 2 * p * d
         self.a = np.empty((*lead, m, 2 * p * d))
         self.a_outer = self.a.reshape(*lead, m, 2, p, d)
@@ -295,8 +300,7 @@ def _forward(ws: Workspace, ids: np.ndarray) -> np.ndarray:
         np.matmul(ws.pairs, ws.mapsT, out=ws.uv)
         ws.uv += ws.b
         np.multiply(ws.uv[..., 0, :, :], ws.uv[..., 1, :, :], out=ws.prod)
-    np.sum(ws.prod, axis=-1, out=ws.e_sums)
-    np.negative(ws.e_sums, out=ws.e_sums)
+    np.matmul(ws.prod_rows, ws.minus_ones_p, out=ws.e_rows)
     return ws.energies
 
 
@@ -325,14 +329,15 @@ def backward(ws: Workspace, w: np.ndarray) -> None:
     np.multiply(ws.neg_wb, ws.uv_swapped, out=ws.g_uv)
     if isinstance(ws.params, LinearParams):
         np.add(ws.g_uv[..., 0, :, :], ws.g_uv[..., 1, :, :], out=ws.pair)
-        np.sum(ws.pair, axis=-2, out=ws.g_b)
+        np.matmul(ws.ones_m, ws.pair, out=ws.g_b)
         np.matmul(ws.g_entT, ws.sides, out=ws.g_w_ent)
         np.matmul(ws.pairT, ws.er_b, out=ws.g_w_rel)
         np.matmul(ws.g_ent, ws.w_ent, out=ws.d_sides)
         np.matmul(ws.pair, ws.w_rel, out=ws.d_er)
         np.add(ws.d_er[..., 0, :, :], ws.d_er[..., 1, :, :], out=ws.d_rows[..., 4, :, :])
         return
-    np.sum(ws.g_uv, axis=(-4, -2), out=ws.g_b)
+    np.matmul(ws.ones_m, ws.g_uv_flat, out=ws.b_sums_flat)
+    np.add(ws.b_sums[..., 0, :], ws.b_sums[..., 1, :], out=ws.g_b)
     # u[n, i] = sum_jk w_l[i, j, k] el[n, j] er[n, k]: a pair's two outer
     # products gu x el sum in one (p, 2) @ (2, d) product per side, and the
     # sums, flattened to 2 * p * d, meet the weights and er in one GEMM each

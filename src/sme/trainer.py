@@ -160,10 +160,11 @@ def _sgd_step_arrays(counted: np.ndarray, ids: np.ndarray, ws: Workspace,
     the kernel's pair layout (see ``sme.model``). A stack of K models takes
     (K, 5, m) rows of the flat (K * n, d) view and a (K, m) ``counted``,
     which marks the pairs that count; the others pad a fold's short or
-    spent batch. A counted pair with positive loss weighs +1 on its
-    positive and -1 on its corruption; every other pair weighs 0 and changes
-    nothing. The losses returned are the workspace's, overwritten by the
-    next step.
+    spent batch. A counted pair with positive loss weighs +lr on its
+    positive and -lr on its corruption, so ``backward`` writes the update
+    itself and every finiteness check, each made before any write, tests
+    what is applied; every other pair weighs 0 and changes nothing. The
+    losses returned are the workspace's, overwritten by the next step.
     """
     energies = _forward(ws, ids)
     losses = ranking_loss(energies[..., 0, :], energies[..., 1, :], config.margin, ws.losses)
@@ -175,7 +176,7 @@ def _sgd_step_arrays(counted: np.ndarray, ids: np.ndarray, ws: Workspace,
         return ws.losses_out
 
     w = ws.w
-    np.copyto(w[..., 0, :], active)
+    np.multiply(active, config.learning_rate, out=w[..., 0, :])
     np.negative(w[..., 0, :], out=w[..., 1, :])
     backward(ws, w)
     grad = ws.grad.buf
@@ -188,9 +189,7 @@ def _sgd_step_arrays(counted: np.ndarray, ids: np.ndarray, ws: Workspace,
     g_emb = np.bincount(at.ravel(), weights=ws.d_rows.ravel(), minlength=ws.E.size)
     if not np.isfinite(g_emb, out=ws.emb_finite).all():
         raise NumericalError("non-finite embedding gradient; training aborted")
-    grad *= config.learning_rate
     ws.param_buf -= grad
-    g_emb *= config.learning_rate
     ws.E -= g_emb.reshape(ws.E.shape)
     return ws.losses_out
 

@@ -7,6 +7,7 @@ biases add nothing."""
 
 import numpy as np
 
+from sme import model
 from sme.model import BilinearParams, LinearParams, _relation_maps, forward
 
 from oracles import matvec_loop, mode3_loop
@@ -90,14 +91,20 @@ class TestMode3Contract:
         maps, _ = relation_maps(*w, [[1.0, 2.0, 3.0, 4.0], [0.0] * 4], [1])
         assert np.array_equal(maps, np.zeros((1, 2, 2, 4)))
 
-    def test_against_triple_loop(self):
+    def test_against_triple_loop(self, monkeypatch):
         rng = np.random.default_rng(1)
         w = rng.uniform(-1, 1, size=(2, 2, 2, 2))
-        x = rng.uniform(-1, 1, size=(3, 2))
-        maps, _ = relation_maps(*w, x, [2, 0, 1])
-        for k, r in enumerate([2, 0, 1]):
-            for side in range(2):
-                assert np.allclose(maps[k, side], mode3_loop(w[side], x[r]), atol=1e-12)
+        x = rng.uniform(-1, 1, size=(8, 2))
+        rels = [0, 3, 6]   # ascending, as _relation_maps takes them
+        # the default budget takes every relation's product from one block
+        # of E's rows; a budget of two rows (2 * p * d * 8 B each) puts each
+        # relation in a block of its own and leaves rows 4-5 without one
+        for budget in (model._TABLE_BYTES, 2 * 2 * 2 * 2 * 8):
+            monkeypatch.setattr(model, "_TABLE_BYTES", budget)
+            maps, _ = relation_maps(*w, x, rels)
+            for k, r in enumerate(rels):
+                for side in range(2):
+                    assert np.allclose(maps[k, side], mode3_loop(w[side], x[r]), atol=1e-12)
 
     def test_linearity(self):
         rng = np.random.default_rng(9)

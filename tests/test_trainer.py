@@ -281,6 +281,17 @@ class TestSgdStep:
         with pytest.raises(NumericalError):
             sgd_step([(Triple(0, 4, 1), Triple(2, 4, 1))], emb, params, TrainConfig())
 
+    def test_overflowing_update_aborts_before_any_write(self):
+        # every gradient is finite, but not once scaled by the learning rate:
+        # the step checks what it would apply, so the model stays as it was
+        emb, params = make_state(LINEAR, seed=3)
+        params.buf *= 50
+        before = (emb.vectors.tobytes(), params.buf.tobytes())
+        batch = [(Triple(0, 4, 1), Triple(2, 4, 3))]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
+            sgd_step(batch, emb, params, TrainConfig(learning_rate=1.7e308, margin=1e4))
+        assert (emb.vectors.tobytes(), params.buf.tobytes()) == before
+
     def test_mean_loss_reported_before_update(self):
         emb, params = make_state(BILINEAR, seed=9)
         config = TrainConfig(margin=5.0)
@@ -575,25 +586,31 @@ class TestStackedFolds:
             train_ts, valid_ts, _ = split.fold_sets(f)
             positives.append(positives_of(train_ts))
             valid.append(valid_ts)
-        config = TrainConfig(epochs_max=6, patience=2, batch_size=8, learning_rate=0.05)
         seeds = [100 + f for f in range(10)]
-        stacked = train_folds(positives, valid, d, form, 4, 4, config, seeds)
-        # the folds' batch counts differ by more than one, and some folds
-        # stop on patience while others run on to epochs_max
-        batches = [-(-len(pos) // config.batch_size) for pos in positives]
-        assert max(batches) - min(batches) > 1
-        assert {trace.stop_reason for _, trace in stacked} == {"patience", "epochs_max"}
-        for f, (model, trace) in enumerate(stacked):
-            train_ts, valid_ts, _ = split.fold_sets(f)
-            alone, alone_trace = train(train_ts, valid_ts, d, form, 4, 4,
-                                       replace(config, seed=seeds[f]))
-            assert model.emb.vectors.tobytes() == alone.emb.vectors.tobytes(), f
-            for a, b in zip(model.params.arrays(), alone.params.arrays()):
-                assert a.tobytes() == b.tobytes(), f
-            assert ([(r.loss, r.val_auc) for r in trace.epochs]
-                    == [(r.loss, r.val_auc) for r in alone_trace.epochs]), f
-            assert trace.best_epoch == alone_trace.best_epoch
-            assert trace.stop_reason == alone_trace.stop_reason
+        # odd batch and output sizes too: the kernel's sums over the pairs
+        # and over p are BLAS products, whose row and tail handling may
+        # depend on the shape; each patience gives both stop reasons
+        for batch, dim_d, dim_p, patience in [(8, 4, 4, 2), (5, 5, 3, 3), (3, 7, 2, 3)]:
+            config = TrainConfig(epochs_max=6, patience=patience, batch_size=batch,
+                                 learning_rate=0.05)
+            stacked = train_folds(positives, valid, d, form, dim_d, dim_p, config, seeds)
+            # the folds' batch counts differ by more than one, and some folds
+            # stop on patience while others run on to epochs_max
+            batches = [-(-len(pos) // config.batch_size) for pos in positives]
+            assert max(batches) - min(batches) > 1
+            assert {trace.stop_reason for _, trace in stacked} == {"patience", "epochs_max"}
+            for f, (model, trace) in enumerate(stacked):
+                train_ts, valid_ts, _ = split.fold_sets(f)
+                alone, alone_trace = train(train_ts, valid_ts, d, form, dim_d, dim_p,
+                                           replace(config, seed=seeds[f]))
+                at = (batch, dim_d, dim_p, f)
+                assert model.emb.vectors.tobytes() == alone.emb.vectors.tobytes(), at
+                for a, b in zip(model.params.arrays(), alone.params.arrays()):
+                    assert a.tobytes() == b.tobytes(), at
+                assert ([(r.loss, r.val_auc) for r in trace.epochs]
+                        == [(r.loss, r.val_auc) for r in alone_trace.epochs]), at
+                assert trace.best_epoch == alone_trace.best_epoch, at
+                assert trace.stop_reason == alone_trace.stop_reason, at
 
     def test_validation_plan_built_once_per_fold(self, tmp_path, monkeypatch):
         d, ts = load_triples(write_triples(tmp_path / "toy.tsv", two_group_records()))
