@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from functools import partial
 from itertools import repeat
 from pathlib import Path
@@ -124,6 +125,7 @@ def _training_setup(args):
 def cmd_train(args) -> int:
     _, d, split, config = _training_setup(args)
     positives, valid_ts, _ = split.fold_sets(args.fold)
+    config = replace(config, seed=trainer.fold_seed(config.seed, args.fold))
     model, _ = trainer.train(positives, valid_ts, d, args.form,
                              args.dim_d, args.dim_p, config, fold=args.fold)
     modelfile.save_model(model, args.out)

@@ -48,10 +48,9 @@ def pr_curve(s: ScoredSet) -> tuple[np.ndarray, np.ndarray]:
     MetricError."""
     labels = np.asarray(s.labels)
     scores = np.asarray(s.scores, dtype=np.float64)
+    require_both_classes(labels, "the scored set")
     positives = scores[labels == 1]
-    n_pos, n_neg = len(positives), int((labels == 0).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise MetricError("AUC-PR undefined: need at least one positive and one negative")
+    n_pos = len(positives)
     if not np.isfinite(scores).all():
         raise MetricError("AUC-PR undefined: non-finite score")
     ranked = np.sort(scores)
@@ -142,11 +141,6 @@ def aggregate(per_fold: list[float]) -> tuple[float, float]:
     return mean, std
 
 
-def _fold_seed(base_seed: int, fold: int) -> int:
-    ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(fold,))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 def run_fold(d: Dictionary, split: FoldSplit, fold: int, form: str,
              dim_d: int, dim_p: int, config) -> tuple[Model, float, dict]:
     """Train on one fold and score its test set. Returns (model, auc, curve).
@@ -165,7 +159,7 @@ def _run_folds(d: Dictionary, split: FoldSplit, folds: list[int], form: str,
     classes. A fold trains on the first two of its ``fold_sets``; its
     test set is built after training, from ``split.members``."""
     positives, valid = zip(*(split.fold_sets(f)[:2] for f in folds))
-    seeds = [_fold_seed(config.seed, f) for f in folds]
+    seeds = [trainer.fold_seed(config.seed, f) for f in folds]
     trained = trainer.train_folds(positives, valid, d, form, dim_d, dim_p, config, seeds, folds)
     del positives, valid
     results = []

@@ -390,8 +390,7 @@ class Model:
 # relations need more builds them one block of relations at a time. A block
 # holds at least one relation, both sides' tables 2 * n * p * 8 B, which is
 # 2p/d times the embedding matrix. UMLS-shaped tables take
-# 49 * 2 * 184 * 10 * 8 B, about 1.4 MB. ``_relation_maps`` sizes its
-# blocks of relation products by the same budget.
+# 49 * 2 * 184 * 10 * 8 B, about 1.4 MB.
 _TABLE_BYTES = 16 << 20
 # Records per gather step: their u and v blocks (8192 * p * 8 B each) stay
 # in cache for the one row contraction that scores them.
@@ -455,10 +454,10 @@ def energies_batch(emb: EmbeddingTable, params: Params,
     embedding, side by side: ``u = maps[r, 0] @ e_lhs + off[r, 0]`` and
     ``v = maps[r, 1] @ e_rhs + off[r, 1]`` (see ``_relation_maps``), so u
     depends only on the (lhs, rel) pair and v only on the (rhs, rel) pair.
-    The maps of the relations present are applied to every symbol row,
-    ``T[r, side, s] = maps[r, side] @ E[s] + off[r, side]``, one block of
-    relations at a time within ``_TABLE_BYTES``, and each record is two
-    row gathers and a dot product. ``plan``, the records'
+    One block of relations at a time within ``_TABLE_BYTES``, the block's
+    maps are taken and applied to every symbol row,
+    ``T[r, side, s] = maps[r, side] @ E[s] + off[r, side]``, and each of
+    its records is two row gathers and a dot product. ``plan``, the records'
     ``scoring_plan``, is built here unless given; a caller that scores the
     same records again, as validation does every epoch, builds it once
     and passes it with those ids, of which only the count is read again.
@@ -475,11 +474,11 @@ def energies_batch(emb: EmbeddingTable, params: Params,
     out = np.empty(plan.m)
     if not plan.m:
         return out
-    maps, offsets = _relation_maps(params, E, plan.rels)
     for blk, rows, u, v in plan.blocks:
+        maps, offsets = _relation_maps(params, E, plan.rels[blk])
         # one GEMM per map, so a relation's rows do not depend on its block
-        t = np.matmul(E, _t(maps[blk]))   # (r, 2, n, p)
-        t += offsets[blk, :, None, :]
+        t = np.matmul(E, _t(maps))   # (r, 2, n, p)
+        t += offsets[:, :, None, :]
         if rows is None:
             _gather_dot(t, u, v, out)
         else:
@@ -490,24 +489,16 @@ def energies_batch(emb: EmbeddingTable, params: Params,
 def _relation_maps(params: Params, E: np.ndarray,
                    rels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (k, 2, p, d) maps and (k, 2, p) offsets, by side, of the k
-    relations whose embeddings are the rows ``rels`` of E, ascending. Linear: the
+    relations whose embeddings are the rows ``rels`` of E. Linear: the
     entity-side weights, shared by every relation, and offsets
-    ``W_2 e_r + b``. Bilinear: the maps ``W x3 e_r`` and the biases. The
-    relation products, ``W_2 e_r`` or ``W x3 e_r`` from the (2 * p * d, d)
-    flattening of the weights, are taken from fixed blocks of E's rows, so
-    a relation's come from the same product whichever relations the call
-    holds (numpy multiplies a one-row matrix by a matrix-vector path that
-    may round differently)."""
+    ``W_2 e_r + b``. Bilinear: the maps ``W x3 e_r`` and the biases. Each
+    relation product, ``W_2 e_r`` or ``W x3 e_r`` from the (2 * p * d, d)
+    flattening of the weights, is a matrix-vector product of its own, so
+    it is the same whichever relations the call holds."""
     p, d = params.p, params.d
     linear = isinstance(params, LinearParams)
     w = params.w_sides[:, 1] if linear else params.w_sides   # linear: relation weights
-    w_flat = w.reshape(-1, d)
-    step = max(1, _TABLE_BYTES // (len(w_flat) * 8))   # rows of E a product block takes
-    rel_part = np.empty((len(rels), len(w_flat)))
-    for start in np.unique(rels // step) * step:   # the blocks that hold relations
-        lo, hi = np.searchsorted(rels, (start, start + step))
-        np.take(E[start:start + step] @ w_flat.T, rels[lo:hi] - start,
-                out=rel_part[lo:hi], **_TAKE)
+    rel_part = np.matmul(w.reshape(-1, d), E[rels, :, None])
     if linear:
         offsets = rel_part.reshape(-1, 2, p)
         offsets += params.b_sides

@@ -198,6 +198,14 @@ def _log_enabled() -> bool:
     return os.environ.get("SME_LOG", "info") != "quiet"
 
 
+def fold_seed(seed: int, fold: int) -> int:
+    """The seed fold ``fold`` of a run seeded ``seed`` trains from: ``sme
+    eval`` trains each fold from its own, and ``sme train --fold`` from the
+    same one, so both build the same model."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(fold,))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
 def train(train_ts: TripleSet, valid_ts: TripleSet, d: Dictionary,
           form: str, dim_d: int, dim_p: int,
           config: TrainConfig, fold: int = 0) -> tuple[Model, TrainTrace]:

@@ -78,6 +78,22 @@ class TestTrain:
         assert run(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_fold_model_is_the_one_eval_scores(self, toy_files, monkeypatch):
+        # sme train --fold f seeds fold f as sme eval does, so it writes
+        # the model eval scores for that fold
+        monkeypatch.setenv("SME_LOG", "quiet")
+        tmp_path, manifest, tsv = toy_files
+        out = tmp_path / "fold2.sme"
+        assert run(["train", "--dataset", str(manifest), "--fold", "2", "--seed", "5",
+                    "--form", "linear", "--dim-d", "4", "--dim-p", "4", "--epochs", "3",
+                    "--out", str(out)]) == 0
+        d, ts = load_triples(tsv)
+        config = trainer.TrainConfig(epochs_max=3, seed=5)
+        (want, *_), = evaluator._run_folds(d, make_folds(ts, 4, 5), [2], "linear", 4, 4, config)
+        got = load_model(out)
+        assert got.emb.vectors.tobytes() == want.emb.vectors.tobytes()
+        assert got.params.buf.tobytes() == want.params.buf.tobytes()
+
     def test_triple_file_trains_as_its_manifest(self, toy_files, monkeypatch):
         monkeypatch.setenv("SME_LOG", "quiet")
         tmp_path, manifest, tsv = toy_files

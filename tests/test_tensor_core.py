@@ -95,10 +95,10 @@ class TestMode3Contract:
         rng = np.random.default_rng(1)
         w = rng.uniform(-1, 1, size=(2, 2, 2, 2))
         x = rng.uniform(-1, 1, size=(8, 2))
-        rels = [0, 3, 6]   # ascending, as _relation_maps takes them
-        # the default budget takes every relation's product from one block
-        # of E's rows; a budget of two rows (2 * p * d * 8 B each) puts each
-        # relation in a block of its own and leaves rows 4-5 without one
+        rels = [6, 0, 3]   # in any order
+        # a relation's product is its own matrix-vector product, which the
+        # table budget does not reach: at the default budget and at one of
+        # two rows of products (2 * p * d * 8 B each) the maps match the loop
         for budget in (model._TABLE_BYTES, 2 * 2 * 2 * 2 * 8):
             monkeypatch.setattr(model, "_TABLE_BYTES", budget)
             maps, _ = relation_maps(*w, x, rels)
