@@ -10,6 +10,7 @@ which a bare triple file takes whole. Flags are never abbreviated.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from functools import partial
@@ -171,7 +172,10 @@ def cmd_score(args) -> int:
         scores = -energies_batch(model.emb, model.params, ids[:, 0], ids[:, 1], ids[:, 2])
     if not np.isfinite(scores).all():
         raise NumericalError("non-finite score: the model's weights overflow")
-    print("\n".join(map("{}\t{:.17g}".format, triples, scores.tolist())))
+    try:
+        print("\n".join(map("{}\t{:.17g}".format, triples, scores.tolist())), flush=True)
+    except BrokenPipeError:   # every triple was scored; quiet the flush at exit too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK
 
 

@@ -11,10 +11,10 @@ count towards line numbers. A repeated (lhs, rel, rhs) is an error.
 
 The loader streams the file in text blocks of about ``_BLOCK`` characters,
 each extended to the end of its last line. Each block is checked by
-whole-block numpy operations, with no Python loop over its records, and its
-symbols are interned from their bytes: every symbol is read as 64-bit words
-and hashed, equal hashes are sorted together and compared word for word,
-and only the first symbol of each run of equal ones becomes a Python string
+whole-block numpy operations, with no Python loop over its records. Its
+symbols are read as 64-bit words, hashed and looked up in a table of the
+symbols seen; the ones it misses are sorted by hash and compared word for
+word, and only the first of each run of equal ones becomes a Python string
 and a dictionary lookup. A hash collision costs one more lookup, never a
 wrong id. Time and memory stay linear in a block's bytes, and memory stays
 near one block plus the id arrays.
@@ -104,16 +104,55 @@ _TAB, _NL, _HASH, _ZERO, _ONE = b"\t\n#01"
 
 class _Interner(dict):
     """Symbol -> id; an unseen symbol gets the next id, so ids follow first
-    appearance."""
+    appearance. It also holds a direct-mapped table of interned symbols, at
+    most one a slot and no probing: a symbol's slot, the high bits of its
+    ``_token_hash``, holds that hash, its length in bytes (0: a free slot),
+    first word, id and where its later words start in ``rest``. A table of
+    fewer than 4 slots a symbol is replaced by an empty one that large."""
+
+    def __init__(self):
+        super().__init__()
+        self._resize(0)
 
     def __missing__(self, symbol: str) -> int:
         self[symbol] = i = len(self)
         return i
 
+    def _resize(self, n: int) -> None:
+        bits = (4 * n - 1).bit_length()   # the next power of two >= 4 n slots
+        self.shift = np.uint64(64 - bits)
+        self.hash, self.word = np.zeros((2, 1 << bits), np.uint64)
+        self.length, self.id, self.rest_at = np.zeros((3, 1 << bits), np.int64)
+        self.rest = np.empty(0, np.uint64)
+
+    def find(self, hashes, length, word, long, rest, first_rest):
+        """Each token's id in the table, and the tokens it misses: those
+        whose slot's symbol differs in length, hash or any word."""
+        slot = (hashes >> self.shift).view(np.int64)
+        hit = (self.length[slot] == length) & (self.hash[slot] == hashes) & (self.word[slot] == word)
+        j = np.flatnonzero(hit[long])   # long hits, whose later words must match too
+        hit[long[j]] = ~_differ(rest, first_rest, j, self.rest, self.rest_at[slot[long[j]]])
+        return self.id[slot], np.flatnonzero(~hit)
+
+    def store(self, tokens, ids, hashes, length, word, long, rest, first_rest) -> None:
+        """Write ``tokens``, of known ``ids``, into their slots where free,
+        the first to a slot winning."""
+        if 4 * len(self) > len(self.id):
+            self._resize(len(self))
+        slot = (hashes[tokens] >> self.shift).view(np.int64)
+        free = np.flatnonzero(self.length[slot] == 0)
+        put = free[np.unique(slot[free], return_index=True)[1]]
+        t, s, i = tokens[put], slot[put], ids[put]
+        self.hash[s], self.length[s], self.word[s], self.id[s] = hashes[t], length[t], word[t], i
+        k = np.searchsorted(long, t[length[t] > _WORD])   # the long tokens written
+        at, sub = _spans(first_rest[k], np.diff(first_rest, append=len(rest))[k])
+        self.rest_at[s[length[t] > _WORD]] = sub + len(self.rest)
+        self.rest = np.concatenate((self.rest, rest[at]))
+
 
 class _Block(NamedTuple):
-    """The records of one block: their (m, 3) ids and labels, the block's
-    first line (0-based, in the file) and each record's line in the block."""
+    """The records of one block: their (m, 3) ids and labels (as bools), the
+    block's first line (0-based, in the file) and each record's line in it."""
 
     ids: np.ndarray
     label: np.ndarray
@@ -159,7 +198,7 @@ def load_triples(path) -> tuple[Dictionary, TripleSet]:
     relation_ids = set(np.flatnonzero(np.bincount(rel, minlength=n)).tolist())
     entity_ids = set(np.flatnonzero(np.bincount(lhs, minlength=n)
                                     + np.bincount(rhs, minlength=n)).tolist())
-    label = np.concatenate([b.label for b in blocks])
+    label = np.concatenate([b.label for b in blocks]).astype(np.int64)
     return Dictionary(list(symbols), relation_ids, entity_ids), TripleSet(lhs, rel, rhs, label)
 
 
@@ -202,9 +241,12 @@ def _parse_block(text: str, symbols: _Interner, first_line: int):
     # each kept record's lhs, rel and rhs byte ranges, in file order
     start = np.stack((starts[lines], t1[:kept] + 1, t2[:kept] + 1), axis=1).ravel()
     length = np.stack((t1[:kept], t2[:kept], t3[:kept]), axis=1).ravel() - start
+    label, n_lines = label[:kept] == _ONE, len(ends)
+    # free the line arrays first, so that interning can reuse their memory
+    del ends, tabs, starts, upto, n_tabs, t1, t2, t3, at, good
     ids = _intern(raw, start, length, symbols)
-    block = _Block(ids.reshape(-1, 3), (label[:kept] == _ONE).astype(np.int64), first_line, lines)
-    return block, bad, len(ends)
+    block = _Block(ids.reshape(-1, 3), label, first_line, lines)
+    return block, bad, n_lines
 
 
 _WORD = 8   # bytes per word of a token
@@ -217,35 +259,38 @@ def _intern(raw: bytes, start: np.ndarray, length: np.ndarray, symbols: _Interne
     ``raw`` running at least 7 bytes past each), interning new symbols in
     order of first appearance.
 
-    A token is read as little-endian words, its last zero-padded. Tokens
-    are sorted by a hash of their words and length, equal hashes in order
-    of appearance, and each is compared by length and word for word with
-    the token before it. Only the first token of each run of equal tokens
-    is decoded and looked up, so a hash collision can only split runs: it
-    costs a lookup, never a wrong id."""
-    n = len(start)
+    A token is read as little-endian words, its last zero-padded, hashed
+    and looked up once in the table of ``symbols``. The tokens it misses are
+    sorted by hash, equal hashes in order of appearance, and each is
+    compared by length and word for word with the token before it. Only the
+    first token of each run of equal tokens is decoded, looked up and
+    stored in the table, so a hash collision can only split runs: it costs
+    a lookup, never a wrong id."""
     b = np.frombuffer(raw, dtype=np.uint8)
     every = np.ndarray(len(b) - (_WORD - 1), dtype="<u8", buffer=b, strides=(1,))
     word = every[start]   # each token's first word
     word &= _KEEP[np.minimum(length, _WORD)]
     long = np.flatnonzero(length > _WORD)
     rest, left, first_rest = _later_words(every, start[long], length[long])
-    keys = _token_hash(word, length, long, rest, left, first_rest)
+    hashes = _token_hash(word, length, long, rest, left, first_rest)
+    ids, miss = symbols.find(hashes, length, word, long, rest, first_rest)
+    n = len(miss)
     bits = n.bit_length()
-    low = np.uint64((1 << bits) - 1)   # a key's low bits: its token's index
+    low = np.uint64((1 << bits) - 1)   # a key's low bits: its index in miss
+    keys = hashes[miss]
     keys &= ~low
     keys |= np.arange(n, dtype=np.uint64)
     keys.sort()
-    order = (keys & low).view(np.int64)
+    order = miss[(keys & low).view(np.int64)]   # the misses by hash, then appearance
     keys >>= np.uint64(bits)
-    size, word = length[order], word[order]
+    size, first = length[order], word[order]
     new = np.empty(n, dtype=bool)   # whether each sorted token starts a run
     new[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    new[1:] |= (size[1:] != size[:-1]) | (word[1:] != word[:-1])
+    new[1:] |= (size[1:] != size[:-1]) | (first[1:] != first[:-1])
     pair = np.flatnonzero(~new[1:] & (size[1:] > _WORD)) + 1
-    new[pair] = _differ(rest, first_rest, np.searchsorted(long, order[pair]),
-                        np.searchsorted(long, order[pair - 1]))
+    a, c = (np.searchsorted(long, order[p]) for p in (pair, pair - 1))
+    new[pair] = _differ(rest, first_rest, a, rest, first_rest[c])
     heads = order[new]
     seen = np.argsort(heads)   # the runs in order of their first tokens
     firsts = heads[seen]
@@ -253,8 +298,8 @@ def _intern(raw: bytes, start: np.ndarray, length: np.ndarray, symbols: _Interne
              for i, j in zip(start[firsts].tolist(), (start[firsts] + length[firsts]).tolist())]
     run_id = np.empty(len(heads), dtype=np.int64)
     run_id[seen] = np.fromiter(map(symbols.__getitem__, names), dtype=np.int64, count=len(names))
-    ids = np.empty(n, dtype=np.int64)
     ids[order] = run_id[np.cumsum(new) - 1]
+    symbols.store(firsts, run_id[seen], hashes, length, word, long, rest, first_rest)
     return ids
 
 
@@ -298,18 +343,18 @@ def _token_hash(word, length, long, rest, left, first_rest) -> np.ndarray:
     return h
 
 
-def _differ(rest: np.ndarray, first_rest: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Whether long tokens a[i] and c[i], of equal length, differ in a
-    later word."""
+def _spans(first: np.ndarray, count: np.ndarray):
+    """The positions ``first[i] .. first[i] + count[i] - 1``, span after
+    span, and where each span starts among them."""
+    sub = np.cumsum(count) - count
+    return np.repeat(first - sub, count) + np.arange(count.sum()), sub
+
+
+def _differ(rest, first_rest, a, other, at) -> np.ndarray:
+    """Whether long token a[i] differs in a later word from ``other[at[i]:]``."""
     count = np.diff(first_rest, append=len(rest))[a]
-    sub = np.cumsum(count) - count   # each pair's first word among the pairs' words
-    pos = np.repeat(first_rest[a] - sub, count)
-    pos += np.arange(len(pos))
-    other = np.repeat(first_rest[c] - first_rest[a], count)
-    other += pos
-    differ = np.zeros(len(a), dtype=bool)
-    differ[np.searchsorted(sub, np.flatnonzero(rest[pos] != rest[other]), side="right") - 1] = True
-    return differ
+    pos, sub = _spans(first_rest[a], count)
+    return np.logical_or.reduceat(rest[pos] != other[_spans(at, count)[0]], sub)
 
 
 def _line_error(line: str) -> str:

@@ -110,15 +110,6 @@ class EvalReport:
         # the fields in declaration order; vars, unlike asdict, copies no curve
         return json.dumps(vars(self), separators=(",", ":"))
 
-    @staticmethod
-    def from_json(text: str) -> "EvalReport":
-        payload = json.loads(text)
-        return EvalReport(payload["dataset"], payload["form"],
-                          payload["per_fold_auc"], payload["mean"],
-                          payload["std"], payload["config"],
-                          payload.get("pr_curves", []),
-                          payload.get("per_fold_run", []))
-
     def to_text(self) -> str:
         lines = [
             f"dataset={self.dataset} form={self.form} folds={len(self.per_fold_auc)}",

@@ -45,16 +45,27 @@ def write_triples(path: Path, records) -> Path:
     return path
 
 
+def _child_env() -> dict:
+    """The environment of an ``sme`` child process running this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", SME_LOG="quiet",
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def sme_capped(argv, timeout=300):
     """``sme *argv`` in a child under a 1 GiB address-space limit, so no run
     can take more memory than that."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", SME_LOG="quiet",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, "-m", "sme.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=timeout,
+        env=_child_env(), capture_output=True, text=True, timeout=timeout,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+
+
+def sme_piped(argv):
+    """``sme *argv`` in a child whose stdout and stderr are pipes, as a
+    context manager yielding the ``Popen``."""
+    return subprocess.Popen([sys.executable, "-m", "sme.cli", *argv], env=_child_env(),
+                            text=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
 def two_group_records(n_per_group=6, seed=0):

@@ -12,7 +12,7 @@ from sme.errors import (ConfigError, IntegrityError, LookupIdError, MetricError,
                         SmeError)
 from sme.modelfile import load_model
 
-from conftest import sme_capped, two_group_records, write_triples
+from conftest import sme_capped, sme_piped, two_group_records, write_triples
 
 
 @pytest.fixture
@@ -202,6 +202,19 @@ class TestScore:
             run(["score", "--model", str(trained_model), triple])
             one_each.append(capsys.readouterr().out)
         assert together == "".join(one_each)
+
+    def test_reader_closing_early_is_not_an_error(self, trained_model):
+        """Every triple is scored before the first line is printed, so a
+        reader that stops after one line (``sme score ... | head -n 1``) is
+        no failure: exit 0 and nothing on stderr."""
+        triples = [f"e{i % 12}\t{('same', 'other')[i % 2]}\te{i * 7 % 12}" for i in range(5000)]
+        with sme_piped(["score", "--model", str(trained_model), *triples]) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()   # more output than a pipe holds is still unwritten
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert first.startswith(triples[0] + "\t")
+        assert (code, err) == (0, "")
 
 
 class TestCanonicalSmoke:

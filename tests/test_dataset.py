@@ -179,6 +179,50 @@ if st is not None:
         assert_reference_outcome(got, path)
 
 
+@pytest.mark.parametrize("new_symbol", [False, True])
+def test_known_symbols_skip_the_sort_path(tmp_path, monkeypatch, new_symbol):
+    """Blocks of a few lines whose symbols all came in the first block are
+    interned by the table alone: it misses none of their tokens, whether a
+    symbol is longer than a word, multibyte or shares its first word with
+    another. A block that brings one new symbol sends only that symbol's
+    tokens down the sort path, and the blocks after it none."""
+    # symbols whose hashes fill distinct slots of the 32-slot table that 7
+    # or 8 symbols get (checked below)
+    first = [("long_symbol_name_x", "rel", "C0000000_alpha", 1),
+             ("\u00fcn\u00ef", "rel", "C0000000_beta", 0), ("a", "rel", "b", 1)]
+    entities = ["long_symbol_name_x", "\u00fcn\u00ef", "C0000000_alpha", "C0000000_beta", "a", "b"]
+    later = [(x, rel, y, (i + j) % 2) for i, x in enumerate(entities)
+             for j, y in enumerate(entities) for rel in ("rel", "b")
+             if (x, rel, y) not in {t[:3] for t in first}]
+    if new_symbol:
+        later.insert(len(later) // 2, ("a", "zeta", "b", 1))
+    path = write_triples(tmp_path / "t.tsv", first + later)
+    missed = []   # per block: the tokens the table misses
+    tables = []
+    find, intern = dataset._Interner.find, dataset._intern
+
+    def spy(raw, start, length, symbols):
+        def spy_find(*args):
+            ids, miss = find(symbols, *args)
+            missed.append([raw[i:i + n].decode() for i, n in zip(start[miss].tolist(),
+                                                                   length[miss].tolist())])
+            return ids, miss
+        symbols.find = spy_find
+        tables.append(symbols)
+        return intern(raw, start, length, symbols)
+
+    monkeypatch.setattr(dataset, "_intern", spy)
+    # the first block holds exactly the first three lines
+    monkeypatch.setattr(dataset, "_BLOCK", len("".join("\t".join(map(str, t)) + "\n"
+                                                       for t in first)) - 1)
+    assert_reference_outcome(load_outcome(path), path)
+    symbols = tables[-1]
+    assert len(symbols.id) == 32 and np.count_nonzero(symbols.length) == len(symbols)
+    assert len(missed) > 5
+    assert sorted(missed[0]) == sorted(x for t in first for x in t[:3])
+    assert [m for m in missed[1:] if m] == ([["zeta"]] if new_symbol else [])
+
+
 def test_long_symbol_loads_in_linear_memory(tmp_path):
     """A 2 MiB symbol, twice, among 50,000 short records loads under the
     1 GiB cap: memory must not grow with tokens times the longest one."""
