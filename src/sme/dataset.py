@@ -9,15 +9,18 @@ one character 0 or 1. Lines end in \\n, \\r\\n or \\r. A line whose first
 character is '#' is a comment; comment and blank lines are skipped but
 count towards line numbers. A repeated (lhs, rel, rhs) is an error.
 
-The loader streams the file in text blocks of about ``_BLOCK`` characters,
-each extended to the end of its last line. Each block is checked by
-whole-block numpy operations, with no Python loop over its records. Its
-symbols are read as 64-bit words, hashed and looked up in a table of the
-symbols seen; the ones it misses are sorted by hash and compared word for
-word, and only the first of each run of equal ones becomes a Python string
-and a dictionary lookup. A hash collision costs one more lookup, never a
-wrong id. Time and memory stay linear in a block's bytes, and memory stays
-near one block plus the id arrays.
+The loader reads the file's bytes in blocks of whole lines, about
+``_BLOCK`` bytes each, into one reused buffer. A block is checked as UTF-8
+only if it is not ASCII, and its \\r\\n and \\r line ends become \\n only
+if it has a \\r. Each block is checked by whole-block numpy operations,
+with no Python loop over its records: one scan finds its tabs and
+newlines. Its symbols are read as 64-bit words, hashed and looked up in a
+table of the symbols seen, probing past a slot that another symbol holds;
+the new ones are sorted by hash and compared word for word, and only the
+first of each run of equal ones becomes a Python string and a dictionary
+lookup. A hash collision costs one more lookup, never a wrong id. Time and
+memory stay linear in a block's bytes, and memory stays near one block
+plus the id arrays.
 A dataset manifest is a small JSON file naming the triple file plus the
 fold count and split seed.
 """
@@ -96,63 +99,93 @@ def positives_of(ts: TripleSet) -> TripleSet:
     return ts.subset(ts.label == 1)
 
 
-# Characters read per block. Each block also holds its last line's rest, so
-# a line longer than this makes a longer block.
-_BLOCK = 1 << 20
+# Bytes read per block; a block also holds the unfinished line the one
+# before left, so a line longer than this makes a longer block.
+_BLOCK = 1 << 19
 _TAB, _NL, _HASH, _ZERO, _ONE = b"\t\n#01"
 
 
 class _Interner(dict):
     """Symbol -> id; an unseen symbol gets the next id, so ids follow first
-    appearance. It also holds a direct-mapped table of interned symbols, at
-    most one a slot and no probing: a symbol's slot, the high bits of its
-    ``_token_hash``, holds that hash, its length in bytes (0: a free slot),
-    first word, id and where its later words start in ``rest``. A table of
-    fewer than 4 slots a symbol is replaced by an empty one that large."""
+    appearance. It also keeps each symbol's ``_token_hash``, length in bytes,
+    first word and where its later words start in ``rest``, in id order and
+    with an unused entry of length 0 after the last, and a table of ids, -1
+    in a free slot, at 4 or more slots a symbol. A symbol sits in the first
+    free slot from its home slot, the high bits of its hash, at most
+    ``probe`` slots on (linear probing)."""
 
     def __init__(self):
         super().__init__()
-        self._resize(0)
+        self.hash, self.word = np.zeros((2, 1), np.uint64)
+        self.length, self.rest_at = np.zeros((2, 1), np.int64)
+        self.rest = np.empty(0, np.uint64)
+        self.id, self.shift, self.probe = np.full(2, -1), np.uint64(63), 0
 
     def __missing__(self, symbol: str) -> int:
         self[symbol] = i = len(self)
         return i
 
-    def _resize(self, n: int) -> None:
-        bits = (4 * n - 1).bit_length()   # the next power of two >= 4 n slots
-        self.shift = np.uint64(64 - bits)
-        self.hash, self.word = np.zeros((2, 1 << bits), np.uint64)
-        self.length, self.id, self.rest_at = np.zeros((3, 1 << bits), np.int64)
-        self.rest = np.empty(0, np.uint64)
+    def _same(self, ids, t, length, word, long, rest, first_rest):
+        """Whether the tokens ``t``, an index array or ``...`` for all, are
+        the symbols ``ids`` (-1: the unused entry): their lengths and words
+        are equal, so their hashes need no comparing."""
+        size = length[t]
+        same = (self.length[ids] == size) & (self.word[ids] == word[t])
+        if len(rest):   # a long token's later words must match too
+            j = long[same[long]] if t is ... else np.flatnonzero(same & (size > _WORD))
+            a = np.flatnonzero(same[long]) if t is ... else np.searchsorted(long, t[j])
+            same[j] = ~_differ(rest, first_rest, a, self.rest, self.rest_at[ids[j]])
+        return same
 
     def find(self, hashes, length, word, long, rest, first_rest):
-        """Each token's id in the table, and the tokens it misses: those
-        whose slot's symbol differs in length, hash or any word."""
-        slot = (hashes >> self.shift).view(np.int64)
-        hit = (self.length[slot] == length) & (self.hash[slot] == hashes) & (self.word[slot] == word)
-        j = np.flatnonzero(hit[long])   # long hits, whose later words must match too
-        hit[long[j]] = ~_differ(rest, first_rest, j, self.rest, self.rest_at[slot[long[j]]])
-        return self.id[slot], np.flatnonzero(~hit)
+        """Each token's id in the table, and the tokens it misses. A token
+        whose home slot holds another symbol probes up to ``probe`` slots on."""
+        args = length, word, long, rest, first_rest
+        home = (hashes >> self.shift).view(np.int64)
+        ids = self.id[home]
+        hit = self._same(ids, ..., *args)
+        miss = np.flatnonzero(~hit)
+        t = miss[ids[miss] >= 0]
+        for step in range(1, self.probe + 1 if len(t) else 1):
+            there = self.id[(home[t] + step) & (len(self.id) - 1)]
+            same = self._same(there, t, *args)
+            ids[t[same]], hit[t[same]] = there[same], True
+            t = t[~same & (there >= 0)]
+        return ids, miss[~hit[miss]]
 
     def store(self, tokens, ids, hashes, length, word, long, rest, first_rest) -> None:
-        """Write ``tokens``, of known ``ids``, into their slots where free,
-        the first to a slot winning."""
-        if 4 * len(self) > len(self.id):
-            self._resize(len(self))
-        slot = (hashes[tokens] >> self.shift).view(np.int64)
-        free = np.flatnonzero(self.length[slot] == 0)
-        put = free[np.unique(slot[free], return_index=True)[1]]
-        t, s, i = tokens[put], slot[put], ids[put]
-        self.hash[s], self.length[s], self.word[s], self.id[s] = hashes[t], length[t], word[t], i
-        k = np.searchsorted(long, t[length[t] > _WORD])   # the long tokens written
+        """Keep the new symbols that ``tokens``, of ``ids``, are the first of;
+        a table of fewer than 4 slots a symbol is replaced first."""
+        n = len(self)
+        if len(self.length) <= n:
+            self.hash, self.word, self.length, self.rest_at = (
+                np.pad(a, (0, n + 1)) for a in (self.hash, self.word, self.length, self.rest_at))
+        u, first = np.unique(ids, return_index=True)
+        t = tokens[first[self.length[u] == 0]]   # the new symbols' first tokens, in id order
+        old = n - len(t)
+        self.hash[old:n], self.word[old:n], self.length[old:n] = hashes[t], word[t], length[t]
+        k = np.searchsorted(long, t[length[t] > _WORD])
         at, sub = _spans(first_rest[k], np.diff(first_rest, append=len(rest))[k])
-        self.rest_at[s[length[t] > _WORD]] = sub + len(self.rest)
+        self.rest_at[old:n][length[t] > _WORD] = sub + len(self.rest)
         self.rest = np.concatenate((self.rest, rest[at]))
+        if 4 * n > len(self.id):
+            bits = (4 * n - 1).bit_length()   # the next power of two >= 4 n slots
+            self.id, self.shift, self.probe, old = np.full(1 << bits, -1), np.uint64(64 - bits), 0, 0
+        ids = np.arange(old, n)
+        slot, step = (self.hash[ids] >> self.shift).view(np.int64), 0
+        while len(ids):   # each tries its slot if free; one of those that try a slot gets it
+            free = self.id[slot] < 0
+            self.id[slot[free]] = ids[free]
+            left = self.id[slot] != ids
+            ids, slot, step = ids[left], (slot[left] + 1) & (len(self.id) - 1), step + 1
+        self.probe = max(self.probe, step - 1)   # the last round placed the last
 
 
 class _Block(NamedTuple):
     """The records of one block: their (m, 3) ids and labels (as bools), the
-    block's first line (0-based, in the file) and each record's line in it."""
+    block's first line (0-based, in the file) and each record's line in it.
+    Ids and lines are kept as int32, half the memory: far fewer than 2**31
+    symbols fit in memory, and a block holds far fewer lines."""
 
     ids: np.ndarray
     label: np.ndarray
@@ -170,26 +203,27 @@ def load_triples(path) -> tuple[Dictionary, TripleSet]:
     blocks: list[_Block] = []
     error = None
     first_line = 0
-    with path.open("r", encoding="utf-8") as fh:
+    work = {}
+    with path.open("rb") as fh:
         try:
-            for text in _blocks(fh, path):
-                block, bad, n_lines = _parse_block(text, symbols, first_line)
+            for raw, cut in _blocks(fh, path):
+                block, bad, n_lines = _parse_block(raw, cut, symbols, first_line, work)
                 blocks.append(block)
                 if bad is not None:
-                    raise ParseError(_line_error(text.split("\n", bad + 1)[bad]),
-                                     path=str(path), line_no=first_line + bad + 1)
+                    line = raw[:cut].split(b"\n", bad + 1)[bad].decode()
+                    raise ParseError(_line_error(line), path=str(path), line_no=first_line + bad + 1)
                 first_line += n_lines
         except ParseError as exc:
             error = exc
-    ids = [b.ids for b in blocks] or [np.empty((0, 3), np.int64)]
-    lhs, rel, rhs = (np.concatenate([a[:, j] for a in ids]) for j in range(3))
+    symbols = list(symbols)   # and the interning table goes
+    ids = [b.ids for b in blocks] or [np.empty((0, 3), np.int32)]
+    lhs, rel, rhs = (np.concatenate([a[:, j] for a in ids], dtype=np.int64) for j in range(3))
     # only records before the bad line were kept, so a repeat precedes it
     repeat = _first_repeat(lhs, rel, rhs, len(symbols))
     if repeat is not None:
-        names = list(symbols)
         line = np.concatenate([b.first_line + b.lines for b in blocks])[repeat]
-        raise IntegrityError(f"{path}:{line + 1}: duplicate triple ({names[lhs[repeat]]}, "
-                             f"{names[rel[repeat]]}, {names[rhs[repeat]]})")
+        raise IntegrityError(f"{path}:{line + 1}: duplicate triple ({symbols[lhs[repeat]]}, "
+                             f"{symbols[rel[repeat]]}, {symbols[rhs[repeat]]})")
     if error is not None:
         raise error
     if not len(lhs):
@@ -199,37 +233,69 @@ def load_triples(path) -> tuple[Dictionary, TripleSet]:
     entity_ids = set(np.flatnonzero(np.bincount(lhs, minlength=n)
                                     + np.bincount(rhs, minlength=n)).tolist())
     label = np.concatenate([b.label for b in blocks]).astype(np.int64)
-    return Dictionary(list(symbols), relation_ids, entity_ids), TripleSet(lhs, rel, rhs, label)
+    return Dictionary(symbols, relation_ids, entity_ids), TripleSet(lhs, rel, rhs, label)
 
 
 def _blocks(fh, path: Path):
-    """The file's text in blocks of whole lines, each ending in a newline."""
-    try:
-        while text := fh.read(_BLOCK):
-            text += fh.readline()
-            yield text if text.endswith("\n") else text + "\n"
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text ({exc.reason})", path=str(path)) from None
+    """The file in blocks of whole lines: one reused buffer and the length
+    of the block at its front, which ends in a newline and is followed by
+    ``_WORD`` zero bytes. Each read of ``_BLOCK`` bytes goes after the
+    unfinished line the last block left. A block is checked as UTF-8 unless
+    ASCII, and only one with a \\r has its \\r\\n and \\r made \\n."""
+    buf = bytearray()
+    kept = 0
+    while True:
+        if len(buf) < kept + _BLOCK + _WORD + 1:   # replaced, as numpy views may hold it
+            buf = buf[:kept] + bytes(_BLOCK + _WORD + 1 + (kept + _BLOCK) // 8)
+        end = kept + fh.readinto(memoryview(buf)[kept:kept + _BLOCK])
+        if end == kept and not kept:
+            return
+        # a \r that ends the read may start a \r\n, so it cannot end the block
+        last_cr = buf.rfind(b"\r", 0, end if end == kept else end - 1)
+        cut = end if end == kept else max(buf.rfind(b"\n", 0, end), last_cr) + 1
+        if not cut:   # no line end yet
+            kept = end
+            continue
+        tail = buf[cut:end]
+        if not buf.isascii():
+            try:
+                str(memoryview(buf)[:cut], "utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not UTF-8 text ({exc.reason})", path=str(path)) from None
+        if last_cr >= 0:
+            text = buf[:cut].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            cut = len(text)
+            buf[:cut] = text
+        if buf[cut - 1] != _NL:   # the file's last line, without a line end
+            buf[cut] = _NL
+            cut += 1
+        buf[cut:cut + _WORD] = bytes(_WORD)
+        yield buf, cut
+        kept = len(tail)
+        buf[:kept] = tail
 
 
-def _parse_block(text: str, symbols: _Interner, first_line: int):
-    """Check and intern one block. Returns its records up to its first bad
-    line, the index of that line in the block, or None, and the block's
-    line count. A record line is one that is neither blank nor a comment;
-    it is bad unless it has three tabs, non-empty symbols and a label of one
-    character, 0 or 1."""
-    # zero bytes past the end, so a token's last word can be read whole
-    raw = text.encode("utf-8") + bytes(_WORD)
-    b = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(b == _NL)
-    tabs = np.flatnonzero(b == _TAB)
+def _parse_block(raw: bytearray, cut: int, symbols: _Interner, first_line: int, work: dict):
+    """Check and intern the block ``raw[:cut]``. Returns its records up to
+    its first bad line, the index of that line in the block, or None, and
+    the block's line count. A record line is one that is neither blank nor
+    a comment; it is bad unless it has three tabs, non-empty symbols and a
+    label of one character, 0 or 1. ``work`` keeps a buffer for the next
+    block."""
+    b = np.frombuffer(raw, dtype=np.uint8, count=cut + _WORD)
+    if len(work.get("scan", ())) < cut:
+        work["scan"] = np.empty(len(raw), dtype=np.uint8)
+    # tabs and newlines in one pass: b - TAB < 2 holds for them alone
+    scan = np.subtract(b[:cut], _TAB, out=work["scan"][:cut])
+    sep = np.flatnonzero(np.less(scan, 2, out=scan.view(bool)))
+    nl = np.flatnonzero(b[sep] == _NL)   # the separators that end lines
+    ends = sep[nl]
     starts = np.concatenate(([0], ends[:-1] + 1))
     lines = np.flatnonzero((ends > starts) & (b[starts] != _HASH))
-    upto = np.searchsorted(tabs, ends)   # tabs before each line's end
-    n_tabs = np.diff(upto, prepend=0)[lines]
-    upto = upto[lines]
+    n_tabs = np.diff(nl, prepend=-1)[lines] - 1
     kept = len(lines) if (n_tabs == 3).all() else int(np.argmax(n_tabs != 3))
-    t1, t2, t3 = (tabs[upto[:kept] - k] for k in (3, 2, 1))
+    last = nl[lines[:kept]]   # each record's line end, as an index into sep
+    t1, t2, t3 = (sep[last - k] for k in (3, 2, 1))
     at = t3 + 1   # the label's byte
     label = b[at]
     good = ((t1 > starts[lines[:kept]]) & (t2 > t1 + 1) & (t3 > t2 + 1)
@@ -243,9 +309,9 @@ def _parse_block(text: str, symbols: _Interner, first_line: int):
     length = np.stack((t1[:kept], t2[:kept], t3[:kept]), axis=1).ravel() - start
     label, n_lines = label[:kept] == _ONE, len(ends)
     # free the line arrays first, so that interning can reuse their memory
-    del ends, tabs, starts, upto, n_tabs, t1, t2, t3, at, good
+    del b, scan, sep, nl, ends, starts, n_tabs, last, t1, t2, t3, at, good
     ids = _intern(raw, start, length, symbols)
-    block = _Block(ids.reshape(-1, 3), label, first_line, lines)
+    block = _Block(ids.astype(np.int32).reshape(-1, 3), label, first_line, lines.astype(np.int32))
     return block, bad, n_lines
 
 
@@ -371,7 +437,10 @@ def _first_repeat(lhs, rel, rhs, n: int) -> int | None:
     """Index of the first record equal to an earlier one, or None."""
     # packed keys wrap past 2**21 symbols, but equal records always get
     # equal keys, so distinct keys prove there is no repeat
-    keys = (lhs * n + rel) * n + rhs
+    keys = lhs * n
+    keys += rel
+    keys *= n
+    keys += rhs
     keys.sort()
     if not (keys[1:] == keys[:-1]).any():
         return None

@@ -179,6 +179,32 @@ if st is not None:
         assert_reference_outcome(got, path)
 
 
+def spy_misses(monkeypatch):
+    """Lists that loading then fills: per block, the tokens that the
+    interning table misses, and the interner."""
+    missed, tables = [], []
+    find, intern = dataset._Interner.find, dataset._intern
+
+    def spy(raw, start, length, symbols):
+        def spy_find(*args):
+            ids, miss = find(symbols, *args)
+            missed.append([raw[i:i + n].decode() for i, n in zip(start[miss].tolist(),
+                                                                   length[miss].tolist())])
+            return ids, miss
+        symbols.find = spy_find
+        tables.append(symbols)
+        return intern(raw, start, length, symbols)
+
+    monkeypatch.setattr(dataset, "_intern", spy)
+    return missed, tables
+
+
+def first_read_holds(monkeypatch, records):
+    """Make the first read, and so the first block, exactly these records."""
+    monkeypatch.setattr(dataset, "_BLOCK", len("".join("\t".join(map(str, t)) + "\n"
+                                                       for t in records).encode()))
+
+
 @pytest.mark.parametrize("new_symbol", [False, True])
 def test_known_symbols_skip_the_sort_path(tmp_path, monkeypatch, new_symbol):
     """Blocks of a few lines whose symbols all came in the first block are
@@ -197,30 +223,72 @@ def test_known_symbols_skip_the_sort_path(tmp_path, monkeypatch, new_symbol):
     if new_symbol:
         later.insert(len(later) // 2, ("a", "zeta", "b", 1))
     path = write_triples(tmp_path / "t.tsv", first + later)
-    missed = []   # per block: the tokens the table misses
-    tables = []
-    find, intern = dataset._Interner.find, dataset._intern
-
-    def spy(raw, start, length, symbols):
-        def spy_find(*args):
-            ids, miss = find(symbols, *args)
-            missed.append([raw[i:i + n].decode() for i, n in zip(start[miss].tolist(),
-                                                                   length[miss].tolist())])
-            return ids, miss
-        symbols.find = spy_find
-        tables.append(symbols)
-        return intern(raw, start, length, symbols)
-
-    monkeypatch.setattr(dataset, "_intern", spy)
-    # the first block holds exactly the first three lines
-    monkeypatch.setattr(dataset, "_BLOCK", len("".join("\t".join(map(str, t)) + "\n"
-                                                       for t in first)) - 1)
+    missed, tables = spy_misses(monkeypatch)
+    first_read_holds(monkeypatch, first)
     assert_reference_outcome(load_outcome(path), path)
     symbols = tables[-1]
     assert len(symbols.id) == 32 and np.count_nonzero(symbols.length) == len(symbols)
     assert len(missed) > 5
     assert sorted(missed[0]) == sorted(x for t in first for x in t[:3])
     assert [m for m in missed[1:] if m] == ([["zeta"]] if new_symbol else [])
+
+
+def test_symbols_sharing_a_home_slot_skip_the_sort_path(tmp_path, monkeypatch):
+    """With every token hashed alike, all symbols share one home slot, and
+    all but one sit in the slots after it. After the first block the table
+    still misses no token, also of long symbols of one length and first
+    word, which only their later words tell apart."""
+    first = [("a", "r", "C0000000_alpha1", 1), ("b", "r", "C0000000_alpha2", 0)]
+    entities = ["a", "b", "C0000000_alpha1", "C0000000_alpha2"]
+    later = [(x, "r", y, (i + j) % 2) for i, x in enumerate(entities)
+             for j, y in enumerate(entities) if (x, "r", y) not in {t[:3] for t in first}]
+    path = write_triples(tmp_path / "t.tsv", first + later)
+    missed, tables = spy_misses(monkeypatch)
+    first_read_holds(monkeypatch, first)
+    monkeypatch.setattr(dataset, "_token_hash",
+                        lambda word, *rest: np.zeros(len(word), dtype=np.uint64))
+    assert_reference_outcome(load_outcome(path), path)
+    assert len(missed) > 3 and tables[-1].probe >= 4
+    assert sorted(missed[0]) == sorted(x for t in first for x in t[:3])
+    assert not any(missed[1:])
+
+
+def test_crlf_split_between_reads_is_one_line_end(tmp_path, monkeypatch):
+    """A \\r\\n whose \\r ends one read and whose \\n starts the next
+    ends one line, so a later bad line keeps its line number."""
+    path = tmp_path / "t.tsv"
+    path.write_bytes(b"a\tr\tb\t1\r\nb\tr\tc\t0\r\nc\tr\ta\t1\r\nbad\r\na\tr\tc\t1\r\n")
+    monkeypatch.setattr(dataset, "_BLOCK", len(b"a\tr\tb\t1\r"))
+    got = load_outcome(path)
+    assert got == ("ParseError", f"{path}:4: expected 4 tab-separated fields, got 1")
+    assert_reference_outcome(got, path)
+
+
+def test_lone_cr_file_is_read_in_blocks(tmp_path, monkeypatch):
+    """A file whose lines end in a lone \\r is read a block at a time."""
+    path = tmp_path / "t.tsv"
+    path.write_bytes(b"".join(b"e%d\tr\te%d\t%d\r" % (i, i + 1, i % 2) for i in range(50)))
+    parse, cuts = dataset._parse_block, []
+    monkeypatch.setattr(dataset, "_parse_block", lambda *a: cuts.append(a[1]) or parse(*a))
+    monkeypatch.setattr(dataset, "_BLOCK", 64)
+    assert_reference_outcome(load_outcome(path), path)
+    assert len(cuts) > 5 and max(cuts) < 2 * 64
+
+
+@pytest.mark.parametrize("bad,reason", [(b"x\xff\tr\tb\t0\n", "invalid start byte"),
+                                        (b"x\tr\tb\t0\n\xc3", "unexpected end of data")])
+def test_bad_utf8_in_a_later_block(tmp_path, monkeypatch, bad, reason):
+    """A byte that is not UTF-8 in the second block, or a character cut
+    short at the end of the file, is found."""
+    good = b"".join(b"e%d\tr\te%d\t1\n" % (i, i + 1) for i in range(20))
+    path = tmp_path / "t.tsv"
+    path.write_bytes(good + bad)
+    parse, cuts = dataset._parse_block, []
+    monkeypatch.setattr(dataset, "_parse_block", lambda *a: cuts.append(a[1]) or parse(*a))
+    monkeypatch.setattr(dataset, "_BLOCK", len(good))
+    got = load_outcome(path)
+    assert got == ("ParseError", f"{path}: not UTF-8 text ({reason})") and cuts[0] == len(good)
+    assert_reference_outcome(got, path)
 
 
 def test_long_symbol_loads_in_linear_memory(tmp_path):
