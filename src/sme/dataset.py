@@ -19,8 +19,14 @@ table of the symbols seen, probing past a slot that another symbol holds;
 the new ones are sorted by hash and compared word for word, and only the
 first of each run of equal ones becomes a Python string and a dictionary
 lookup. A hash collision costs one more lookup, never a wrong id. Time and
-memory stay linear in a block's bytes, and memory stays near one block
-plus the id arrays.
+memory stay linear in a block's bytes.
+
+The records keep the widths they are parsed in: int32 ids and one-byte
+labels, 13 B a record. Memory stays near one block plus the records' ids
+twice, while the columns are assembled from the blocks. A caller that
+indexes an array by the ids of many records widens them to ``np.intp``
+first: numpy gathers by an int32 index about 3x slower, more than the
+widening costs.
 A dataset manifest is a small JSON file naming the triple file plus the
 fold count and split seed.
 """
@@ -75,7 +81,9 @@ class Dictionary:
 
 @dataclass
 class TripleSet:
-    """Parallel arrays of (lhs, rel, rhs, label) records."""
+    """Parallel arrays of (lhs, rel, rhs, label) records. ``load_triples``
+    gives int32 ids and int8 labels (0 or 1), 13 B a record; any integer
+    columns score and train alike, bitwise."""
 
     lhs: np.ndarray
     rel: np.ndarray
@@ -182,15 +190,20 @@ class _Interner(dict):
 
 
 class _Block(NamedTuple):
-    """The records of one block: their (m, 3) ids and labels (as bools), the
-    block's first line (0-based, in the file) and each record's line in it.
-    Ids and lines are kept as int32, half the memory: far fewer than 2**31
-    symbols fit in memory, and a block holds far fewer lines."""
+    """The records of one block: their (m, 3) ids, as int32, and labels, as
+    bools, which ``load_triples`` concatenates as they are, the labels
+    viewed as int8, into 13 B a record; the block's first line (0-based, in
+    the file); and each record's line in the block, which only the
+    duplicate error reads. Far fewer than 2**31 symbols fit in memory, so
+    int32 ids lose nothing, but an int32 index gathers about 3x slower
+    than intp. ``lines`` is a ``range``, costing nothing, when the records
+    are the block's first lines, as in a file without comment or blank
+    lines; else int32."""
 
     ids: np.ndarray
     label: np.ndarray
     first_line: int
-    lines: np.ndarray
+    lines: range | np.ndarray
 
 
 def load_triples(path) -> tuple[Dictionary, TripleSet]:
@@ -216,12 +229,16 @@ def load_triples(path) -> tuple[Dictionary, TripleSet]:
         except ParseError as exc:
             error = exc
     symbols = list(symbols)   # and the interning table goes
+    # the columns keep the blocks' int32 ids and one-byte labels: 13 B a record
     ids = [b.ids for b in blocks] or [np.empty((0, 3), np.int32)]
-    lhs, rel, rhs = (np.concatenate([a[:, j] for a in ids], dtype=np.int64) for j in range(3))
+    lhs, rel, rhs = (np.concatenate([a[:, j] for a in ids]) for j in range(3))
+    label = np.concatenate([b.label for b in blocks] or [np.empty(0, bool)]).view(np.int8)
+    del ids
+    blocks = [(b.first_line, b.lines) for b in blocks]   # all a duplicate's message reads
     # only records before the bad line were kept, so a repeat precedes it
     repeat = _first_repeat(lhs, rel, rhs, len(symbols))
     if repeat is not None:
-        line = np.concatenate([b.first_line + b.lines for b in blocks])[repeat]
+        line = np.concatenate([first + np.asarray(lines, int) for first, lines in blocks])[repeat]
         raise IntegrityError(f"{path}:{line + 1}: duplicate triple ({symbols[lhs[repeat]]}, "
                              f"{symbols[rel[repeat]]}, {symbols[rhs[repeat]]})")
     if error is not None:
@@ -229,10 +246,11 @@ def load_triples(path) -> tuple[Dictionary, TripleSet]:
     if not len(lhs):
         raise IntegrityError(f"{path}: no records")
     n = len(symbols)
-    relation_ids = set(np.flatnonzero(np.bincount(rel, minlength=n)).tolist())
-    entity_ids = set(np.flatnonzero(np.bincount(lhs, minlength=n)
-                                    + np.bincount(rhs, minlength=n)).tolist())
-    label = np.concatenate([b.label for b in blocks]).astype(np.int64)
+    # bincount would widen the int32 ids itself, more slowly than astype
+    rel_count, lhs_count, rhs_count = (np.bincount(a.astype(np.intp), minlength=n)
+                                       for a in (rel, lhs, rhs))
+    relation_ids = set(np.flatnonzero(rel_count).tolist())
+    entity_ids = set(np.flatnonzero(lhs_count + rhs_count).tolist())
     return Dictionary(symbols, relation_ids, entity_ids), TripleSet(lhs, rel, rhs, label)
 
 
@@ -308,10 +326,11 @@ def _parse_block(raw: bytearray, cut: int, symbols: _Interner, first_line: int, 
     start = np.stack((starts[lines], t1[:kept] + 1, t2[:kept] + 1), axis=1).ravel()
     length = np.stack((t1[:kept], t2[:kept], t3[:kept]), axis=1).ravel() - start
     label, n_lines = label[:kept] == _ONE, len(ends)
+    lines = range(kept) if not kept or lines[-1] == kept - 1 else lines.astype(np.int32)
     # free the line arrays first, so that interning can reuse their memory
     del b, scan, sep, nl, ends, starts, n_tabs, last, t1, t2, t3, at, good
     ids = _intern(raw, start, length, symbols)
-    block = _Block(ids.astype(np.int32).reshape(-1, 3), label, first_line, lines.astype(np.int32))
+    block = _Block(ids.astype(np.int32).reshape(-1, 3), label, first_line, lines)
     return block, bad, n_lines
 
 
@@ -436,8 +455,10 @@ def _line_error(line: str) -> str:
 def _first_repeat(lhs, rel, rhs, n: int) -> int | None:
     """Index of the first record equal to an earlier one, or None."""
     # packed keys wrap past 2**21 symbols, but equal records always get
-    # equal keys, so distinct keys prove there is no repeat
-    keys = lhs * n
+    # equal keys, so distinct keys prove there is no repeat; the int32 ids
+    # are widened, as int32 keys would wrap past 1,290 symbols
+    keys = lhs.astype(np.int64)
+    keys *= n
     keys += rel
     keys *= n
     keys += rhs
