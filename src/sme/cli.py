@@ -85,7 +85,10 @@ def _load_dataset_arg(path_str: str):
     path = Path(path_str)
     if not path.exists():
         raise ConfigError(f"dataset file not found: {path}")
-    manifest = load_manifest(path) if path.suffix == ".json" else Manifest(path.stem, path)
+    # a report names a bare file by its stem, as UTF-8 text: a byte of the
+    # file name that is not UTF-8 (a surrogate escape) reads as U+FFFD
+    name = path.stem.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
+    manifest = load_manifest(path) if path.suffix == ".json" else Manifest(name, path)
     d, ts = load_triples(manifest.triples_path)
     return manifest, d, ts
 

@@ -224,7 +224,7 @@ def load_triples(path) -> tuple[Dictionary, TripleSet]:
                 blocks.append(block)
                 if bad is not None:
                     line = raw[:cut].split(b"\n", bad + 1)[bad].decode()
-                    raise ParseError(_line_error(line), path=str(path), line_no=first_line + bad + 1)
+                    raise ParseError(f"{path}:{first_line + bad + 1}: {_line_error(line)}")
                 first_line += n_lines
         except ParseError as exc:
             error = exc
@@ -279,7 +279,7 @@ def _blocks(fh, path: Path):
             try:
                 str(memoryview(buf)[:cut], "utf-8")
             except UnicodeDecodeError as exc:
-                raise ParseError(f"not UTF-8 text ({exc.reason})", path=str(path)) from None
+                raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
         if last_cr >= 0:
             text = buf[:cut].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
             cut = len(text)
@@ -539,18 +539,22 @@ def load_manifest(path) -> Manifest:
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"manifest is not UTF-8 text ({exc.reason})", path=str(path)) from None
+        raise ParseError(f"{path}: manifest is not UTF-8 text ({exc.reason})") from None
     try:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:   # JSONDecodeError is a ValueError
-        raise ParseError(f"invalid manifest JSON: {exc}", path=str(path)) from None
+        raise ParseError(f"{path}: invalid manifest JSON: {exc}") from None
     if not isinstance(payload, dict):
-        raise ParseError("manifest must be a JSON object", path=str(path))
+        raise ParseError(f"{path}: manifest must be a JSON object")
     for key in ("name", "triples"):
         if key not in payload:
-            raise ParseError(f"manifest missing key {key!r}", path=str(path))
+            raise ParseError(f"{path}: manifest missing key {key!r}")
         if not isinstance(payload[key], str) or not payload[key] or "\0" in payload[key]:
-            raise ParseError(f"manifest {key!r} must be a non-empty string", path=str(path))
+            raise ParseError(f"{path}: manifest {key!r} must be a non-empty string")
+        try:   # a JSON escape can name a lone surrogate, which no file name or text holds
+            payload[key].encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(f"{path}: manifest {key!r} is not UTF-8 text") from None
     folds, seed = (_manifest_int(payload, key, least, path)
                    for key, least in (("folds", 2), ("seed", 0)))
     triples_path = (path.parent / payload["triples"]).resolve()
@@ -561,8 +565,7 @@ def _manifest_int(payload: dict, key: str, least: int, path: Path) -> int:
     value = payload.get(key, getattr(Manifest, key))
     # bool is an int subclass; a float would be truncated
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"manifest {key!r} must be an integer, got {value!r:.40}",
-                         path=str(path))
+        raise ParseError(f"{path}: manifest {key!r} must be an integer, got {value!r:.40}")
     if value < least:
-        raise ParseError(f"manifest {key!r} must be >= {least}, got {value}", path=str(path))
+        raise ParseError(f"{path}: manifest {key!r} must be >= {least}, got {value}")
     return value

@@ -29,19 +29,10 @@ class OutOfDictionaryError(SmeError):
 
 
 class ParseError(SmeError):
-    """A data file line could not be parsed."""
-
-    def __init__(self, message, path=None, line_no=None):
-        loc = ""
-        if path is not None:
-            loc = f"{path}:"
-        if line_no is not None:
-            loc = f"{loc}{line_no}: "
-        elif loc:
-            loc = f"{loc} "
-        super().__init__(f"{loc}{message}")
-        self.path = path
-        self.line_no = line_no
+    """A triple file or manifest could not be read: a malformed line, bytes
+    that are not UTF-8 text, or a manifest that is not a JSON object of the
+    documented keys. The message starts with the file and, for a line, its
+    1-based number: ``path:line: reason`` or ``path: reason``."""
 
 
 class IntegrityError(SmeError):

@@ -476,8 +476,6 @@ def energies_batch(emb: EmbeddingTable, params: Params,
         raise ShapeError(f"scoring plan for {plan.m} records, n={plan.n} p={plan.p}: "
                          f"scoring {len(lhs)} records, n={n} p={params.p}")
     out = np.empty(plan.m)
-    if not plan.m:
-        return out
     for blk, rows, u, v in plan.blocks:
         maps, offsets = _relation_maps(params, E, plan.rels[blk])
         # one GEMM per map, so a relation's rows do not depend on its block

@@ -1,4 +1,5 @@
 import json
+import os
 import time
 import warnings
 
@@ -141,6 +142,26 @@ class TestEval:
         assert payload["dataset"] == "groups"
         assert len(payload["per_fold_auc"]) == 10
         assert capsys.readouterr().out.startswith("dataset=groups ")
+
+    def test_triple_file_name_that_is_not_utf8(self, tmp_path, monkeypatch, capsys):
+        # the report names the file by its stem as UTF-8 text, the byte 0xff
+        # as U+FFFD; inspect and train read the file as any other
+        monkeypatch.setenv("SME_LOG", "quiet")
+        tsv = write_triples(tmp_path / os.fsdecode(b"\xff.tsv"), two_group_records())
+        done = sme_capped(["eval", "--dataset", str(tsv), "--form", "linear", "--dim-d", "4",
+                           "--dim-p", "4", "--epochs", "1", "--folds", "2",
+                           "--out", str(tmp_path / "report")])
+        assert (done.returncode, done.stderr) == (0, "")
+        payload = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert payload["dataset"] == "\ufffd"
+        lines = (tmp_path / "report.txt").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "dataset=\ufffd form=linear folds=2"
+        assert lines[-1] == f"mean={payload['mean']:.6f} std={payload['std']:.6f}"
+        assert done.stdout.startswith("dataset=\ufffd form=linear ")
+        assert run(["inspect", "--dataset", str(tsv)]) == 0
+        assert run(["train", "--dataset", str(tsv), "--epochs", "1", "--dim-d", "4",
+                    "--dim-p", "4", "--out", str(tmp_path / "m.sme")]) == 0
+        assert capsys.readouterr().out.endswith(f"wrote {tmp_path / 'm.sme'}\n")
 
 
 class TestScore:
@@ -416,6 +437,29 @@ class TestOneLineErrors:
         manifest = tmp_path / "bad.json"
         manifest.write_bytes(payload)
         assert self.run_one_line(["inspect", "--dataset", str(manifest)], capfd) == 3
+
+    # a JSON escape can name a lone surrogate, which no file name or UTF-8
+    # text holds: it is refused before the triple file is read
+    @pytest.mark.parametrize("argv, key, value", [
+        (["inspect"], "triples", "\ud800.tsv"),
+        (["eval", "--out", "rep"], "name", "\udcff"),
+    ])
+    def test_manifest_text_that_is_not_utf8(self, toy_files, capfd, monkeypatch,
+                                            argv, key, value):
+        tmp_path, _, _ = toy_files
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached with a manifest that is not UTF-8 text")
+
+        monkeypatch.setattr(cli, "load_triples", refuse)
+        monkeypatch.setattr(trainer, "train_folds", refuse)
+        monkeypatch.chdir(tmp_path)
+        manifest = tmp_path / "bad.json"
+        manifest.write_text(json.dumps({"name": "toy", "triples": "toy.tsv", key: value}))
+        code = run([*argv, "--dataset", str(manifest)])
+        assert (code, *capfd.readouterr()) == (
+            3, "", f"error: {manifest}: manifest {key!r} is not UTF-8 text\n")
+        assert not list(tmp_path.glob("rep*"))
 
 
 # every error class and the exit code it is documented to end a command with

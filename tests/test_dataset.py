@@ -499,6 +499,25 @@ class TestManifest:
         with pytest.raises(ParseError):
             load_manifest(tmp_path / "bad.json")
 
+    # each of the manifest's messages, in full: the file, then the reason
+    @pytest.mark.parametrize("raw,message", [
+        (b'{"name": "t\xe9"}', "manifest is not UTF-8 text (invalid continuation byte)"),
+        (b"", "invalid manifest JSON: Expecting value: line 1 column 1 (char 0)"),
+        (b'["toy", "toy.tsv"]', "manifest must be a JSON object"),
+        (b'{"name": "x"}', "manifest missing key 'triples'"),
+        (b'{"name": "", "triples": "t.tsv"}', "manifest 'name' must be a non-empty string"),
+        # the value's repr is cut to 40 characters
+        (b'{"name": "x", "triples": "t.tsv", "folds": "' + b"9" * 50 + b'"}',
+         "manifest 'folds' must be an integer, got '" + "9" * 39),
+        (b'{"name": "x", "triples": "t.tsv", "seed": -1}', "manifest 'seed' must be >= 0, got -1"),
+    ])
+    def test_error_message(self, tmp_path, raw, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError) as info:
+            load_manifest(path)
+        assert str(info.value) == f"{path}: {message}"
+
 
 @pytest.mark.parametrize("name,entities,relations,records,pct", [
     ("umls", 135, 49, 893025, 0.76),

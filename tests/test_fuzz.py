@@ -125,15 +125,19 @@ VALUE = st.one_of(st.integers(-2, 12), st.integers(), st.booleans(), st.none(),
                   st.floats(), st.text(max_size=4),
                   st.lists(st.integers(0, 3), max_size=2),
                   st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2))
+# st.text never draws a lone surrogate, which a JSON escape can name
+SURROGATE = st.sampled_from(["\ud800.tsv", "\udcff", "t\udfff.tsv"])
 TRIPLES_REF = st.one_of(st.sampled_from(["toy.tsv", "./toy.tsv", "missing.tsv", "",
-                                         ".", "..", "toy.tsv\0"]), VALUE)
+                                         ".", "..", "toy.tsv\0"]), SURROGATE, VALUE)
 OPTIONAL = {"folds": VALUE, "seed": VALUE, "other": VALUE}
 MANIFEST = st.one_of(
     st.fixed_dictionaries({"name": st.just("toy"), "triples": st.just("toy.tsv")},
                           optional={"folds": st.integers(2, 12), "seed": st.integers(0)}),
     st.fixed_dictionaries({"name": st.just("toy"), "triples": st.just("toy.tsv")},
                           optional=OPTIONAL),
-    st.fixed_dictionaries({}, optional={"name": st.one_of(st.just("toy"), VALUE),
+    st.fixed_dictionaries({"name": st.one_of(st.just("toy"), SURROGATE),
+                           "triples": st.one_of(st.just("toy.tsv"), SURROGATE)}),
+    st.fixed_dictionaries({}, optional={"name": st.one_of(st.just("toy"), SURROGATE, VALUE),
                                         "triples": TRIPLES_REF, **OPTIONAL}),
 ).map(json.dumps)
 MANIFEST_BYTES = st.one_of(
