@@ -79,16 +79,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _text(path) -> str:
+    """A path as UTF-8 text: a byte not UTF-8 (a surrogate escape) is U+FFFD."""
+    return str(path).encode("utf-8", "surrogateescape").decode("utf-8", "replace")
+
+
 def _load_dataset_arg(path_str: str):
     """The manifest, dictionary and records a ``--dataset`` names: a JSON
-    manifest, or a triple file standing for a manifest with the defaults."""
+    manifest, or a triple file standing for one with the defaults, named by its stem."""
     path = Path(path_str)
     if not path.exists():
         raise ConfigError(f"dataset file not found: {path}")
-    # a report names a bare file by its stem, as UTF-8 text: a byte of the
-    # file name that is not UTF-8 (a surrogate escape) reads as U+FFFD
-    name = path.stem.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
-    manifest = load_manifest(path) if path.suffix == ".json" else Manifest(name, path)
+    manifest = load_manifest(path) if path.suffix == ".json" else Manifest(_text(path.stem), path)
     d, ts = load_triples(manifest.triples_path)
     return manifest, d, ts
 
@@ -133,7 +135,7 @@ def cmd_train(args) -> int:
     model, _ = trainer.train(positives, valid_ts, d, args.form,
                              args.dim_d, args.dim_p, config, fold=args.fold)
     modelfile.save_model(model, args.out)
-    print(f"wrote {args.out}")
+    print(f"wrote {_text(args.out)}")
     return EXIT_OK
 
 
@@ -144,7 +146,7 @@ def cmd_eval(args) -> int:
     json_path, text_path = _out_paths(args)
     report.save(json_path, text_path)
     print(f"dataset={manifest.name} form={args.form} mean={report.mean:.6f} "
-          f"std={report.std:.6f} wrote={json_path},{text_path}")
+          f"std={report.std:.6f} wrote={_text(json_path)},{_text(text_path)}")
     return EXIT_OK
 
 

@@ -360,6 +360,8 @@ def _intern(raw: bytes, start: np.ndarray, length: np.ndarray, symbols: _Interne
     hashes = _token_hash(word, length, long, rest, left, first_rest)
     ids, miss = symbols.find(hashes, length, word, long, rest, first_rest)
     n = len(miss)
+    if not n:   # every token is a known symbol, as in most blocks after the first
+        return ids
     bits = n.bit_length()
     low = np.uint64((1 << bits) - 1)   # a key's low bits: its index in miss
     keys = hashes[miss]
@@ -404,24 +406,21 @@ def _later_words(every: np.ndarray, start: np.ndarray, length: np.ndarray):
 
 
 def _mix(words: np.ndarray, left: np.ndarray) -> np.ndarray:
-    """Each word mixed with the token bytes left from it on, by SplitMix64's
-    finalizer."""
+    """Each word mixed with the count of token bytes left from it on, by two
+    multiplies around one xor: for one count a bijection of the word, whose
+    high bits, a token's home slot, depend on every bit of the word."""
     x = left.astype(np.uint64)
     x *= np.uint64(0x9E3779B97F4A7C15)
     x ^= words
-    x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
     return x
 
 
 def _token_hash(word, length, long, rest, left, first_rest) -> np.ndarray:
     """A 64-bit hash of each token: the wrapping sum of its words, each
-    mixed with the bytes left from it on, so the length and word order
-    count. ``word`` holds each token's first word; ``rest`` the later
-    words of the tokens that ``long`` indexes."""
+    ``_mix``-ed with the bytes left from it on, so length and word order
+    count and two tokens of one word and one length never collide. ``word``
+    holds each token's first word; ``rest`` the later words of ``long``'s."""
     h = _mix(word, length)
     if len(rest):
         h[long] += np.add.reduceat(_mix(rest, left), first_rest)
@@ -453,11 +452,12 @@ def _line_error(line: str) -> str:
 
 
 def _first_repeat(lhs, rel, rhs, n: int) -> int | None:
-    """Index of the first record equal to an earlier one, or None."""
-    # packed keys wrap past 2**21 symbols, but equal records always get
-    # equal keys, so distinct keys prove there is no repeat; the int32 ids
-    # are widened, as int32 keys would wrap past 1,290 symbols
-    keys = lhs.astype(np.int64)
+    """Index of the first record equal to an earlier one, or None. Records
+    pack into int32 keys while n**3 <= 2**31 (n <= 1,290), else int64."""
+    # keys (lhs * n + rel) * n + rhs; int32 sorts over twice as fast, int64
+    # wraps past 2**21 symbols, but equal records always get equal keys, so
+    # distinct keys prove there is no repeat
+    keys = lhs.astype(np.int32 if n ** 3 <= 2 ** 31 else np.int64)
     keys *= n
     keys += rel
     keys *= n
@@ -516,7 +516,9 @@ def make_folds(ts: TripleSet, k: int, seed: int) -> FoldSplit:
     # fold i takes the next n // k records of the permutation, and the first
     # n % k folds one more each
     sizes = n // k + (np.arange(k) < n % k)
-    members = [np.sort(fold) for fold in np.split(perm, np.cumsum(sizes)[:-1])]
+    members = np.split(perm, np.cumsum(sizes)[:-1])
+    for fold in members:   # in place: the folds are views of perm
+        fold.sort()
     return FoldSplit(k, ts, members, [m[ts.label[m] == 1] for m in members])
 
 

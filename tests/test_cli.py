@@ -163,6 +163,24 @@ class TestEval:
                     "--dim-p", "4", "--out", str(tmp_path / "m.sme")]) == 0
         assert capsys.readouterr().out.endswith(f"wrote {tmp_path / 'm.sme'}\n")
 
+    @pytest.mark.parametrize("command,out,written", [
+        ("train", b"\xff.sme", "wrote {0}/\ufffd.sme"),
+        ("eval", b"\xffrep", "wrote={0}/\ufffdrep.json,{0}/\ufffdrep.txt")])
+    def test_out_path_that_is_not_utf8_on_a_strict_stdout(self, tmp_path, monkeypatch,
+                                                          command, out, written):
+        # stdout names the files written as UTF-8 text, the byte 0xff as
+        # U+FFFD, so a stdout that encodes strictly can print it
+        monkeypatch.setenv("PYTHONIOENCODING", "utf-8:strict")
+        tsv = write_triples(tmp_path / "groups.tsv", two_group_records())
+        done = sme_capped([command, "--dataset", str(tsv), "--form", "linear", "--dim-d", "4",
+                           "--dim-p", "4", "--epochs", "1", "--folds", "2",
+                           "--out", str(tmp_path / os.fsdecode(out))])
+        assert (done.returncode, done.stderr) == (0, "")
+        assert len(done.stdout.splitlines()) == 1
+        assert done.stdout.endswith(written.format(tmp_path) + "\n")
+        files = [out] if command == "train" else [out + b".json", out + b".txt"]
+        assert all((tmp_path / os.fsdecode(name)).stat().st_size > 0 for name in files)
+
 
 class TestScore:
     @pytest.fixture

@@ -218,8 +218,8 @@ def test_known_symbols_skip_the_sort_path(tmp_path, monkeypatch, new_symbol):
     symbol is longer than a word, multibyte or shares its first word with
     another. A block that brings one new symbol sends only that symbol's
     tokens down the sort path, and the blocks after it none."""
-    # symbols whose hashes fill distinct slots of the 32-slot table that 7
-    # or 8 symbols get (checked below)
+    # the 32-slot table that 7 or 8 symbols get (checked below), in which
+    # two of these share a home slot, so one is found by probing
     first = [("long_symbol_name_x", "rel", "C0000000_alpha", 1),
              ("\u00fcn\u00ef", "rel", "C0000000_beta", 0), ("a", "rel", "b", 1)]
     entities = ["long_symbol_name_x", "\u00fcn\u00ef", "C0000000_alpha", "C0000000_beta", "a", "b"]
@@ -309,6 +309,28 @@ def test_long_symbol_loads_in_linear_memory(tmp_path):
     assert proc.stdout.startswith("entities=251 relations=1 records=50002 ")
 
 
+@pytest.mark.parametrize("n,width", [(1290, 4), (1291, 8)])
+def test_first_repeat_at_the_int32_key_bound(n, width):
+    """Records pack into int32 keys while n**3 <= 2**31, 4 B a record
+    traced, else into int64 keys, 8 B. A repeat of the record of the
+    largest ids is found at its index either way."""
+    m = 100_000
+    keys = n ** 3 - 1 - np.arange(m, dtype=np.int64) * 20_011   # distinct, the first n**3 - 1
+    lhs, rel, rhs = (c.astype(np.int32) for c in (keys // n ** 2, keys // n % n, keys % n))
+    assert (lhs[0], rel[0], rhs[0]) == (n - 1,) * 3
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert dataset._first_repeat(lhs, rel, rhs, n) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the keys and one bool a record for comparing neighbours
+    assert width * m < peak < (width + 2) * m
+    again = (np.append(c, c[0]) for c in (lhs, rel, rhs))
+    assert dataset._first_repeat(*again, n) == m
+
+
 def full_tensor(path, n_ent, n_rel):
     """A triple file of every (e_i, r_j, e_k) once, about 1 in 13 labelled 1."""
     i = np.arange(n_ent * n_rel * n_ent)
@@ -347,7 +369,9 @@ class TestCompactColumns:
     def test_load_and_score_memory_per_record(self, tmp_path):
         """Traced by tracemalloc, which numpy reports its buffers to. With
         int64 columns the load kept 32.1 B a record and peaked at 53.1 B,
-        and ``score_set`` peaked at 29.7 B; with these 33.2 and 21.9 B."""
+        and ``score_set`` peaked at 29.7 B; with these 33.2 and 21.9 B.
+        ``make_folds`` holds the permutation, 8 B a record, which its folds
+        are sorted views of."""
         path = full_tensor(tmp_path / "big.tsv", 100, 40)
         gc.collect()
         tracemalloc.start()
@@ -362,6 +386,10 @@ class TestCompactColumns:
             start = tracemalloc.get_traced_memory()[0]
             score_set(trained, ts)
             score_peak = tracemalloc.get_traced_memory()[1] - start
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            make_folds(ts, 10, seed=0)
+            folds_peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
         m = len(ts)
@@ -370,6 +398,7 @@ class TestCompactColumns:
         assert kept < 13.25 * m   # the columns and a dictionary of 140 symbols
         assert load_peak < 36 * m
         assert score_peak < 23.5 * m
+        assert folds_peak < 9.5 * m   # 8.76 B; 16.76 B when each fold was sorted into a copy
 
 
 class TestPositivesOf:
