@@ -132,23 +132,17 @@ def aggregate(per_fold: list[float]) -> tuple[float, float]:
     return mean, std
 
 
-def run_fold(d: Dictionary, split: FoldSplit, fold: int, form: str,
-             dim_d: int, dim_p: int, config) -> tuple[Model, float, dict]:
-    """Train on one fold and score its test set. Returns (model, auc, curve).
-    A test set without both classes is refused before training."""
-    split.role_folds(fold)   # a fold outside [0, k) is a ConfigError
-    require_both_classes(split.triples.label[split.members[fold]], f"fold {fold}'s test set")
-    model, auc, curve, _ = _run_folds(d, split, [fold], form, dim_d, dim_p, config)[0]
-    return model, auc, curve
-
-
-def _run_folds(d: Dictionary, split: FoldSplit, folds: list[int], form: str,
-               dim_d: int, dim_p: int, config) -> list[tuple[Model, float, dict, dict]]:
+def run_fold(d: Dictionary, split: FoldSplit, folds: list[int], form: str,
+             dim_d: int, dim_p: int, config) -> list[tuple[Model, float, dict, dict]]:
     """Train ``folds`` in one stacked loop, then score each fold's test set.
     Returns (model, auc, curve, run summary) per fold; the curve is the
-    fold's ``pr_curve``. The callers refuse a test set without both
-    classes. A fold trains on the first two of its ``fold_sets``; its
-    test set is built after training, from ``split.members``."""
+    fold's ``pr_curve``. A fold outside [0, k) or a test set without both
+    classes is refused before training. A fold trains on the first two of
+    its ``fold_sets``; its test set is built after training, from
+    ``split.members``."""
+    for f in folds:
+        split.role_folds(f)   # a fold outside [0, k) is a ConfigError
+        require_both_classes(split.triples.label[split.members[f]], f"fold {f}'s test set")
     positives, valid = zip(*(split.fold_sets(f)[:2] for f in folds))
     seeds = [trainer.fold_seed(config.seed, f) for f in folds]
     trained = trainer.train_folds(positives, valid, d, form, dim_d, dim_p, config, seeds, folds)
@@ -163,7 +157,7 @@ def _run_folds(d: Dictionary, split: FoldSplit, folds: list[int], form: str,
 
 def _fold_group_job(args) -> list[tuple[float, dict, dict]]:
     """Worker process: one contiguous group of folds, stacked."""
-    return [result[1:] for result in _run_folds(*args)]
+    return [result[1:] for result in run_fold(*args)]
 
 
 def cross_validate(d: Dictionary, split: FoldSplit, form: str,

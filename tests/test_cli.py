@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sme import cli, evaluator, trainer
-from sme.dataset import load_triples, make_folds
+from sme.dataset import TripleSet, load_triples, make_folds
 from sme.errors import (ConfigError, IntegrityError, LookupIdError, MetricError,
                         NumericalError, OutOfDictionaryError, ParseError, ShapeError,
                         SmeError)
@@ -90,7 +90,7 @@ class TestTrain:
                     "--out", str(out)]) == 0
         d, ts = load_triples(tsv)
         config = trainer.TrainConfig(epochs_max=3, seed=5)
-        (want, *_), = evaluator._run_folds(d, make_folds(ts, 4, 5), [2], "linear", 4, 4, config)
+        (want, *_), = evaluator.run_fold(d, make_folds(ts, 4, 5), [2], "linear", 4, 4, config)
         got = load_model(out)
         assert got.emb.vectors.tobytes() == want.emb.vectors.tobytes()
         assert got.params.buf.tobytes() == want.params.buf.tobytes()
@@ -232,6 +232,23 @@ class TestScore:
         out, err = capsys.readouterr()
         assert out == "" and err == message
 
+    def test_symbol_with_a_leading_dash_after_double_dash(self, tmp_path, capsys, monkeypatch):
+        # argparse reads an argument that starts with '-' as an option;
+        # after '--' it is a triple, scored as score_set scores it
+        monkeypatch.setenv("SME_LOG", "quiet")
+        records = [(f"-{a}", rel, b, label) for a, rel, b, label in two_group_records()]
+        tsv = write_triples(tmp_path / "dash.tsv", records)
+        out = tmp_path / "dash.sme"
+        assert run(["train", "--dataset", str(tsv), "--epochs", "2", "--dim-d", "4",
+                    "--dim-p", "4", "--out", str(out)]) == 0
+        assert run(["score", "--model", str(out), "-e0\tsame\te1"]) == 2
+        capsys.readouterr()
+        assert run(["score", "--model", str(out), "--", "-e0\tsame\te1"]) == 0
+        model = load_model(out)
+        ids = [np.array([model.symbols.index(s)]) for s in ("-e0", "same", "e1")]
+        (want,) = evaluator.score_set(model, TripleSet(*ids, np.array([1]))).scores.tolist()
+        assert capsys.readouterr().out == f"-e0\tsame\te1\t{want:.17g}\n"
+
     def test_many_arguments_print_as_one_each(self, trained_model, capsys):
         triples = [f"e{i % 12}\t{('same', 'other')[i % 2]}\te{i * 5 % 12}" for i in range(200)]
         assert run(["score", "--model", str(trained_model), *triples]) == 0
@@ -278,7 +295,7 @@ class TestCanonicalSmoke:
 
         d, ts = load_canonical("umls")
         split = make_folds(ts, 10, seed=0)
-        model, _, _ = run_fold(d, split, 0, "bilinear", 10, 10, TrainConfig())
+        (model, *_), = run_fold(d, split, [0], "bilinear", 10, 10, TrainConfig())
         train_ts, _, _ = split.fold_sets(0)
         pos = positives_of(train_ts)
         rng = np.random.default_rng(0)
@@ -427,10 +444,10 @@ class TestOneLineErrors:
             evaluator.cross_validate(d, split, "linear", 4, 4, config, jobs=2)
         assert str(parallel.value) == str(serial.value)
         with pytest.raises(MetricError) as alone:
-            evaluator.run_fold(d, split, first, "linear", 4, 4, config)
+            evaluator.run_fold(d, split, [first], "linear", 4, 4, config)
         assert str(alone.value) == str(serial.value)
         with pytest.raises(ConfigError, match="outside"):
-            evaluator.run_fold(d, split, 5, "linear", 4, 4, config)
+            evaluator.run_fold(d, split, [5], "linear", 4, 4, config)
 
     @pytest.mark.parametrize("payload", [
         pytest.param(b'{"name": "toy", "triples": "toy.tsv", "folds": "abc"}', id="folds-text"),

@@ -6,8 +6,8 @@ import pytest
 from sme import evaluator
 from sme.dataset import Triple, TripleSet, make_folds
 from sme.errors import ConfigError, MetricError
-from sme.evaluator import (ScoredSet, _area, _run_folds, aggregate, auc_pr,
-                           cross_validate, pr_curve, score_set)
+from sme.evaluator import (ScoredSet, _area, aggregate, auc_pr, cross_validate,
+                           pr_curve, run_fold, score_set)
 from sme.model import LINEAR, EmbeddingTable, LinearParams, Model, energy
 from sme.trainer import TrainConfig
 
@@ -246,6 +246,22 @@ class TestCrossValidate:
             return [{k: v for k, v in r.items() if k != "secs"} for r in runs]
         assert without_secs(grouped.per_fold_run) == without_secs(one.per_fold_run)
 
+    def test_one_stack_trains_through_run_fold(self, toy_dataset, monkeypatch):
+        # at jobs=1 every fold trains in one run_fold call, the runner the
+        # tests call and the benchmark's tracer times
+        calls = []
+
+        def counting(d, split, folds, *args):
+            calls.append(list(folds))
+            return run_fold(d, split, folds, *args)
+
+        monkeypatch.setattr(evaluator, "run_fold", counting)
+        d, ts = toy_dataset
+        split = make_folds(ts, 4, seed=0)
+        report = cross_validate(d, split, LINEAR, 4, 4, TrainConfig(epochs_max=2, seed=0))
+        assert calls == [[0, 1, 2, 3]]
+        assert len(report.per_fold_auc) == 4
+
     @pytest.mark.parametrize("change, match", [
         pytest.param(dict(config=TrainConfig(learning_rate=-1.0)), "learning_rate", id="lr"),
         pytest.param(dict(config=TrainConfig(seed=-1)), "seed", id="seed"),
@@ -300,7 +316,7 @@ class TestStoredCurves:
         config = TrainConfig(epochs_max=3, seed=3)
         dropped = 0
         for f, (model, auc, curve, _) in enumerate(
-                _run_folds(d, split, [0, 1, 2, 3], LINEAR, 4, 4, config)):
+                run_fold(d, split, [0, 1, 2, 3], LINEAR, 4, 4, config)):
             s = score_set(model, split.fold_sets(f)[2])
             recall, precision, area = full_curve(s.scores, s.labels)
             assert area == auc
