@@ -14,13 +14,12 @@ import os
 import sys
 from dataclasses import replace
 from functools import partial
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluator, modelfile, trainer
-from .dataset import Manifest, load_manifest, load_triples, make_folds
+from .dataset import Manifest, load_manifest, load_triples, make_folds, read_records
 from .errors import (EXIT_DATA, EXIT_USAGE, ConfigError, NumericalError,
                      OutOfDictionaryError, SmeError)
 from .model import FORMS, energies_batch
@@ -154,31 +153,22 @@ def cmd_score(args) -> int:
     # every argument is parsed and looked up before anything is printed; the
     # first bad argument, in command-line order, decides the error
     model = modelfile.load_model(args.model)
-    index = {s: i for i, s in enumerate(model.symbols)}
-    triples = args.triples
-    n_tabs = np.fromiter(map(str.count, triples, repeat("\t")), dtype=np.int64,
-                         count=len(triples))
-    malformed = np.flatnonzero(n_tabs != 2)
-    good = int(malformed[0]) if len(malformed) else len(triples)
-    # the arguments before the first malformed one hold three symbols each
-    tokens = "\t".join(triples[:good]).split("\t") if good else []
-    ids = np.fromiter(map(index.get, tokens, repeat(-1)), dtype=np.int64,
-                      count=len(tokens)).reshape(-1, 3)
-    bad = ids < 0   # unknown, or in the middle slot and no relation type
+    ids, names = read_records(model.symbols, args.triples)
+    bad = ids >= len(model.symbols)   # unknown, or in the middle slot and no relation type
     bad[:, 1] |= ~np.isin(ids[:, 1], list(model.relation_ids))
     if bad.any():
-        at = int(np.argmax(bad))   # the first bad symbol, in command-line order
-        if ids.flat[at] < 0:
-            raise OutOfDictionaryError(f"out-of-dictionary symbol: {tokens[at]!r}")
-        raise OutOfDictionaryError(f"not a relation type of the model: {tokens[at]!r}")
-    if good < len(triples):
-        raise ConfigError(f"triple must be 'lhs<TAB>rel<TAB>rhs', got {triples[good]!r}")
+        symbol = int(ids.flat[np.argmax(bad)])   # the first bad one, in command-line order
+        if symbol >= len(model.symbols):
+            raise OutOfDictionaryError(f"out-of-dictionary symbol: {names[symbol]!r}")
+        raise OutOfDictionaryError(f"not a relation type of the model: {names[symbol]!r}")
+    if len(ids) < len(args.triples):
+        raise ConfigError(f"triple must be 'lhs<TAB>rel<TAB>rhs', got {args.triples[len(ids)]!r}")
     with np.errstate(over="ignore", invalid="ignore"):   # reported below instead
         scores = -energies_batch(model.emb, model.params, ids[:, 0], ids[:, 1], ids[:, 2])
     if not np.isfinite(scores).all():
         raise NumericalError("non-finite score: the model's weights overflow")
     try:
-        print("\n".join(map("{}\t{:.17g}".format, triples, scores.tolist())), flush=True)
+        print("\n".join(map("{}\t{:.17g}".format, args.triples, scores.tolist())), flush=True)
     except BrokenPipeError:   # every triple was scored; quiet the flush at exit too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK

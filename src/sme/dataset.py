@@ -8,6 +8,8 @@ where the symbols are non-empty strings without tabs and the label is the
 one character 0 or 1. Lines end in \\n, \\r\\n or \\r. A line whose first
 character is '#' is a comment; comment and blank lines are skipped but
 count towards line numbers. A repeated (lhs, rel, rhs) is an error.
+``read_records`` reads ``sme score``'s arguments as records without their
+label, up to the first that is none, holds a \\n or starts with '#'.
 
 The loader reads the file's bytes in blocks of whole lines, about
 ``_BLOCK`` bytes each, into one reused buffer. A block is checked as UTF-8
@@ -254,6 +256,20 @@ def load_triples(path) -> tuple[Dictionary, TripleSet]:
     return Dictionary(symbols, relation_ids, entity_ids), TripleSet(lhs, rel, rhs, label)
 
 
+def read_records(symbols: list[str], lines: list[str]) -> tuple[np.ndarray, list[str]]:
+    """The (m, 3) ids of the leading ``lines`` read as records without their
+    label, and each id's symbol: ``symbols`` keep ids 0..n-1, others follow."""
+    table = _Interner()
+    names = [s.encode("utf-8") for s in symbols]
+    length = np.fromiter(map(len, names), np.int64, len(names))
+    _intern(b"".join(names) + bytes(_WORD), np.cumsum(length) - length, length, table)
+    cut = next((i for i, line in enumerate(lines) if line[:1] == "#" or "\n" in line), len(lines))
+    # at cut 0 only the label is read: a line, as _parse_block needs, but no record
+    raw = ("\t1\n".join(lines[:cut]) + "\t1\n").encode("utf-8", "surrogatepass") + bytes(_WORD)
+    block, _, _ = _parse_block(raw, len(raw) - _WORD, table, 0, {})
+    return block.ids, list(table)
+
+
 def _blocks(fh, path: Path):
     """The file in blocks of whole lines: one reused buffer and the length
     of the block at its front, which ends in a newline and is followed by
@@ -381,7 +397,7 @@ def _intern(raw: bytes, start: np.ndarray, length: np.ndarray, symbols: _Interne
     heads = order[new]
     seen = np.argsort(heads)   # the runs in order of their first tokens
     firsts = heads[seen]
-    names = [raw[i:j].decode("utf-8")
+    names = [raw[i:j].decode("utf-8", "surrogatepass")   # surrogates only from read_records
              for i, j in zip(start[firsts].tolist(), (start[firsts] + length[firsts]).tolist())]
     run_id = np.empty(len(heads), dtype=np.int64)
     run_id[seen] = np.fromiter(map(symbols.__getitem__, names), dtype=np.int64, count=len(names))

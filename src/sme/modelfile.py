@@ -51,7 +51,7 @@ def save_model(model: Model, path) -> None:
 def load_model(path) -> Model:
     """Read a model file. Every length is checked against the bytes left
     before it is used, so a truncated or corrupt file is an IntegrityError;
-    so is a NaN or infinite weight."""
+    so is a NaN or infinite weight, and a symbol no triple file can hold."""
     raw = memoryview(Path(path).read_bytes())
     if raw[:4] != MAGIC:
         raise IntegrityError(f"{path}: not a recognized model file (bad magic/version)")
@@ -80,6 +80,8 @@ def load_model(path) -> Model:
             raise IntegrityError(f"{path}: symbol {len(symbols)} is not UTF-8") from None
     if len(set(symbols)) != n:
         raise IntegrityError(f"{path}: duplicate symbol in model file")
+    if not all(symbols) or any(map("".join(symbols).__contains__, "\t\n\r")):
+        raise IntegrityError(f"{path}: a symbol is empty or holds a TAB, LF or CR")
     bits = np.unpackbits(np.frombuffer(take((n + 7) // 8), dtype=np.uint8), bitorder="little")
     relation_ids = frozenset(np.flatnonzero(bits[:n]).tolist())
 

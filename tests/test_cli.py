@@ -226,6 +226,17 @@ class TestScore:
          "error: out-of-dictionary symbol: 'nobody'\n"),
         (["e0\tsame\te1", "nobody\te1\te2"], 3,
          "error: out-of-dictionary symbol: 'nobody'\n"),
+        # an argument is a record line of the triple format without its label
+        (["e0\tsame\te1", "#e0\tsame\te1", "e0\tsame\tnobody"], 2,
+         "error: triple must be 'lhs<TAB>rel<TAB>rhs', got '#e0\\tsame\\te1'\n"),
+        (["e0\tsame\te1\n", "e0\tsame\tnobody"], 2,
+         "error: triple must be 'lhs<TAB>rel<TAB>rhs', got 'e0\\tsame\\te1\\n'\n"),
+        (["\tsame\te1", "e0\tsame\tnobody"], 2,
+         "error: triple must be 'lhs<TAB>rel<TAB>rhs', got '\\tsame\\te1'\n"),
+        (["e0\tsame\te1\r", "e0\tsame"], 3,
+         "error: out-of-dictionary symbol: 'e1\\r'\n"),
+        (["e0\tsame\t\udcff", "e0\tsame"], 3,   # a non-UTF-8 byte of argv
+         "error: out-of-dictionary symbol: '\\udcff'\n"),
     ])
     def test_first_bad_argument_decides(self, trained_model, capsys, argv, code, message):
         assert run(["score", "--model", str(trained_model), *argv]) == code

@@ -126,6 +126,20 @@ def test_duplicate_symbol_is_integrity_error(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("symbol", ["", "a\tb", "a\nb", "a\r"])
+def test_symbol_no_triple_file_holds_exits_3_from_score(tmp_path, capsys, symbol):
+    # no record line can name such a symbol, so scoring against it would be degenerate
+    model = random_model(LINEAR, seed=8)
+    model.symbols[1] = symbol
+    path = tmp_path / "m.sme"
+    save_model(model, path)
+    with pytest.raises(IntegrityError, match="empty or holds a TAB, LF or CR"):
+        load_model(path)
+    assert cli.main(["score", "--model", str(path), "\tsym_5\tsym_0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_nan_embedding_is_integrity_error(tmp_path):
     model = random_model(LINEAR, seed=9)
     model.emb.vectors[3, 1] = np.nan
