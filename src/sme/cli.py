@@ -153,7 +153,7 @@ def cmd_score(args) -> int:
     # every argument is parsed and looked up before anything is printed; the
     # first bad argument, in command-line order, decides the error
     model = modelfile.load_model(args.model)
-    ids, names = read_records(model.symbols, args.triples)
+    ids, names, reason = read_records(model.symbols, args.triples)
     bad = ids >= len(model.symbols)   # unknown, or in the middle slot and no relation type
     bad[:, 1] |= ~np.isin(ids[:, 1], list(model.relation_ids))
     if bad.any():
@@ -162,7 +162,8 @@ def cmd_score(args) -> int:
             raise OutOfDictionaryError(f"out-of-dictionary symbol: {names[symbol]!r}")
         raise OutOfDictionaryError(f"not a relation type of the model: {names[symbol]!r}")
     if len(ids) < len(args.triples):
-        raise ConfigError(f"triple must be 'lhs<TAB>rel<TAB>rhs', got {args.triples[len(ids)]!r}")
+        raise ConfigError(f"triple must be 'lhs<TAB>rel<TAB>rhs', got {args.triples[len(ids)]!r}: "
+                          f"{reason}")
     with np.errstate(over="ignore", invalid="ignore"):   # reported below instead
         scores = -energies_batch(model.emb, model.params, ids[:, 0], ids[:, 1], ids[:, 2])
     if not np.isfinite(scores).all():

@@ -8,8 +8,8 @@ where the symbols are non-empty strings without tabs and the label is the
 one character 0 or 1. Lines end in \\n, \\r\\n or \\r. A line whose first
 character is '#' is a comment; comment and blank lines are skipped but
 count towards line numbers. A repeated (lhs, rel, rhs) is an error.
-``read_records`` reads ``sme score``'s arguments as records without their
-label, up to the first that is none, holds a \\n or starts with '#'.
+``read_records`` reads ``sme score``'s arguments as 3-field lines, with no
+label, up to the first that is none, empty, '#'-led or holds a line end.
 
 The loader reads the file's bytes in blocks of whole lines, about
 ``_BLOCK`` bytes each, into one reused buffer. A block is checked as UTF-8
@@ -193,17 +193,17 @@ class _Interner(dict):
 
 class _Block(NamedTuple):
     """The records of one block: their (m, 3) ids, as int32, and labels, as
-    bools, which ``load_triples`` concatenates as they are, the labels
-    viewed as int8, into 13 B a record; the block's first line (0-based, in
-    the file); and each record's line in the block, which only the
-    duplicate error reads. Far fewer than 2**31 symbols fit in memory, so
-    int32 ids lose nothing, but an int32 index gathers about 3x slower
-    than intp. ``lines`` is a ``range``, costing nothing, when the records
-    are the block's first lines, as in a file without comment or blank
-    lines; else int32."""
+    bools (None at 3 fields), which ``load_triples`` concatenates as they
+    are, the labels viewed as int8, into 13 B a record; the block's first
+    line (0-based, in the file); and each record's line in the block, which
+    only the duplicate error reads. Far fewer than 2**31 symbols fit in
+    memory, so int32 ids lose nothing, but an int32 index gathers about 3x
+    slower than intp. ``lines`` is a ``range``, costing nothing, when the
+    records are the block's first lines, as in a file without comment or
+    blank lines; else int32."""
 
     ids: np.ndarray
-    label: np.ndarray
+    label: np.ndarray | None
     first_line: int
     lines: range | np.ndarray
 
@@ -222,11 +222,10 @@ def load_triples(path) -> tuple[Dictionary, TripleSet]:
     with path.open("rb") as fh:
         try:
             for raw, cut in _blocks(fh, path):
-                block, bad, n_lines = _parse_block(raw, cut, symbols, first_line, work)
+                block, bad, reason, n_lines = _parse_block(raw, cut, 4, symbols, first_line, work)
                 blocks.append(block)
                 if bad is not None:
-                    line = raw[:cut].split(b"\n", bad + 1)[bad].decode()
-                    raise ParseError(f"{path}:{first_line + bad + 1}: {_line_error(line)}")
+                    raise ParseError(f"{path}:{first_line + bad + 1}: {reason}")
                 first_line += n_lines
         except ParseError as exc:
             error = exc
@@ -256,18 +255,22 @@ def load_triples(path) -> tuple[Dictionary, TripleSet]:
     return Dictionary(symbols, relation_ids, entity_ids), TripleSet(lhs, rel, rhs, label)
 
 
-def read_records(symbols: list[str], lines: list[str]) -> tuple[np.ndarray, list[str]]:
-    """The (m, 3) ids of the leading ``lines`` read as records without their
-    label, and each id's symbol: ``symbols`` keep ids 0..n-1, others follow."""
+def read_records(symbols: list[str], lines: list[str]) -> tuple[np.ndarray, list[str], str | None]:
+    """The (m, 3) ids of the leading ``lines`` read as record lines of 3
+    fields, each id's symbol (``symbols`` keep ids 0..n-1, others follow),
+    and why line m is none (empty, '#'-led, holding \\n or \\r, or bad) or None."""
     table = _Interner()
     names = [s.encode("utf-8") for s in symbols]
     length = np.fromiter(map(len, names), np.int64, len(names))
     _intern(b"".join(names) + bytes(_WORD), np.cumsum(length) - length, length, table)
-    cut = next((i for i, line in enumerate(lines) if line[:1] == "#" or "\n" in line), len(lines))
-    # at cut 0 only the label is read: a line, as _parse_block needs, but no record
-    raw = ("\t1\n".join(lines[:cut]) + "\t1\n").encode("utf-8", "surrogatepass") + bytes(_WORD)
-    block, _, _ = _parse_block(raw, len(raw) - _WORD, table, 0, {})
-    return block.ids, list(table)
+    cut = next((i for i, s in enumerate(lines) if not s or s[0] == "#" or "\n" in s or "\r" in s),
+               len(lines))
+    # the block's lines are the arguments; at cut 0 it is a blank line, for a line end
+    raw = ("\n".join(lines[:cut]) + "\n").encode("utf-8", "surrogatepass") + bytes(_WORD)
+    block, _, reason, _ = _parse_block(raw, len(raw) - _WORD, 3, table, 0, {})
+    if reason is None and cut < len(lines):
+        reason = {"": "is empty", "#": "starts with '#'"}.get(lines[cut][:1], "holds a line end")
+    return block.ids, list(table), reason
 
 
 def _blocks(fh, path: Path):
@@ -309,13 +312,14 @@ def _blocks(fh, path: Path):
         buf[:kept] = tail
 
 
-def _parse_block(raw: bytearray, cut: int, symbols: _Interner, first_line: int, work: dict):
-    """Check and intern the block ``raw[:cut]``. Returns its records up to
-    its first bad line, the index of that line in the block, or None, and
-    the block's line count. A record line is one that is neither blank nor
-    a comment; it is bad unless it has three tabs, non-empty symbols and a
-    label of one character, 0 or 1. ``work`` keeps a buffer for the next
-    block."""
+def _parse_block(raw: bytearray, cut: int, fields: int, symbols: _Interner, first_line: int,
+                 work: dict):
+    """Check and intern the block ``raw[:cut]``, whose record lines (neither
+    blank nor a comment) have ``fields`` fields, 3 or 4: as many symbols and
+    tabs between, all non-empty, and at 4 only a label, 0 or 1. Returns the
+    records up to the first line that breaks one of these, that line's index
+    in the block and the first rule it breaks, or None twice, and the
+    block's line count. ``work`` keeps a buffer for the next block."""
     b = np.frombuffer(raw, dtype=np.uint8, count=cut + _WORD)
     if len(work.get("scan", ())) < cut:
         work["scan"] = np.empty(len(raw), dtype=np.uint8)
@@ -327,27 +331,31 @@ def _parse_block(raw: bytearray, cut: int, symbols: _Interner, first_line: int, 
     starts = np.concatenate(([0], ends[:-1] + 1))
     lines = np.flatnonzero((ends > starts) & (b[starts] != _HASH))
     n_tabs = np.diff(nl, prepend=-1)[lines] - 1
-    kept = len(lines) if (n_tabs == 3).all() else int(np.argmax(n_tabs != 3))
+    kept = len(lines) if (n_tabs == fields - 1).all() else int(np.argmax(n_tabs != fields - 1))
+    reason = (f"expected {fields} tab-separated fields, got {n_tabs[kept] + 1}"
+              if kept < len(lines) else None)
     last = nl[lines[:kept]]   # each record's line end, as an index into sep
-    t1, t2, t3 = (sep[last - k] for k in (3, 2, 1))
-    at = t3 + 1   # the label's byte
-    label = b[at]
-    good = ((t1 > starts[lines[:kept]]) & (t2 > t1 + 1) & (t3 > t2 + 1)
-            & (ends[lines[:kept]] == at + 1) & ((label == _ZERO) | (label == _ONE)))
+    t1, t2, t3 = (sep[last - (fields - k)] for k in (1, 2, 3))   # at 3 fields t3 ends the line
+    filled = good = (t1 > starts[lines[:kept]]) & (t2 > t1 + 1) & (t3 > t2 + 1)
+    if fields == 4:
+        label = b[t3 + 1]
+        good = filled & (ends[lines[:kept]] == t3 + 2) & ((label == _ZERO) | (label == _ONE))
     if not good.all():
         kept = int(np.argmin(good))
+        reason = "empty symbol" if not filled[kept] else (
+            f"label must be 0 or 1, got {raw[t3[kept] + 1:ends[lines[kept]]].decode()!r}")
     bad = int(lines[kept]) if kept < len(lines) else None
     lines = lines[:kept]
     # each kept record's lhs, rel and rhs byte ranges, in file order
     start = np.stack((starts[lines], t1[:kept] + 1, t2[:kept] + 1), axis=1).ravel()
     length = np.stack((t1[:kept], t2[:kept], t3[:kept]), axis=1).ravel() - start
-    label, n_lines = label[:kept] == _ONE, len(ends)
+    label, n_lines = (label[:kept] == _ONE if fields == 4 else None), len(ends)
     lines = range(kept) if not kept or lines[-1] == kept - 1 else lines.astype(np.int32)
     # free the line arrays first, so that interning can reuse their memory
-    del b, scan, sep, nl, ends, starts, n_tabs, last, t1, t2, t3, at, good
+    del b, scan, sep, nl, ends, starts, n_tabs, last, t1, t2, t3, filled, good
     ids = _intern(raw, start, length, symbols)
     block = _Block(ids.astype(np.int32).reshape(-1, 3), label, first_line, lines)
-    return block, bad, n_lines
+    return block, bad, reason, n_lines
 
 
 _WORD = 8   # bytes per word of a token
@@ -455,16 +463,6 @@ def _differ(rest, first_rest, a, other, at) -> np.ndarray:
     count = np.diff(first_rest, append=len(rest))[a]
     pos, sub = _spans(first_rest[a], count)
     return np.logical_or.reduceat(rest[pos] != other[_spans(at, count)[0]], sub)
-
-
-def _line_error(line: str) -> str:
-    """Why a bad record line is bad, checking in the order the format lists."""
-    parts = line.split("\t")
-    if len(parts) != 4:
-        return f"expected 4 tab-separated fields, got {len(parts)}"
-    if not all(parts[:3]):
-        return "empty symbol"
-    return f"label must be 0 or 1, got {parts[3]!r}"
 
 
 def _first_repeat(lhs, rel, rhs, n: int) -> int | None:

@@ -112,14 +112,15 @@ def pr_curve_enumeration(scores, labels):
     return [r for r, _ in kept], [p for _, p in kept]
 
 
-def load_triples_loop(path):
-    """Line-by-line triple-file reader with the documented rules: lines end
-    in \\n, \\r\\n or \\r; blank lines and lines whose first character is
-    '#' are skipped; every other line is lhs, rel, rhs and a label, tab
-    separated, with non-empty symbols and the label "0" or "1"; the first
-    repeat of a (lhs, rel, rhs) is an error. Symbol ids follow first
-    appearance. Returns ("ok", symbols, relation ids, entity ids, (m, 4)
-    int64 records), or (error class name, message) for the first bad line."""
+def load_triples_loop(path, n_fields):
+    """Line-by-line reader of a file of ``n_fields``-field lines, 3 or 4, by
+    the documented rules: lines end in \\n, \\r\\n or \\r; blank lines and
+    lines whose first character is '#' are skipped; every other line is
+    lhs, rel and rhs, and at 4 fields a label, tab separated, with non-empty
+    symbols and the label "0" or "1"; the first repeat of a (lhs, rel, rhs)
+    is an error. Symbol ids follow first appearance. Returns ("ok", symbols,
+    relation ids, entity ids, (m, n_fields) int64 records), or (error class
+    name, message) for the first bad line."""
     index, records, seen = {}, [], set()
     try:
         with open(path, encoding="utf-8") as fh:
@@ -129,19 +130,19 @@ def load_triples_loop(path):
                     continue
                 where = f"{path}:{line_no}: "
                 fields = line.split("\t")
-                if len(fields) != 4:
+                if len(fields) != n_fields:
                     return ("ParseError",
-                            f"{where}expected 4 tab-separated fields, got {len(fields)}")
+                            f"{where}expected {n_fields} tab-separated fields, got {len(fields)}")
                 if "" in fields[:3]:
                     return ("ParseError", f"{where}empty symbol")
-                if fields[3] not in ("0", "1"):
+                if n_fields == 4 and fields[3] not in ("0", "1"):
                     return ("ParseError", f"{where}label must be 0 or 1, got {fields[3]!r}")
                 ids = tuple(index.setdefault(s, len(index)) for s in fields[:3])
                 if ids in seen:
                     return ("IntegrityError",
                             f"{where}duplicate triple ({fields[0]}, {fields[1]}, {fields[2]})")
                 seen.add(ids)
-                records.append(ids + (int(fields[3]),))
+                records.append(ids + tuple(map(int, fields[3:])))
     except UnicodeDecodeError as exc:
         return ("ParseError", f"{path}: not UTF-8 text ({exc.reason})")
     if not records:
@@ -149,7 +150,7 @@ def load_triples_loop(path):
     relation_ids = {r[1] for r in records}
     entity_ids = {r[0] for r in records} | {r[2] for r in records}
     return ("ok", list(index), relation_ids, entity_ids,
-            np.array(records, dtype=np.int64).reshape(-1, 4))
+            np.array(records, dtype=np.int64).reshape(-1, n_fields))
 
 
 def fold_masks(split, i):

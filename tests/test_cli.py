@@ -218,7 +218,8 @@ class TestScore:
         (["e0\tsame\te1", "e0\tsame\tnobody", "e0\tsame"], 3,
          "error: out-of-dictionary symbol: 'nobody'\n"),
         (["e0\tsame\te1", "e0\tsame", "e0\tsame\tnobody"], 2,
-         "error: triple must be 'lhs<TAB>rel<TAB>rhs', got 'e0\\tsame'\n"),
+         "error: triple must be 'lhs<TAB>rel<TAB>rhs', got 'e0\\tsame': "
+         "expected 3 tab-separated fields, got 2\n"),
         # e1 is a symbol of the model, but no relation type
         (["e0\tsame\te1", "e0\te1\tnobody", "e0\tsame\tnobody", "e0\tsame"], 3,
          "error: not a relation type of the model: 'e1'\n"),
@@ -226,17 +227,30 @@ class TestScore:
          "error: out-of-dictionary symbol: 'nobody'\n"),
         (["e0\tsame\te1", "nobody\te1\te2"], 3,
          "error: out-of-dictionary symbol: 'nobody'\n"),
-        # an argument is a record line of the triple format without its label
+        # an argument is a record line of the triple format without its label:
+        # a file would read this one as a comment, and a LF or a CR as a line end
         (["e0\tsame\te1", "#e0\tsame\te1", "e0\tsame\tnobody"], 2,
-         "error: triple must be 'lhs<TAB>rel<TAB>rhs', got '#e0\\tsame\\te1'\n"),
+         "error: triple must be 'lhs<TAB>rel<TAB>rhs', got '#e0\\tsame\\te1': starts with '#'\n"),
         (["e0\tsame\te1\n", "e0\tsame\tnobody"], 2,
-         "error: triple must be 'lhs<TAB>rel<TAB>rhs', got 'e0\\tsame\\te1\\n'\n"),
+         "error: triple must be 'lhs<TAB>rel<TAB>rhs', got 'e0\\tsame\\te1\\n': "
+         "holds a line end\n"),
         (["\tsame\te1", "e0\tsame\tnobody"], 2,
-         "error: triple must be 'lhs<TAB>rel<TAB>rhs', got '\\tsame\\te1'\n"),
-        (["e0\tsame\te1\r", "e0\tsame"], 3,
-         "error: out-of-dictionary symbol: 'e1\\r'\n"),
+         "error: triple must be 'lhs<TAB>rel<TAB>rhs', got '\\tsame\\te1': empty symbol\n"),
+        (["e0\tsame\te1\r", "e0\tsame"], 2,
+         "error: triple must be 'lhs<TAB>rel<TAB>rhs', got 'e0\\tsame\\te1\\r': "
+         "holds a line end\n"),
         (["e0\tsame\t\udcff", "e0\tsame"], 3,   # a non-UTF-8 byte of argv
          "error: out-of-dictionary symbol: '\\udcff'\n"),
+        (["e0\tsame\te1\t1"], 2,   # a record line of a file, with its label
+         "error: triple must be 'lhs<TAB>rel<TAB>rhs', got 'e0\\tsame\\te1\\t1': "
+         "expected 3 tab-separated fields, got 4\n"),
+        (["e0\tsame\te1", "", "e0\tsame\tnobody"], 2,   # a blank line in a file
+         "error: triple must be 'lhs<TAB>rel<TAB>rhs', got '': is empty\n"),
+        (["e0\tsame\t", "e0\tsame\tnobody"], 2,
+         "error: triple must be 'lhs<TAB>rel<TAB>rhs', got 'e0\\tsame\\t': empty symbol\n"),
+        (["e0\tsame\te1", "e0\r\tsame\te1", "e0\tsame\tnobody"], 2,
+         "error: triple must be 'lhs<TAB>rel<TAB>rhs', got 'e0\\r\\tsame\\te1': "
+         "holds a line end\n"),
     ])
     def test_first_bad_argument_decides(self, trained_model, capsys, argv, code, message):
         assert run(["score", "--model", str(trained_model), *argv]) == code

@@ -104,7 +104,7 @@ def load_outcome(path):
 
 def assert_reference_outcome(got, path):
     """``got`` (from ``load_outcome``) is what ``load_triples_loop`` gives."""
-    expect = load_triples_loop(path)
+    expect = load_triples_loop(path, 4)
     assert got[:-1] == expect[:-1]
     if got[0] == "ok":
         assert np.array_equal(got[-1], expect[-1])
