@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -129,10 +128,8 @@ def _training_setup(args):
 
 def cmd_train(args) -> int:
     _, d, split, config = _training_setup(args)
-    positives, valid_ts, _ = split.fold_sets(args.fold)
-    config = replace(config, seed=trainer.fold_seed(config.seed, args.fold))
-    model, _ = trainer.train(positives, valid_ts, d, args.form,
-                             args.dim_d, args.dim_p, config, fold=args.fold)
+    [(model, _)] = evaluator.run_fold(d, split, [args.fold], args.form,
+                                      args.dim_d, args.dim_p, config)
     modelfile.save_model(model, args.out)
     print(f"wrote {_text(args.out)}")
     return EXIT_OK

@@ -194,17 +194,15 @@ class _Interner(dict):
 class _Block(NamedTuple):
     """The records of one block: their (m, 3) ids, as int32, and labels, as
     bools (None at 3 fields), which ``load_triples`` concatenates as they
-    are, the labels viewed as int8, into 13 B a record; the block's first
-    line (0-based, in the file); and each record's line in the block, which
-    only the duplicate error reads. Far fewer than 2**31 symbols fit in
-    memory, so int32 ids lose nothing, but an int32 index gathers about 3x
-    slower than intp. ``lines`` is a ``range``, costing nothing, when the
-    records are the block's first lines, as in a file without comment or
-    blank lines; else int32."""
+    are, the labels viewed as int8, into 13 B a record; and each record's
+    line in the block, which only the duplicate error reads. Far fewer than
+    2**31 symbols fit in memory, so int32 ids lose nothing, but an int32
+    index gathers about 3x slower than intp. ``lines`` is a ``range``,
+    costing nothing, when the records are the block's first lines, as in a
+    file without comment or blank lines; else int32."""
 
     ids: np.ndarray
     label: np.ndarray | None
-    first_line: int
     lines: range | np.ndarray
 
 
@@ -215,15 +213,15 @@ def load_triples(path) -> tuple[Dictionary, TripleSet]:
     raises ParseError or IntegrityError with its 1-based line number."""
     path = Path(path)
     symbols = _Interner()
-    blocks: list[_Block] = []
+    blocks: list[tuple[int, _Block]] = []   # each with its first line (0-based, in the file)
     error = None
     first_line = 0
     work = {}
     with path.open("rb") as fh:
         try:
             for raw, cut in _blocks(fh, path):
-                block, bad, reason, n_lines = _parse_block(raw, cut, 4, symbols, first_line, work)
-                blocks.append(block)
+                block, bad, reason, n_lines = _parse_block(raw, cut, 4, symbols, work)
+                blocks.append((first_line, block))
                 if bad is not None:
                     raise ParseError(f"{path}:{first_line + bad + 1}: {reason}")
                 first_line += n_lines
@@ -231,11 +229,11 @@ def load_triples(path) -> tuple[Dictionary, TripleSet]:
             error = exc
     symbols = list(symbols)   # and the interning table goes
     # the columns keep the blocks' int32 ids and one-byte labels: 13 B a record
-    ids = [b.ids for b in blocks] or [np.empty((0, 3), np.int32)]
+    ids = [b.ids for _, b in blocks] or [np.empty((0, 3), np.int32)]
     lhs, rel, rhs = (np.concatenate([a[:, j] for a in ids]) for j in range(3))
-    label = np.concatenate([b.label for b in blocks] or [np.empty(0, bool)]).view(np.int8)
+    label = np.concatenate([b.label for _, b in blocks] or [np.empty(0, bool)]).view(np.int8)
     del ids
-    blocks = [(b.first_line, b.lines) for b in blocks]   # all a duplicate's message reads
+    blocks = [(first, b.lines) for first, b in blocks]   # all a duplicate's message reads
     # only records before the bad line were kept, so a repeat precedes it
     repeat = _first_repeat(lhs, rel, rhs, len(symbols))
     if repeat is not None:
@@ -267,7 +265,7 @@ def read_records(symbols: list[str], lines: list[str]) -> tuple[np.ndarray, list
                len(lines))
     # the block's lines are the arguments; at cut 0 it is a blank line, for a line end
     raw = ("\n".join(lines[:cut]) + "\n").encode("utf-8", "surrogatepass") + bytes(_WORD)
-    block, _, reason, _ = _parse_block(raw, len(raw) - _WORD, 3, table, 0, {})
+    block, _, reason, _ = _parse_block(raw, len(raw) - _WORD, 3, table, {})
     if reason is None and cut < len(lines):
         reason = {"": "is empty", "#": "starts with '#'"}.get(lines[cut][:1], "holds a line end")
     return block.ids, list(table), reason
@@ -312,8 +310,7 @@ def _blocks(fh, path: Path):
         buf[:kept] = tail
 
 
-def _parse_block(raw: bytearray, cut: int, fields: int, symbols: _Interner, first_line: int,
-                 work: dict):
+def _parse_block(raw: bytearray, cut: int, fields: int, symbols: _Interner, work: dict):
     """Check and intern the block ``raw[:cut]``, whose record lines (neither
     blank nor a comment) have ``fields`` fields, 3 or 4: as many symbols and
     tabs between, all non-empty, and at 4 only a label, 0 or 1. Returns the
@@ -354,7 +351,7 @@ def _parse_block(raw: bytearray, cut: int, fields: int, symbols: _Interner, firs
     # free the line arrays first, so that interning can reuse their memory
     del b, scan, sep, nl, ends, starts, n_tabs, last, t1, t2, t3, filled, good
     ids = _intern(raw, start, length, symbols)
-    block = _Block(ids.astype(np.int32).reshape(-1, 3), label, first_line, lines)
+    block = _Block(ids.astype(np.int32).reshape(-1, 3), label, lines)
     return block, bad, reason, n_lines
 
 

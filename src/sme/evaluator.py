@@ -133,31 +133,28 @@ def aggregate(per_fold: list[float]) -> tuple[float, float]:
 
 
 def run_fold(d: Dictionary, split: FoldSplit, folds: list[int], form: str,
-             dim_d: int, dim_p: int, config) -> list[tuple[Model, float, dict, dict]]:
-    """Train ``folds`` in one stacked loop, then score each fold's test set.
-    Returns (model, auc, curve, run summary) per fold; the curve is the
-    fold's ``pr_curve``. A fold outside [0, k) or a test set without both
-    classes is refused before training. A fold trains on the first two of
-    its ``fold_sets``; its test set is built after training, from
-    ``split.members``."""
-    for f in folds:
-        split.role_folds(f)   # a fold outside [0, k) is a ConfigError
-        require_both_classes(split.triples.label[split.members[f]], f"fold {f}'s test set")
+             dim_d: int, dim_p: int, config) -> list[tuple[Model, trainer.TrainTrace]]:
+    """Train ``folds`` in one stacked loop: the one route from a fold number
+    to its model, which ``sme train --fold`` writes and ``sme eval`` scores.
+    Fold f trains on the first two of its ``fold_sets`` from
+    ``fold_seed(config.seed, f)``. Returns (model, trace) per fold; a fold
+    outside [0, k) is refused before training. Reads no test set."""
     positives, valid = zip(*(split.fold_sets(f)[:2] for f in folds))
     seeds = [trainer.fold_seed(config.seed, f) for f in folds]
-    trained = trainer.train_folds(positives, valid, d, form, dim_d, dim_p, config, seeds, folds)
-    del positives, valid
-    results = []
-    for f, (model, trace) in zip(folds, trained):
-        recall, precision = pr_curve(score_set(model, split.triples.subset(split.members[f])))
-        curve = {"recall": recall.tolist(), "precision": precision.tolist()}
-        results.append((model, _area(recall, precision), curve, trace.summary()))
-    return results
+    return trainer.train_folds(positives, valid, d, form, dim_d, dim_p, config, seeds, folds)
 
 
 def _fold_group_job(args) -> list[tuple[float, dict, dict]]:
-    """Worker process: one contiguous group of folds, stacked."""
-    return [result[1:] for result in run_fold(*args)]
+    """Worker process: one contiguous group of folds, trained stacked by
+    ``run_fold``, then each fold's test set scored. Returns (auc, curve,
+    run summary) per fold; the curve is the fold's ``pr_curve``."""
+    _, split, folds = args[:3]
+    results = []
+    for f, (model, trace) in zip(folds, run_fold(*args)):
+        recall, precision = pr_curve(score_set(model, split.triples.subset(split.members[f])))
+        curve = {"recall": recall.tolist(), "precision": precision.tolist()}
+        results.append((_area(recall, precision), curve, trace.summary()))
+    return results
 
 
 def cross_validate(d: Dictionary, split: FoldSplit, form: str,

@@ -199,20 +199,21 @@ def _log_enabled() -> bool:
 
 
 def fold_seed(seed: int, fold: int) -> int:
-    """The seed fold ``fold`` of a run seeded ``seed`` trains from: ``sme
-    eval`` trains each fold from its own, and ``sme train --fold`` from the
-    same one, so both build the same model."""
+    """The seed fold ``fold`` of a run seeded ``seed`` trains from, in
+    ``evaluator.run_fold``: so ``sme eval`` and ``sme train --fold`` build
+    the same model while the batch size is at most each fold's training
+    positives (a stack cuts a wider batch to its largest set)."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(fold,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def train(train_ts: TripleSet, valid_ts: TripleSet, d: Dictionary,
           form: str, dim_d: int, dim_p: int,
-          config: TrainConfig, fold: int = 0) -> tuple[Model, TrainTrace]:
+          config: TrainConfig) -> tuple[Model, TrainTrace]:
     """Run SGD epochs with early stopping; returns the best-validation model.
-    ``fold`` names the sets in error messages."""
+    A fold of a split trains through ``evaluator.run_fold`` instead."""
     return train_folds([positives_of(train_ts)], [valid_ts], d, form,
-                       dim_d, dim_p, config, [config.seed], fold_ids=[fold])[0]
+                       dim_d, dim_p, config, [config.seed])[0]
 
 
 def check_settings(config: TrainConfig, d: Dictionary, form: str,

@@ -95,6 +95,29 @@ class TestTrain:
         assert got.emb.vectors.tobytes() == want.emb.vectors.tobytes()
         assert got.params.buf.tobytes() == want.params.buf.tobytes()
 
+    def test_fold_trains_through_run_fold(self, toy_files, monkeypatch):
+        # sme train --fold f and sme eval share one route from a fold to its
+        # model: one run_fold call for [f], and no trainer.train call
+        monkeypatch.setenv("SME_LOG", "quiet")
+        tmp_path, manifest, _ = toy_files
+        calls = []
+        run_fold, train = evaluator.run_fold, trainer.train
+
+        def counting_run_fold(d, split, folds, *args):
+            calls.append(("run_fold", list(folds)))
+            return run_fold(d, split, folds, *args)
+
+        def counting_train(*args, **kwargs):
+            calls.append(("train", None))
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(evaluator, "run_fold", counting_run_fold)
+        monkeypatch.setattr(trainer, "train", counting_train)
+        assert run(["train", "--dataset", str(manifest), "--fold", "2", "--form", "linear",
+                    "--dim-d", "4", "--dim-p", "4", "--epochs", "2",
+                    "--out", str(tmp_path / "fold2.sme")]) == 0
+        assert calls == [("run_fold", [2])]
+
     def test_triple_file_trains_as_its_manifest(self, toy_files, monkeypatch):
         monkeypatch.setenv("SME_LOG", "quiet")
         tmp_path, manifest, tsv = toy_files
@@ -453,7 +476,8 @@ class TestOneLineErrors:
 
     def test_one_class_test_set_before_any_worker(self, tmp_path, monkeypatch):
         # with --jobs 2 the refusal comes before the pool starts, and is the
-        # --jobs 1 line; run_fold refuses its own fold alike
+        # --jobs 1 line; run_fold, which reads no test set, refuses a fold
+        # outside the split
         d, ts = load_triples(self.one_class_file(tmp_path))
         split = make_folds(ts, 5, 0)
         first = next(f for f in range(5) if split.fold_sets(f)[2].n_positive == 0)
@@ -468,9 +492,6 @@ class TestOneLineErrors:
         with pytest.raises(MetricError) as parallel:
             evaluator.cross_validate(d, split, "linear", 4, 4, config, jobs=2)
         assert str(parallel.value) == str(serial.value)
-        with pytest.raises(MetricError) as alone:
-            evaluator.run_fold(d, split, [first], "linear", 4, 4, config)
-        assert str(alone.value) == str(serial.value)
         with pytest.raises(ConfigError, match="outside"):
             evaluator.run_fold(d, split, [5], "linear", 4, 4, config)
 

@@ -314,10 +314,12 @@ class TestStoredCurves:
         d, ts = toy_dataset
         split = make_folds(ts, 4, seed=0)
         config = TrainConfig(epochs_max=3, seed=3)
+        report = cross_validate(d, split, LINEAR, 4, 4, config)
+        models = [model for model, _ in run_fold(d, split, [0, 1, 2, 3], LINEAR, 4, 4, config)]
         dropped = 0
-        for f, (model, auc, curve, _) in enumerate(
-                run_fold(d, split, [0, 1, 2, 3], LINEAR, 4, 4, config)):
-            s = score_set(model, split.fold_sets(f)[2])
+        for model, auc, curve, (_, _, test) in zip(models, report.per_fold_auc, report.pr_curves,
+                                                   map(split.fold_sets, range(4))):
+            s = score_set(model, test)
             recall, precision, area = full_curve(s.scores, s.labels)
             assert area == auc
             full = list(zip(recall.tolist(), precision.tolist()))

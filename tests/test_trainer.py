@@ -430,7 +430,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("k", [2, 3, 10])
     def test_training_positives_train_as_whole_training_set(self, k, tmp_path):
-        # sme train trains on fold_sets(i)[:2]; the model is bitwise the one
+        # run_fold trains on fold_sets(i)[:2]; the model is bitwise the one
         # trained on the fold's whole training set, negatives included,
         # selected by full-length masks
         d, ts = load_triples(write_triples(tmp_path / "toy.tsv", two_group_records()))
@@ -442,8 +442,8 @@ class TestTrain:
             whole = ts.subset(in_train)
             assert 0 < len(positives) < len(whole)
             for form in (LINEAR, BILINEAR):
-                got, _ = train(positives, valid_ts, d, form, 4, 4, config, fold=i)
-                want, _ = train(whole, ts.subset(in_valid), d, form, 4, 4, config, fold=i)
+                got, _ = train(positives, valid_ts, d, form, 4, 4, config)
+                want, _ = train(whole, ts.subset(in_valid), d, form, 4, 4, config)
                 assert got.emb.vectors.tobytes() == want.emb.vectors.tobytes(), (k, i, form)
                 assert got.params.buf.tobytes() == want.params.buf.tobytes(), (k, i, form)
 
