@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--jobs", type=int, default=1,
                         help="worker processes; each trains a contiguous group of folds in "
                              "one stacked loop (default 1; every fold's model is the same "
-                             "for any N while --batch is at most each fold's positives)")
+                             "for any N)")
     add_common_model_flags(p_eval)
 
     p_score = add_parser("score", help="score triples with a trained model")

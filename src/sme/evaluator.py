@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -137,10 +137,14 @@ def run_fold(d: Dictionary, split: FoldSplit, folds: list[int], form: str,
     """Train ``folds`` in one stacked loop: the one route from a fold number
     to its model, which ``sme train --fold`` writes and ``sme eval`` scores.
     Fold f trains on the first two of its ``fold_sets`` from
-    ``fold_seed(config.seed, f)``. Returns (model, trace) per fold; a fold
-    outside [0, k) is refused before training. Reads no test set."""
+    ``fold_seed(config.seed, f)`` at one batch width for the split, so
+    alike in any stack. Returns (model, trace) per fold; a fold outside
+    [0, k) is refused before training. Reads no test set."""
     positives, valid = zip(*(split.fold_sets(f)[:2] for f in folds))
     seeds = [trainer.fold_seed(config.seed, f) for f in folds]
+    largest = max(sum(len(split.positives[j]) for j in split.role_folds(f)[0])
+                  for f in range(split.k))   # a wider batch would only add padding
+    config = replace(config, batch_size=min(config.batch_size, largest))
     return trainer.train_folds(positives, valid, d, form, dim_d, dim_p, config, seeds, folds)
 
 
@@ -164,9 +168,8 @@ def cross_validate(d: Dictionary, split: FoldSplit, form: str,
 
     All folds train in one stacked loop, or with ``jobs`` > 1 in that many
     contiguous groups, each stacked in a worker process. Every fold's model
-    is the same either way while the batch size is at most every fold's
-    training positives: a stack cuts wider batches to its largest one.
-    A one-class test set or a refused setting ends the run before any fold trains.
+    is the same either way. A one-class test set or a refused setting ends
+    the run before any fold trains.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")

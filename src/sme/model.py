@@ -174,20 +174,22 @@ class Workspace:
     one model (E (n, d), params (P,)) or of a stack of K (E (K, n, d),
     params (K, P)): ``E`` and ``param_buf``, the caller's arrays, which the
     step updates in place, every array it writes and every view it reads.
-    ``_forward`` and ``backward`` write into it through ``out=``, so a step
-    allocates nothing of its own size. The workspace lives as long as E
-    and the parameter buffer: rebuild it when either is replaced, as a
-    stack that loses a fold is. ``grad``, laid out as ``params``, takes the
-    parameter gradients and ``d_rows``, in the pair layout, the row
-    gradients. Layout by form: u and v, side (u, v), slot (positive,
-    corruption) and pair, linear (2, 2, m, p), bilinear (m, 2, 2, p), the
-    pair's maps (m, 2, p, d) by side; a stack adds a leading K to each. A
-    stack of one runs as one model, without that axis: the products then
-    see the operands one model gives them, and batched matmuls over one
-    matrix cost more than plain ones. ``rows_in``, ``losses_out`` and
-    ``active_out`` view the arrays the caller's ids, losses and mask share,
-    with the caller's leading axes. ``ones_m`` and ``minus_ones_p`` are the
-    vectors the small sums run against."""
+    ``_forward`` and ``backward`` write into it through ``out=`` and the
+    step scatters into ``E_flat``, E as one axis, a view while E is
+    C-contiguous, so a step allocates nothing of its own size or of the
+    table's. The workspace lives as long as E and the parameter buffer:
+    rebuild it when either is replaced, as a stack that loses a fold is.
+    ``grad``, laid out as ``params``, takes the parameter gradients and
+    ``d_rows``, in the pair layout, the row gradients. Layout by form: u
+    and v, side (u, v), slot (positive, corruption) and pair, linear (2, 2,
+    m, p), bilinear (m, 2, 2, p), the pair's maps (m, 2, p, d) by side; a
+    stack adds a leading K to each. A stack of one runs as one model,
+    without that axis: the products then see the operands one model gives
+    them, and batched matmuls over one matrix cost more than plain ones.
+    ``rows_in``, ``losses_out`` and ``active_out`` view the arrays the
+    caller's ids, losses and mask share, with the caller's leading axes.
+    ``ones_m`` and ``minus_ones_p`` are the vectors the small sums run
+    against."""
 
     def __init__(self, E: np.ndarray, params: Params, m: int):
         outer, d, p = E.shape[:-2], E.shape[-1], params.p
@@ -195,15 +197,18 @@ class Workspace:
         self.E, self.param_buf = E, params.buf
         self.params = params if lead == outer else params[0]
         self.flat = E.reshape(-1, d)   # a stack's rows, all in one table
+        self.E_flat = E.reshape(-1)
         self.grad = params.empty_like()
         g = self.grad if lead == outer else self.grad[0]
         self.rows = np.empty((*lead, 5, m, d))
         self.rows_in = self.rows.reshape(*outer, 5, m, d)
         self.d_rows = np.empty_like(self.rows)
         # the step's scatter: row i of ``elements`` holds the flat indices
-        # of embedding row i's elements, ``at`` those of the batch's rows
+        # of embedding row i's elements, ``at`` those of the batch's rows;
+        # np.subtract.at takes its fast path on 1-D indices and values only
         self.elements = np.arange(E.size).reshape(-1, d)
         self.at = np.empty(self.rows_in.shape, dtype=self.elements.dtype)
+        self.at_flat, self.d_flat = self.at.reshape(-1), self.d_rows.reshape(-1)
         self.er = self.rows[..., 4, :, :]
         # the entity rows as (2, 2m, d), lhs then rhs, and pair by pair as
         # (m, 2, 2, d), side then slot; the same for the row gradients
@@ -214,13 +219,10 @@ class Workspace:
                                     for r in (self.rows, self.d_rows))
         self.losses = np.empty((*lead, m))
         self.losses_out = self.losses.reshape(*outer, m)
-        self.finite = np.empty((*lead, m), dtype=bool)
         self.active = np.empty((*lead, m), dtype=bool)
         self.active_out = self.active.reshape(*outer, m)
         self.w = np.empty((*lead, 2, m))   # the step's weights, by slot
         self.neg_w = np.empty_like(self.w)
-        self.grad_finite = np.empty(self.grad.buf.shape, dtype=bool)
-        self.emb_finite = np.empty(E.size, dtype=bool)
         self.g_b = g.b_sides
         self.ones_m, self.minus_ones_p = np.ones(m), np.full(p, -1.0)
         self.prod_rows, self.e_rows = np.empty((*lead, 2 * m, p)), np.empty((*lead, 2 * m))

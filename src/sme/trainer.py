@@ -17,16 +17,17 @@ fold that stops early leaves the stack.
 rows of the flat (K * n, d) embedding view, as (batch, K, 5, m): each
 fold's m pairs in the kernel's pair layout (the lhs of the positives and of
 their corruptions, the rhs of both, then the relation they share), with
-the mask of the pairs that count, so the step only slices them. A batch
-size above the stack's largest training set is cut to it for the run:
-wider batches would only add padding. The step reads and updates the
-stack's embeddings and parameter buffer only through one
-``model.Workspace``, which lives as long as the stack: ``train_folds``
-builds it with the stack and again only when a fold leaves. Each epoch's
-steps write their pairs' losses into one buffer that is summed once, in
-the order a running total would add them. Validation scores each fold's
-validation set every epoch through the ``model.ScoringPlan`` built for it
-once, before the first epoch, when a set without both classes is refused.
+the mask of the pairs that count, so the step only slices them. The step
+reads and updates the stack's embeddings and parameter buffer only
+through one ``model.Workspace``, which lives as long as the stack:
+``train_folds`` builds it with the stack and again only when a fold
+leaves. A step writes only its batch's elements and checks nothing: each
+epoch's steps write their pairs' losses into one buffer that is checked,
+with the parameters, and summed once, in the order a running total would
+add them, and ``normalize_rows`` checks the embeddings. Validation scores
+each fold's validation set every epoch through the ``model.ScoringPlan``
+built for it once, before the first epoch, when a set without both
+classes is refused.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ class EpochRecord:
     loss: float
     val_auc: float
     secs: float   # an equal share of the stacked epoch, plus the fold's validation
+    active: float   # the share of the epoch's pairs with a positive hinge
 
 
 @dataclass
@@ -138,7 +140,8 @@ def _corrupt_batch(lhs, rhs, mode, rng, entity_ids):
 def sgd_step(batch: list[tuple[Triple, Triple]], emb: EmbeddingTable,
              params: Params, config: TrainConfig) -> float:
     """One mini-batch update on (positive, corruption) pairs, each pair
-    sharing its relation. Returns the mean ranking loss before the update."""
+    sharing its relation. Returns the mean ranking loss before the update;
+    a non-finite loss or update raises NumericalError before any write."""
     if not batch:
         raise ConfigError("an SGD step needs at least one pair")
     if any(pos.rel != neg.rel for pos, neg in batch):
@@ -146,52 +149,61 @@ def sgd_step(batch: list[tuple[Triple, Triple]], emb: EmbeddingTable,
     ids = np.array([(pos.lhs, neg.lhs, pos.rhs, neg.rhs, pos.rel) for pos, neg in batch],
                    dtype=np.int64).T   # the kernel's pair layout
     _check_ids(ids, emb.n)
-    ws = Workspace(emb.vectors, params, len(batch))
-    return float(_sgd_step_arrays(np.ones(len(batch), dtype=bool), ids, ws, config).mean())
+    vectors = np.ascontiguousarray(emb.vectors)   # the update writes through a flat view
+    ws = Workspace(vectors, params, len(batch))
+    update = _step_update(np.ones(len(batch), dtype=bool), ids, ws, config)
+    checked = (ws.losses, ws.grad.buf, ws.d_rows) if update else (ws.losses,)
+    if not all(np.isfinite(a).all() for a in checked):
+        raise NumericalError("non-finite ranking loss or update; training aborted")
+    if update:
+        _apply_update(ws)
+        if vectors is not emb.vectors:
+            emb.vectors[...] = vectors
+    return float(ws.losses.mean())
 
 
 def _sgd_step_arrays(counted: np.ndarray, ids: np.ndarray, ws: Workspace,
                      config: TrainConfig) -> np.ndarray:
     """One mini-batch update of the embeddings and parameter buffer that
     ``ws``, a workspace for m pairs, holds; returns each pair's ranking
-    loss before it.
+    loss before it, the workspace's, overwritten by the next step. It
+    checks nothing: its caller tests the losses and what was applied.
 
     ``ids`` (5, m), range-checked by the caller, are rows of ``ws.E`` in
     the kernel's pair layout (see ``sme.model``). A stack of K models takes
     (K, 5, m) rows of the flat (K * n, d) view and a (K, m) ``counted``,
     which marks the pairs that count; the others pad a fold's short or
-    spent batch. A counted pair with positive loss weighs +lr on its
-    positive and -lr on its corruption, so ``backward`` writes the update
-    itself and every finiteness check, each made before any write, tests
-    what is applied; every other pair weighs 0 and changes nothing. The
-    losses returned are the workspace's, overwritten by the next step.
+    spent batch.
     """
+    if _step_update(counted, ids, ws, config):
+        _apply_update(ws)
+    return ws.losses_out
+
+
+def _step_update(counted: np.ndarray, ids: np.ndarray, ws: Workspace,
+                 config: TrainConfig) -> bool:
+    """A step's first half: the losses into ``ws`` and, if a counted pair
+    has a positive one, the update, each such pair weighing +lr on its
+    positive and -lr on its corruption; returns whether there is one."""
     energies = _forward(ws, ids)
     losses = ranking_loss(energies[..., 0, :], energies[..., 1, :], config.margin, ws.losses)
-    if not np.isfinite(losses, out=ws.finite).all():
-        raise NumericalError("non-finite ranking loss; training aborted")
     active = np.greater(losses, 0, out=ws.active)
     ws.active_out &= counted   # the same mask, with the caller's leading axes
     if not active.any():
-        return ws.losses_out
-
+        return False
     w = ws.w
     np.multiply(active, config.learning_rate, out=w[..., 0, :])
     np.negative(w[..., 0, :], out=w[..., 1, :])
     backward(ws, w)
-    grad = ws.grad.buf
-    if not np.isfinite(grad, out=ws.grad_finite).all():
-        raise NumericalError("non-finite parameter gradient; training aborted")
-    # one scatter-add of every row gradient, element by element, through the
-    # flat view of the embeddings; bincount adds in input order, as np.add.at
-    # does, at a fraction of its per-element cost
-    at = np.take(ws.elements, ids, out=ws.at, **_TAKE)
-    g_emb = np.bincount(at.ravel(), weights=ws.d_rows.ravel(), minlength=ws.E.size)
-    if not np.isfinite(g_emb, out=ws.emb_finite).all():
-        raise NumericalError("non-finite embedding gradient; training aborted")
-    ws.param_buf -= grad
-    ws.E -= g_emb.reshape(ws.E.shape)
-    return ws.losses_out
+    np.take(ws.elements, ids, out=ws.at, **_TAKE)
+    return True
+
+
+def _apply_update(ws: Workspace) -> None:
+    """A step's second half: the update, in place, each element taking its
+    row gradients one by one in the pair layout's order, (E - g1) - g2."""
+    ws.param_buf -= ws.grad.buf
+    np.subtract.at(ws.E_flat, ws.at_flat, ws.d_flat)
 
 
 def _log_enabled() -> bool:
@@ -201,8 +213,7 @@ def _log_enabled() -> bool:
 def fold_seed(seed: int, fold: int) -> int:
     """The seed fold ``fold`` of a run seeded ``seed`` trains from, in
     ``evaluator.run_fold``: so ``sme eval`` and ``sme train --fold`` build
-    the same model while the batch size is at most each fold's training
-    positives (a stack cuts a wider batch to its largest set)."""
+    the same model."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(fold,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -212,8 +223,9 @@ def train(train_ts: TripleSet, valid_ts: TripleSet, d: Dictionary,
           config: TrainConfig) -> tuple[Model, TrainTrace]:
     """Run SGD epochs with early stopping; returns the best-validation model.
     A fold of a split trains through ``evaluator.run_fold`` instead."""
-    return train_folds([positives_of(train_ts)], [valid_ts], d, form,
-                       dim_d, dim_p, config, [config.seed])[0]
+    positives = positives_of(train_ts)   # a wider batch would only add padding
+    config = replace(config, batch_size=min(config.batch_size, len(positives)))
+    return train_folds([positives], [valid_ts], d, form, dim_d, dim_p, config, [config.seed])[0]
 
 
 def check_settings(config: TrainConfig, d: Dictionary, form: str,
@@ -252,8 +264,6 @@ def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionar
             raise ConfigError("training set has no positive triples")
         evaluator.require_both_classes(val.label, f"fold {f}'s validation set")
     plans = [scoring_plan(len(d), dim_p, val.lhs, val.rel, val.rhs) for val in valid]
-    # fixed for the run, so a fold leaving the stack keeps the others' batches
-    config = replace(config, batch_size=min(config.batch_size, max(map(len, positives))))
 
     rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
     inits = [(init_embeddings(len(d), dim_d, rng).vectors, init_params(form, dim_d, dim_p, rng))
@@ -268,13 +278,13 @@ def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionar
     folds = list(range(len(seeds)))   # the fold in each row of the stack
     traces = [TrainTrace() for _ in folds]
     best: list[Model | None] = [None for _ in folds]
-    # an overflow shows as a non-finite loss, gradient, norm or score, which
+    # an overflow shows as a non-finite loss, parameter, norm or score, which
     # the checks report as one NumericalError or MetricError
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(config.epochs_max):
             t0 = time.perf_counter()
-            mean_loss = _sgd_epoch([positives[f] for f in folds], [rngs[f] for f in folds],
-                                   ws, config, entity_ids)
+            mean_loss, active = _sgd_epoch([positives[f] for f in folds],
+                                           [rngs[f] for f in folds], ws, config, entity_ids)
             emb.normalize_rows()
             share = (time.perf_counter() - t0) / len(folds)
             keep = []
@@ -288,7 +298,8 @@ def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionar
                 val_auc = evaluator.auc_pr(evaluator.ScoredSet(val_scores, val.label))
                 secs = share + time.perf_counter() - t1
                 trace = traces[f]
-                trace.epochs.append(EpochRecord(float(mean_loss[row]), val_auc, secs))
+                trace.epochs.append(EpochRecord(float(mean_loss[row]), val_auc, secs,
+                                                float(active[row])))
                 if _log_enabled():   # flushed whole: --jobs workers may share one file
                     print(f"epoch={epoch} loss={mean_loss[row]:.6f} val_auc={val_auc:.6f} "
                           f"secs={secs:.3f}", flush=True)
@@ -315,10 +326,12 @@ def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionar
 
 
 def _sgd_epoch(positives: list[TripleSet], rngs: list[np.random.Generator],
-               ws: Workspace, config: TrainConfig, entity_ids: np.ndarray) -> np.ndarray:
+               ws: Workspace, config: TrainConfig,
+               entity_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One epoch of every fold in the stack whose workspace is ``ws``; row r
     of the stack trains on ``positives[r]`` with ``rngs[r]``. Returns each
-    fold's mean loss."""
+    fold's mean loss and share of pairs with a positive hinge; a
+    non-finite loss or parameter raises NumericalError after the last step."""
     k, n = len(positives), ws.E.shape[-2]
     counts, size = np.array([len(pos) for pos in positives]), config.batch_size
     n_batches = -(-counts.max() // size)
@@ -339,7 +352,10 @@ def _sgd_epoch(positives: list[TripleSet], rngs: list[np.random.Generator],
     losses = np.empty((n_batches, k, size))
     for b, (mask, batch) in enumerate(zip(counted, ids)):
         losses[b] = _sgd_step_arrays(mask, batch, ws, config)
+    if not (np.isfinite(losses).all() and np.isfinite(ws.param_buf).all()):
+        raise NumericalError("non-finite ranking loss or parameter; training aborted")
     # each batch's sum per fold, then the batches' sums one after another,
     # the order a running total adds them in
-    sums = np.where(counted, losses, 0.0).sum(axis=-1)
-    return np.cumsum(sums, axis=0)[-1] / counts
+    kept = np.where(counted, losses, 0.0)
+    sums = kept.sum(axis=-1)
+    return np.cumsum(sums, axis=0)[-1] / counts, np.count_nonzero(kept, axis=(0, 2)) / counts

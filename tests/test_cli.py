@@ -405,6 +405,26 @@ class TestOneLineErrors:
         assert self.run_one_line([argv[0], "--dataset", str(manifest), "--epochs", "3",
                                   "--out", str(tmp_path / "out"), *argv[1:]], capfd) == code
 
+    def test_nan_mid_epoch_exits_4(self, toy_files, capfd, monkeypatch):
+        # no step checks what it computes: a NaN planted in the third step
+        # ends sme train at the end of that epoch, and no model is written
+        monkeypatch.setenv("SME_LOG", "quiet")
+        tmp_path, manifest, _ = toy_files
+        steps = []
+        step = trainer._sgd_step_arrays
+
+        def planting(counted, ids, ws, config):
+            steps.append(len(steps))
+            if len(steps) == 3:
+                ws.param_buf[..., 0] = np.nan
+            return step(counted, ids, ws, config)
+
+        monkeypatch.setattr(trainer, "_sgd_step_arrays", planting)
+        out = tmp_path / "nan.sme"
+        assert self.run_one_line(["train", "--dataset", str(manifest), "--epochs", "3",
+                                  "--out", str(out)], capfd) == 4
+        assert not out.exists()
+
     # an output path that is a directory is refused as early: ``made`` is the
     # directory the case makes first, and "" stands for the working directory
     @pytest.mark.parametrize("command, out, made", [
@@ -627,15 +647,16 @@ class TestUnaddressableDimensions:
 
 
 class TestBatchCap:
-    """A batch wider than the training positives trains as one batch of
-    them all: a wider one would only add padding pairs."""
+    """A batch wider than every training set of the split trains as one
+    batch of the largest: a wider one would only add padding pairs."""
 
     @pytest.mark.parametrize("form", ["linear", "bilinear"])
     def test_any_wider_batch_gives_the_same_model(self, toy_files, monkeypatch, form):
         monkeypatch.setenv("SME_LOG", "quiet")
         tmp, _, tsv = toy_files
         _, ts = load_triples(tsv)
-        count = make_folds(ts, 10, 0).fold_sets(0)[0].n_positive   # sme train's defaults
+        split = make_folds(ts, 10, 0)   # sme train's defaults
+        count = max(split.fold_sets(f)[0].n_positive for f in range(split.k))
 
         def model_bytes(batch):
             out = tmp / f"m-{batch}.sme"

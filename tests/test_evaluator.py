@@ -8,7 +8,7 @@ from sme.dataset import Triple, TripleSet, make_folds
 from sme.errors import ConfigError, MetricError
 from sme.evaluator import (ScoredSet, _area, aggregate, auc_pr, cross_validate,
                            pr_curve, run_fold, score_set)
-from sme.model import LINEAR, EmbeddingTable, LinearParams, Model, energy
+from sme.model import BILINEAR, LINEAR, EmbeddingTable, LinearParams, Model, energy
 from sme.trainer import TrainConfig
 
 from oracles import auc_pr_enumeration, pr_curve_enumeration
@@ -245,6 +245,25 @@ class TestCrossValidate:
         def without_secs(runs):
             return [{k: v for k, v in r.items() if k != "secs"} for r in runs]
         assert without_secs(grouped.per_fold_run) == without_secs(one.per_fold_run)
+
+    @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
+    def test_fold_trains_alike_in_any_stack_at_any_batch(self, toy_dataset, form):
+        # at a batch above some folds' training positives and below others',
+        # a fold alone, in the --jobs 1 stack of every fold and in its
+        # --jobs 2 group trains at one width, the split's, to the same bits
+        d, ts = toy_dataset
+        split = make_folds(ts, 5, seed=0)
+        sizes = sorted(split.fold_sets(f)[0].n_positive for f in range(split.k))
+        config = TrainConfig(epochs_max=3, patience=5, seed=4, batch_size=sizes[0] + 1)
+        assert config.batch_size < sizes[-1]
+        stack = run_fold(d, split, list(range(split.k)), form, 4, 4, config)
+        groups = [g.tolist() for g in np.array_split(np.arange(split.k), 2)]
+        grouped = [r for g in groups for r in run_fold(d, split, g, form, 4, 4, config)]
+        for f, (model, _) in enumerate(stack):
+            [alone] = run_fold(d, split, [f], form, 4, 4, config)
+            for (other, _), how in ((alone, "alone"), (grouped[f], "group")):
+                assert other.emb.vectors.tobytes() == model.emb.vectors.tobytes(), (f, how)
+                assert other.params.buf.tobytes() == model.params.buf.tobytes(), (f, how)
 
     def test_one_stack_trains_through_run_fold(self, toy_dataset, monkeypatch):
         # at jobs=1 every fold trains in one run_fold call, the runner the

@@ -1,12 +1,14 @@
 import io
+import math
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sme import trainer
-from sme.dataset import Triple, load_triples, make_folds, positives_of
+from sme.dataset import Triple, TripleSet, load_triples, make_folds, positives_of
 from sme.errors import ConfigError, NumericalError
 from sme.model import (BILINEAR, LINEAR, EmbeddingTable, Workspace, energies_batch,
                        energy, energy_gradients, init_embeddings, init_params)
@@ -292,6 +294,48 @@ class TestSgdStep:
             sgd_step(batch, emb, params, TrainConfig(learning_rate=1.7e308, margin=1e4))
         assert (emb.vectors.tobytes(), params.buf.tobytes()) == before
 
+    @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
+    def test_repeated_rows_take_every_update(self, form):
+        # eight active pairs over four entities and two relations: each
+        # entity row is in the batch 8 times and each relation row 4 times.
+        # The step subtracts a row's updates one by one; the result must be
+        # E minus the exactly rounded sum of them, to the rounding that 8
+        # subtractions allow (8 * 2**-53 < 1e-15 of the terms' magnitudes)
+        n, m, d = 6, 8, 3
+        emb, params = make_state(form, seed=70, n=n, d=d, p=2)
+        pair = np.arange(m)
+        ids = np.stack([(pair + slot) % 4 for slot in range(4)] + [4 + pair % 2])
+        ws = Workspace(emb.vectors, params, m)
+        before = emb.vectors.copy()
+        config = TrainConfig(margin=1e3, learning_rate=0.5)
+        assert trainer._step_update(np.ones(m, dtype=bool), ids, ws, config)
+        updates = ws.d_rows.copy()
+        trainer._apply_update(ws)
+        assert not np.array_equal(emb.vectors, before)
+        for row, j in np.ndindex(n, d):
+            terms = [before[row, j], *(-updates[ids == row][:, j])]
+            assert len(terms) == (9 if row < 4 else 5)
+            want = math.fsum(terms)
+            assert abs(emb.vectors[row, j] - want) <= 1e-15 * sum(map(abs, terms)), (row, j)
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_non_contiguous_embeddings_updated_in_place(self, layout):
+        emb, params = make_state(LINEAR, seed=12)
+        want_emb, want_params = EmbeddingTable(emb.vectors.copy()), params.copy()
+        batch = [(Triple(0, 4, 1), Triple(2, 4, 3)), (Triple(1, 5, 0), Triple(1, 5, 2))]
+        config = TrainConfig(margin=10.0)
+        sgd_step(batch, want_emb, want_params, config)
+        if layout == "fortran":
+            vectors = np.asfortranarray(emb.vectors)
+        else:   # every other column of a wider array
+            vectors = np.repeat(emb.vectors, 2, axis=1)[:, ::2]
+        assert not vectors.flags.c_contiguous
+        table = EmbeddingTable(vectors)
+        sgd_step(batch, table, params, config)
+        assert table.vectors is vectors
+        assert vectors.tobytes() == want_emb.vectors.tobytes()
+        assert params.buf.tobytes() == want_params.buf.tobytes()
+
     def test_mean_loss_reported_before_update(self):
         emb, params = make_state(BILINEAR, seed=9)
         config = TrainConfig(margin=5.0)
@@ -396,6 +440,39 @@ class TestWorkspace:
         shrunk = [k for k, before in zip(sizes, [10] + sizes) if 0 < k < before]
         assert len(shrunk) >= 2 and len(shrunk) + 1 < max(runs)
         assert built == [10] + shrunk
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_epoch_allocates_nothing_the_size_of_the_table(self, k):
+        # a WordNet-sized table: an epoch's steps write only their batches'
+        # rows, so what it allocates is bounded by its batches, not the table
+        n, d, m = 40_961, 10, 32
+        states = [make_state(BILINEAR, seed=80 + f, n=n, d=d, p=d) for f in range(k)]
+        vectors = np.stack([e.vectors for e, _ in states])
+        params = states[0][1].from_buffer(np.stack([p.buf for _, p in states]), d, d)
+        ws = Workspace(vectors, params, m)
+        rng = np.random.default_rng(81)
+        positives = [TripleSet(rng.integers(0, n - 50, 3 * m), rng.integers(n - 50, n, 3 * m),
+                               rng.integers(0, n - 50, 3 * m), np.ones(3 * m, dtype=np.int8))
+                     for _ in range(k)]
+        entity_ids = np.arange(n - 50)
+        config = TrainConfig(margin=1e3, learning_rate=1e-6, batch_size=m)   # every pair active
+
+        def epoch():
+            rngs = [np.random.default_rng(f) for f in range(k)]
+            return trainer._sgd_epoch(positives, rngs, ws, config, entity_ids)
+
+        epoch()
+        before = vectors.copy()
+        tracemalloc.start()
+        try:
+            _, active = epoch()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert active.tolist() == [1.0] * k
+        assert not np.array_equal(vectors, before)
+        batch_bytes = k * 5 * m * d * 8   # one batch's row gradients
+        assert peak <= 16 * batch_bytes < vectors.nbytes // 8, peak
 
 
 @pytest.fixture
@@ -671,6 +748,59 @@ class TestStackedFolds:
             for other, state in zip(models, before):
                 if other is not model:
                     assert (other.emb.vectors.tobytes(), other.params.buf.tobytes()) == state
+
+    def test_active_share_counts_positive_hinges(self, toy_split, monkeypatch):
+        # each epoch's share of a fold's pairs with a positive hinge, against
+        # a count taken from every step's losses and counted mask
+        d, split = toy_split
+        folds = [split.fold_sets(f) for f in range(2)]
+        positives = [positives_of(train_ts) for train_ts, _, _ in folds]
+        counts = []
+        step = trainer._sgd_step_arrays
+
+        def counting(counted, *args):
+            losses = step(counted, *args)
+            counts.append(((losses > 0) & counted).sum(axis=-1))
+            return losses
+
+        monkeypatch.setattr(trainer, "_sgd_step_arrays", counting)
+        config = TrainConfig(epochs_max=5, patience=10, batch_size=8, learning_rate=0.1)
+        trained = train_folds(positives, [valid_ts for _, valid_ts, _ in folds], d, BILINEAR,
+                              4, 4, config, [1, 2])
+        per_epoch = np.reshape(counts, (config.epochs_max, -1, 2)).sum(axis=1)
+        for f, (_, trace) in enumerate(trained):
+            shares = [r.active for r in trace.epochs]
+            assert shares == (per_epoch[:, f] / len(positives[f])).tolist(), f
+            assert 0 < shares[-1] < shares[0] <= 1, shares
+
+    @pytest.mark.parametrize("where", ["embedding", "parameter"])
+    def test_nan_mid_epoch_ends_training_at_that_epoch(self, toy_split, monkeypatch,
+                                                       capsys, where):
+        # no step checks what it computes: a NaN planted in the second step
+        # of epoch 2 ends training at the end of that epoch, before its line
+        monkeypatch.setenv("SME_LOG", "info")
+        d, split = toy_split
+        train_ts, valid_ts, _ = split.fold_sets(0)
+        config = TrainConfig(epochs_max=5, patience=10, batch_size=8)
+        n_batches = -(-train_ts.n_positive // config.batch_size)
+        steps = []
+        step = trainer._sgd_step_arrays
+
+        def planting(counted, ids, ws, config):
+            steps.append(len(steps))
+            if len(steps) == 2 * n_batches + 2:
+                if where == "embedding":
+                    ws.flat[ids[..., 0, 0]] = np.nan
+                else:
+                    ws.param_buf[..., 0] = np.nan
+            return step(counted, ids, ws, config)
+
+        monkeypatch.setattr(trainer, "_sgd_step_arrays", planting)
+        with pytest.raises(NumericalError, match="non-finite"):
+            train(train_ts, valid_ts, d, LINEAR, 4, 4, config)
+        assert len(steps) == 3 * n_batches
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["epoch=0", "epoch=1"]
 
     def test_epoch_loss_is_mean_pair_loss(self, toy_split):
         # With a vanishing learning rate the weights stay put, so the epoch's
