@@ -12,7 +12,8 @@ layout: the lhs of the positives and of the corruptions, the rhs of both,
 then each pair's relation; a stack of K models has (K, 5, m). A
 ``Workspace`` holds the embeddings and parameter buffer a step updates,
 every array it writes and every view it reads; training builds one per
-stack of models and keeps it while the stack does. ``_forward`` gathers a
+stack of models and keeps it while the stack does, and a one-call entry
+point builds one over only the rows its batch names. ``_forward`` gathers a
 batch's rows into it once and leaves (2, m) energies there; ``backward``
 writes the gradients of a weighted energy sum into its buffer laid out as
 the parameters'. Both are numpy products written through ``out=``, in
@@ -175,10 +176,11 @@ class Workspace:
     params (K, P)): ``E`` and ``param_buf``, the caller's arrays, which the
     step updates in place, every array it writes and every view it reads.
     ``_forward`` and ``backward`` write into it through ``out=`` and the
-    step scatters into ``E_flat``, E as one axis, a view while E is
-    C-contiguous, so a step allocates nothing of its own size or of the
-    table's. The workspace lives as long as E and the parameter buffer:
-    rebuild it when either is replaced, as a stack that loses a fold is.
+    step scatters into ``E_flat``, E as one axis, a view because E must be
+    C-contiguous (ShapeError otherwise), so a step allocates nothing of its
+    own size or of the table's. The workspace lives as long as E and the
+    parameter buffer: rebuild it when either is replaced, as a stack that
+    loses a fold is.
     ``grad``, laid out as ``params``, takes the parameter gradients and
     ``d_rows``, in the pair layout, the row gradients. Layout by form: u
     and v, side (u, v), slot (positive, corruption) and pair, linear (2, 2,
@@ -192,6 +194,8 @@ class Workspace:
     against."""
 
     def __init__(self, E: np.ndarray, params: Params, m: int):
+        if not E.flags.c_contiguous:   # the step's scatter would write to a copy
+            raise ShapeError("a workspace's embeddings must be C-contiguous")
         outer, d, p = E.shape[:-2], E.shape[-1], params.p
         lead = () if outer == (1,) else outer
         self.E, self.param_buf = E, params.buf
@@ -271,16 +275,24 @@ class Workspace:
         self.d_er = self.d_rows[..., 4, :, :]
 
 
+def _batch_workspace(E: np.ndarray, params: Params,
+                     ids: np.ndarray) -> tuple[Workspace, np.ndarray, np.ndarray]:
+    """A workspace over a copy of only the rows of E (n_symbols, d) that the
+    ids (5, m) name, so that a one-call cost does not grow with the table:
+    the workspace, those rows ascending and the checked ids as its rows."""
+    _check_ids(ids, len(E))
+    rows = np.unique(ids)
+    return Workspace(E[rows], params, ids.shape[-1]), rows, np.searchsorted(rows, ids)
+
+
 def forward(E: np.ndarray, params: Params, lhs: np.ndarray, rel: np.ndarray,
             rhs: np.ndarray) -> tuple[np.ndarray, Workspace]:
     """Energies of the triples (lhs[n], rel[n], rhs[n]) and the workspace
-    for ``backward``, each triple paired with itself (weigh the copy 0). E
-    is one model's (n_symbols, d) embedding matrix; the ids are checked
-    here."""
-    ids = np.stack((lhs, lhs, rhs, rhs, rel))
-    _check_ids(ids, len(E))
-    ws = Workspace(E, params, ids.shape[-1])
-    return _forward(ws, ids)[0], ws
+    for ``backward``, over only the rows they name, each triple paired with
+    itself (weigh the copy 0). E is one model's (n_symbols, d) embeddings,
+    of any memory layout; the ids are checked here."""
+    ws, _, at = _batch_workspace(E, params, np.stack((lhs, lhs, rhs, rhs, rel)))
+    return _forward(ws, at)[0], ws
 
 
 def _forward(ws: Workspace, ids: np.ndarray) -> np.ndarray:

@@ -24,10 +24,11 @@ through one ``model.Workspace``, which lives as long as the stack:
 leaves. A step writes only its batch's elements and checks nothing: each
 epoch's steps write their pairs' losses into one buffer that is checked,
 with the parameters, and summed once, in the order a running total would
-add them, and ``normalize_rows`` checks the embeddings. Validation scores
-each fold's validation set every epoch through the ``model.ScoringPlan``
-built for it once, before the first epoch, when a set without both
-classes is refused.
+add them, and ``normalize_rows`` checks the embeddings; ``sgd_step`` runs
+the same step on its batch's rows and checks them before it writes.
+Validation scores each fold's validation set every epoch through the
+``model.ScoringPlan`` built for it once, before the first epoch, when a
+set without both classes is refused.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ import numpy as np
 from . import evaluator
 from .dataset import Dictionary, Triple, TripleSet, positives_of
 from .errors import ConfigError, NumericalError
-from .model import (_TAKE, PARAMS, EmbeddingTable, Model, Params, Workspace, _check_ids,
-                    _forward, backward, energies_batch, init_embeddings, init_params,
-                    scoring_plan)
+from .model import (_TAKE, PARAMS, EmbeddingTable, Model, Params, Workspace,
+                    _batch_workspace, _check_ids, _forward, backward, energies_batch,
+                    init_embeddings, init_params, scoring_plan)
 
 CORRUPTION_MODES = ("lhs", "rhs", "both")
 
@@ -140,34 +141,34 @@ def _corrupt_batch(lhs, rhs, mode, rng, entity_ids):
 def sgd_step(batch: list[tuple[Triple, Triple]], emb: EmbeddingTable,
              params: Params, config: TrainConfig) -> float:
     """One mini-batch update on (positive, corruption) pairs, each pair
-    sharing its relation. Returns the mean ranking loss before the update;
-    a non-finite loss or update raises NumericalError before any write."""
+    sharing its relation: ``_sgd_step_arrays``, the step an epoch runs, on
+    a copy of the rows the batch names and of the parameters, written back
+    in place into ``emb.vectors``, of any memory layout, and ``params``.
+    Returns the mean ranking loss before the update; a non-finite loss,
+    row or parameter raises NumericalError before any write."""
     if not batch:
         raise ConfigError("an SGD step needs at least one pair")
     if any(pos.rel != neg.rel for pos, neg in batch):
         raise ConfigError("a corruption must keep its positive's relation")
     ids = np.array([(pos.lhs, neg.lhs, pos.rhs, neg.rhs, pos.rel) for pos, neg in batch],
                    dtype=np.int64).T   # the kernel's pair layout
-    _check_ids(ids, emb.n)
-    vectors = np.ascontiguousarray(emb.vectors)   # the update writes through a flat view
-    ws = Workspace(vectors, params, len(batch))
-    update = _step_update(np.ones(len(batch), dtype=bool), ids, ws, config)
-    checked = (ws.losses, ws.grad.buf, ws.d_rows) if update else (ws.losses,)
-    if not all(np.isfinite(a).all() for a in checked):
+    ws, rows, at = _batch_workspace(emb.vectors, params.copy(), ids)
+    losses = _sgd_step_arrays(np.ones(len(batch), dtype=bool), at, ws, config)
+    if not all(np.isfinite(a).all() for a in (losses, ws.E, ws.param_buf)):
         raise NumericalError("non-finite ranking loss or update; training aborted")
-    if update:
-        _apply_update(ws)
-        if vectors is not emb.vectors:
-            emb.vectors[...] = vectors
-    return float(ws.losses.mean())
+    emb.vectors[rows] = ws.E
+    params.buf[...] = ws.param_buf
+    return float(losses.mean())
 
 
 def _sgd_step_arrays(counted: np.ndarray, ids: np.ndarray, ws: Workspace,
                      config: TrainConfig) -> np.ndarray:
     """One mini-batch update of the embeddings and parameter buffer that
     ``ws``, a workspace for m pairs, holds; returns each pair's ranking
-    loss before it, the workspace's, overwritten by the next step. It
-    checks nothing: its caller tests the losses and what was applied.
+    loss before it, the workspace's, overwritten by the next step. A
+    counted pair with a positive loss weighs +lr on its positive and -lr on
+    its corruption; an element takes its row gradients one by one, (E - g1)
+    - g2. It checks nothing: its caller tests the losses and what was applied.
 
     ``ids`` (5, m), range-checked by the caller, are rows of ``ws.E`` in
     the kernel's pair layout (see ``sme.model``). A stack of K models takes
@@ -175,35 +176,19 @@ def _sgd_step_arrays(counted: np.ndarray, ids: np.ndarray, ws: Workspace,
     which marks the pairs that count; the others pad a fold's short or
     spent batch.
     """
-    if _step_update(counted, ids, ws, config):
-        _apply_update(ws)
-    return ws.losses_out
-
-
-def _step_update(counted: np.ndarray, ids: np.ndarray, ws: Workspace,
-                 config: TrainConfig) -> bool:
-    """A step's first half: the losses into ``ws`` and, if a counted pair
-    has a positive one, the update, each such pair weighing +lr on its
-    positive and -lr on its corruption; returns whether there is one."""
     energies = _forward(ws, ids)
     losses = ranking_loss(energies[..., 0, :], energies[..., 1, :], config.margin, ws.losses)
     active = np.greater(losses, 0, out=ws.active)
     ws.active_out &= counted   # the same mask, with the caller's leading axes
-    if not active.any():
-        return False
-    w = ws.w
-    np.multiply(active, config.learning_rate, out=w[..., 0, :])
-    np.negative(w[..., 0, :], out=w[..., 1, :])
-    backward(ws, w)
-    np.take(ws.elements, ids, out=ws.at, **_TAKE)
-    return True
-
-
-def _apply_update(ws: Workspace) -> None:
-    """A step's second half: the update, in place, each element taking its
-    row gradients one by one in the pair layout's order, (E - g1) - g2."""
-    ws.param_buf -= ws.grad.buf
-    np.subtract.at(ws.E_flat, ws.at_flat, ws.d_flat)
+    if active.any():
+        w = ws.w
+        np.multiply(active, config.learning_rate, out=w[..., 0, :])
+        np.negative(w[..., 0, :], out=w[..., 1, :])
+        backward(ws, w)
+        np.take(ws.elements, ids, out=ws.at, **_TAKE)
+        ws.param_buf -= ws.grad.buf
+        np.subtract.at(ws.E_flat, ws.at_flat, ws.d_flat)
+    return ws.losses_out
 
 
 def _log_enabled() -> bool:

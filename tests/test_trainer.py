@@ -9,7 +9,7 @@ import pytest
 
 from sme import trainer
 from sme.dataset import Triple, TripleSet, load_triples, make_folds, positives_of
-from sme.errors import ConfigError, NumericalError
+from sme.errors import ConfigError, NumericalError, ShapeError
 from sme.model import (BILINEAR, LINEAR, EmbeddingTable, Workspace, energies_batch,
                        energy, energy_gradients, init_embeddings, init_params)
 from sme.trainer import (TrainConfig, _corrupt_batch, _sgd_step_arrays, corrupt,
@@ -308,9 +308,8 @@ class TestSgdStep:
         ws = Workspace(emb.vectors, params, m)
         before = emb.vectors.copy()
         config = TrainConfig(margin=1e3, learning_rate=0.5)
-        assert trainer._step_update(np.ones(m, dtype=bool), ids, ws, config)
-        updates = ws.d_rows.copy()
-        trainer._apply_update(ws)
+        assert (_sgd_step_arrays(np.ones(m, dtype=bool), ids, ws, config) > 0).any()
+        updates = ws.d_rows.copy()   # the row gradients the step subtracted
         assert not np.array_equal(emb.vectors, before)
         for row, j in np.ndindex(n, d):
             terms = [before[row, j], *(-updates[ids == row][:, j])]
@@ -335,6 +334,59 @@ class TestSgdStep:
         assert table.vectors is vectors
         assert vectors.tobytes() == want_emb.vectors.tobytes()
         assert params.buf.tobytes() == want_params.buf.tobytes()
+
+    @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
+    @pytest.mark.parametrize("layout", ["C", "fortran", "strided"])
+    def test_is_the_epochs_step_bitwise(self, form, layout):
+        # sgd_step runs _sgd_step_arrays on the batch's rows: its loss,
+        # embeddings and parameters are bitwise those of that step on a
+        # workspace over the whole table, a C-contiguous copy. Eight active
+        # pairs over four entities and two relations of a 20-row table
+        # repeat rows in every slot.
+        n, m = 20, 8
+        emb, params = make_state(form, seed=90, n=n, d=3, p=2)
+        pair = np.arange(m)
+        ents, rels = np.array([3, 7, 11, 15]), np.array([17, 19])
+        ids = np.stack([ents[(pair + slot) % 4] for slot in range(4)] + [rels[pair % 2]])
+        batch = [(Triple(int(l), int(r), int(h)), Triple(int(cl), int(r), int(ch)))
+                 for l, cl, h, ch, r in ids.T]
+        config = TrainConfig(margin=1e3, learning_rate=0.5)
+        want_vectors, want_params = emb.vectors.copy(), params.copy()
+        ws = Workspace(want_vectors, want_params, m)
+        want_loss = float(_sgd_step_arrays(np.ones(m, dtype=bool), ids, ws, config).mean())
+        assert not np.array_equal(want_vectors, emb.vectors)   # it did update
+        if layout == "fortran":
+            vectors = np.asfortranarray(emb.vectors)
+        elif layout == "strided":   # every other column of a wider array
+            vectors = np.repeat(emb.vectors, 2, axis=1)[:, ::2]
+        else:
+            vectors = emb.vectors
+        assert vectors.flags.c_contiguous == (layout == "C")
+        loss = sgd_step(batch, EmbeddingTable(vectors), params, config)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert np.ascontiguousarray(vectors).tobytes() == want_vectors.tobytes()
+        assert params.buf.tobytes() == want_params.buf.tobytes()
+
+    @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
+    def test_one_call_allocates_nothing_the_size_of_the_table(self, form):
+        # energy, energy_gradients and sgd_step build their workspace over
+        # the rows their triples name, so at a WordNet-sized table what a
+        # call allocates is bounded by its batch, not by the table
+        n, d = 40_961, 10
+        emb, params = make_state(form, seed=91, n=n, d=d, p=d)
+        pos, neg = Triple(5, n - 1, 40_000), Triple(20_000, n - 1, 40_000)
+        calls = [lambda: energy(pos, emb, params),
+                 lambda: energy_gradients(pos, emb, params),
+                 lambda: sgd_step([(pos, neg)], emb, params, TrainConfig(margin=1e3))]
+        for call in calls:
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < emb.vectors.nbytes // 8, (call, peak)
 
     def test_mean_loss_reported_before_update(self):
         emb, params = make_state(BILINEAR, seed=9)
@@ -387,6 +439,24 @@ class TestWorkspace:
             assert emb.vectors.tobytes() == fresh_emb.vectors.tobytes(), label
             assert params.buf.tobytes() == fresh_params.buf.tobytes(), label
         assert not np.array_equal(params.buf, before[1])   # the steps did update
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_refuses_a_table_that_is_not_c_contiguous(self, k, layout):
+        # the step scatters through E as one axis: of any other array that
+        # is a copy, and the step would leave E as it was
+        states = [make_state(LINEAR, seed=95 + f, n=8, d=3, p=2) for f in range(k)]
+        vectors = np.stack([e.vectors for e, _ in states])
+        params = states[0][1].from_buffer(np.stack([p.buf for _, p in states]), 2, 3)
+        if k == 1:   # one model: no stack axis
+            vectors, params = vectors[0], params[0]
+        if layout == "fortran":
+            vectors = np.asfortranarray(vectors)
+        else:   # every other column of a wider array
+            vectors = np.repeat(vectors, 2, axis=-1)[..., ::2]
+        with pytest.raises(ShapeError, match="C-contiguous"):
+            Workspace(vectors, params, 4)
+        Workspace(np.ascontiguousarray(vectors), params, 4)
 
     def test_epoch_steps_through_the_module_attribute(self, toy_split, monkeypatch):
         # The benchmark's tracer wraps trainer._sgd_step_arrays and counts a
