@@ -103,7 +103,7 @@ class EvalReport:
     std: float
     config: dict
     pr_curves: list[dict] = field(default_factory=list)
-    # per fold: epochs_run, best_epoch, stop_reason, secs (TrainTrace.summary)
+    # per fold: epochs_run, best_epoch, stop_reason, secs, active (TrainTrace.summary)
     per_fold_run: list[dict] = field(default_factory=list)
 
     def to_json(self) -> str:

@@ -11,17 +11,19 @@ which share their relation. A batch of m pairs has (5, m) ids, the pair
 layout: the lhs of the positives and of the corruptions, the rhs of both,
 then each pair's relation; a stack of K models has (K, 5, m). A
 ``Workspace`` holds the embeddings and parameter buffer a step updates,
-every array it writes and every view it reads; training builds one per
-stack of models and keeps it while the stack does, and a one-call entry
-point builds one over only the rows its batch names. ``_forward`` gathers a
-batch's rows into it once and leaves (2, m) energies there; ``backward``
+every array it writes and every view it reads, and the kernel, bound to
+them once for the form when it is built; training builds one per stack of
+models and keeps it while the stack does, and a one-call entry point
+builds one over only the rows its batch names. Its ``forward`` gathers a
+batch's rows once and leaves (2, m) energies in it; its ``backward``
 writes the gradients of a weighted energy sum into its buffer laid out as
-the parameters'. Both are numpy products written through ``out=``, in
-which the two sides run together and a relation row, its maps and its
-weight products are computed once per pair; a stacked model's products
-see the operands a single model would give them. The sums over a small
-axis, each energy's p terms and each bias gradient's m pairs, are BLAS
-GEMVs against ones (minus ones for the energies). Validation, test and
+the parameters' (``backward(ws, w)`` takes the weights). Both are numpy
+products written into its arrays, in which the two sides run together and
+a relation row, its maps and its weight products are computed once per
+pair; a stacked model's products see the operands a single model would
+give them. The sums over a small axis, each energy's p terms and each bias
+gradient's m pairs, are BLAS GEMVs against ones (minus ones for the
+energies). Validation, test and
 bulk scoring use ``energies_batch``: for a fixed relation each form is an
 affine map of the entity embedding on each side, read from the same
 by-side views of the parameters as the kernel's, so every symbol row is
@@ -156,11 +158,6 @@ def init_params(form: str, d: int, p: int, rng: np.random.Generator) -> Params:
                  for s in cls.shapes(p, d)))
 
 
-# ids are range-checked before any table is indexed, so np.take's "clip"
-# mode never clips; it spares the buffered copy that "raise" makes
-_TAKE = dict(axis=0, mode="clip")
-
-
 def _check_ids(ids: np.ndarray, n: int) -> None:
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         raise LookupIdError(f"triple id outside embedding table [0, {n})")
@@ -175,23 +172,30 @@ class Workspace:
     one model (E (n, d), params (P,)) or of a stack of K (E (K, n, d),
     params (K, P)): ``E`` and ``param_buf``, the caller's arrays, which the
     step updates in place, every array it writes and every view it reads.
-    ``_forward`` and ``backward`` write into it through ``out=`` and the
-    step scatters into ``E_flat``, E as one axis, a view because E must be
+    The kernel is bound here, once, for the form and to these arrays:
+    ``forward`` and ``backward`` are closures over every view they read and
+    write, so a call runs only its numpy calls, each given its output
+    positionally, and looks up no form, view or keyword argument. The step
+    scatters into ``E_flat``, E as one axis, a view because E must be
     C-contiguous (ShapeError otherwise), so a step allocates nothing of its
     own size or of the table's. The workspace lives as long as E and the
     parameter buffer: rebuild it when either is replaced, as a stack that
     loses a fold is.
-    ``grad``, laid out as ``params``, takes the parameter gradients and
-    ``d_rows``, in the pair layout, the row gradients. Layout by form: u
-    and v, side (u, v), slot (positive, corruption) and pair, linear (2, 2,
-    m, p), bilinear (m, 2, 2, p), the pair's maps (m, 2, p, d) by side; a
-    stack adds a leading K to each. A stack of one runs as one model,
-    without that axis: the products then see the operands one model gives
-    them, and batched matmuls over one matrix cost more than plain ones.
-    ``rows_in``, ``losses_out`` and ``active_out`` view the arrays the
-    caller's ids, losses and mask share, with the caller's leading axes.
-    ``ones_m`` and ``minus_ones_p`` are the vectors the small sums run
-    against."""
+    ``forward(ids)`` gathers once the rows that the checked ids, in the
+    pair layout (5, m), name (a stack's (K, 5, m) rows of ``flat``, its
+    (K * n, d) view) and returns their (2, m) energies, the positives'
+    first, a view it overwrites at its next call; ``e_pos`` and ``e_neg``
+    view them by slot. ``backward()`` writes the gradients of the energies
+    weighted by ``-minus_w`` (by slot ``minus_w_pos``, ``minus_w_neg``):
+    the parameters' into ``grad``, laid out as ``params``, and the rows'
+    into ``d_rows``, in the pair layout. Layout by form: ``uv``, side (u,
+    v), slot (positive, corruption) and pair, linear (2, 2, m, p), bilinear
+    (m, 2, 2, p), the pair's ``maps`` (m, 2, p, d) by side; a stack adds a
+    leading K to each. A stack of one runs as one model, without that axis:
+    the products then see the operands one model gives them, and batched
+    matmuls over one matrix cost more than plain ones. ``losses_out`` and
+    ``active_out`` view the step's ``losses`` and ``active`` with the
+    caller's leading axes."""
 
     def __init__(self, E: np.ndarray, params: Params, m: int):
         if not E.flags.c_contiguous:   # the step's scatter would write to a copy
@@ -199,80 +203,121 @@ class Workspace:
         outer, d, p = E.shape[:-2], E.shape[-1], params.p
         lead = () if outer == (1,) else outer
         self.E, self.param_buf = E, params.buf
-        self.params = params if lead == outer else params[0]
         self.flat = E.reshape(-1, d)   # a stack's rows, all in one table
         self.E_flat = E.reshape(-1)
         self.grad = params.empty_like()
         g = self.grad if lead == outer else self.grad[0]
-        self.rows = np.empty((*lead, 5, m, d))
-        self.rows_in = self.rows.reshape(*outer, 5, m, d)
-        self.d_rows = np.empty_like(self.rows)
+        params = params if lead == outer else params[0]
+        rows = np.empty((*lead, 5, m, d))
+        d_rows = self.d_rows = np.empty_like(rows)
         # the step's scatter: row i of ``elements`` holds the flat indices
         # of embedding row i's elements, ``at`` those of the batch's rows;
         # np.subtract.at takes its fast path on 1-D indices and values only
         self.elements = np.arange(E.size).reshape(-1, d)
-        self.at = np.empty(self.rows_in.shape, dtype=self.elements.dtype)
-        self.at_flat, self.d_flat = self.at.reshape(-1), self.d_rows.reshape(-1)
-        self.er = self.rows[..., 4, :, :]
-        # the entity rows as (2, 2m, d), lhs then rhs, and pair by pair as
-        # (m, 2, 2, d), side then slot; the same for the row gradients
-        self.sides, self.d_sides = (r[..., 0:4, :, :].reshape(*lead, 2, 2 * m, d)
-                                    for r in (self.rows, self.d_rows))
-        self.pairs, self.d_pairs = (r[..., 0:4, :, :].reshape(*lead, 2, 2, m, d)
-                                    .swapaxes(-2, -3).swapaxes(-3, -4)
-                                    for r in (self.rows, self.d_rows))
+        self.at = np.empty((*outer, 5, m, d), dtype=self.elements.dtype)
+        self.at_flat, self.d_flat = self.at.reshape(-1), d_rows.reshape(-1)
         self.losses = np.empty((*lead, m))
         self.losses_out = self.losses.reshape(*outer, m)
         self.active = np.empty((*lead, m), dtype=bool)
         self.active_out = self.active.reshape(*outer, m)
-        self.w = np.empty((*lead, 2, m))   # the step's weights, by slot
-        self.neg_w = np.empty_like(self.w)
-        self.g_b = g.b_sides
-        self.ones_m, self.minus_ones_p = np.ones(m), np.full(p, -1.0)
-        self.prod_rows, self.e_rows = np.empty((*lead, 2 * m, p)), np.empty((*lead, 2 * m))
-        params = self.params
+        minus_w = self.minus_w = np.empty((*lead, 2, m))
+        self.minus_w_pos, self.minus_w_neg = minus_w[..., 0, :], minus_w[..., 1, :]
+        # ids are range-checked before any table is indexed, so take's
+        # "clip" mode never clips; it spares the buffered copy "raise" makes
+        take, rows_in = self.flat.take, rows.reshape(*outer, 5, m, d)
+        matmul, multiply, add = np.matmul, np.multiply, np.add
+        er = rows[..., 4, :, :]
+        # the entity rows as (2, 2m, d), lhs then rhs, and pair by pair as
+        # (m, 2, 2, d), side then slot; the same for the row gradients
+        sides, d_sides = (r[..., 0:4, :, :].reshape(*lead, 2, 2 * m, d) for r in (rows, d_rows))
+        pairs, d_pairs = (r[..., 0:4, :, :].reshape(*lead, 2, 2, m, d)
+                          .swapaxes(-2, -3).swapaxes(-3, -4) for r in (rows, d_rows))
+        ones_m, minus_ones_p, g_b = np.ones(m), np.full(p, -1.0), g.b_sides
+        prod_rows, e_rows = np.empty((*lead, 2 * m, p)), np.empty((*lead, 2 * m))
         if isinstance(params, LinearParams):
             w = params.w_sides   # side, then its entity and relation weights
-            self.uv = np.empty((*lead, 2, 2, m, p))
-            self.uv_sides = self.uv.reshape(*lead, 2, 2 * m, p)
-            self.uv_swapped = self.uv[..., ::-1, :, :, :]
-            self.w_ent, self.w_rel = w[..., 0, :, :], w[..., 1, :, :]
-            self.w_entT, self.w_relT = _t(self.w_ent), _t(self.w_rel)
-            self.er_b = self.er[..., None, :, :]
-            self.rel_uv = np.empty((*lead, 2, m, p))   # W_2 e_r + b, by side
-            self.b = params.b_sides[..., None, :]
-            self.prod = self.prod_rows.reshape(*lead, 2, m, p)
-            self.energies = self.e_rows.reshape(*lead, 2, m)
-            self.neg_wb = self.neg_w[..., None, :, :, None]
-            self.g_uv = np.empty_like(self.uv)
-            self.g_entT = _t(self.g_uv.reshape(*lead, 2, 2 * m, p))
-            self.g_ent = _t(self.g_entT)
-            self.pair = np.empty((*lead, 2, m, p))   # gu and gv, summed by pair
-            self.pairT = _t(self.pair)
-            self.d_er = np.empty((*lead, 2, m, d))
-            self.g_w_ent, self.g_w_rel = g.w_sides[..., 0, :, :], g.w_sides[..., 1, :, :]
-            return
-        flat = params.w_sides.reshape(*lead, 2 * p * d, d)
-        self.w_flat, self.w_flatT = flat, _t(flat)
-        self.maps = np.empty((*lead, m, 2, p, d))
-        self.maps_flat = self.maps.reshape(*lead, m, 2 * p * d)
-        self.mapsT = _t(self.maps)
-        self.uv = np.empty((*lead, m, 2, 2, p))
-        self.uv_swapped = self.uv[..., ::-1, :, :]
-        self.b = params.b_sides[..., None, :, None, :]
-        self.prod = self.prod_rows.reshape(*lead, m, 2, p)
-        self.energies = _t(self.e_rows.reshape(*lead, m, 2))
-        self.neg_wb = _t(self.neg_w)[..., :, None, :, None]
-        self.g_uv = np.empty_like(self.uv)
-        self.g_uvT, self.g_uv_flat = _t(self.g_uv), self.g_uv.reshape(*lead, m, 4 * p)
-        self.b_sums = np.empty((*lead, 2, 2, p))   # g_uv summed over the pairs
-        self.b_sums_flat = self.b_sums.reshape(*lead, 4 * p)
-        # a pair's two outer products gu x el, summed, flattened to 2 * p * d
-        self.a = np.empty((*lead, m, 2 * p * d))
-        self.a_outer = self.a.reshape(*lead, m, 2, p, d)
-        self.aT = _t(self.a)
-        self.g_w_flat = g.w_sides.reshape(flat.shape)
-        self.d_er = self.d_rows[..., 4, :, :]
+            uv = self.uv = np.empty((*lead, 2, 2, m, p))
+            u, v, uv_swapped = uv[..., 0, :, :, :], uv[..., 1, :, :, :], uv[..., ::-1, :, :, :]
+            uv_sides = uv.reshape(*lead, 2, 2 * m, p)
+            w_ent, w_rel = w[..., 0, :, :], w[..., 1, :, :]
+            w_entT, w_relT, er_b = _t(w_ent), _t(w_rel), er[..., None, :, :]
+            rel_uv = np.empty((*lead, 2, m, p))   # W_2 e_r + b, by side
+            rel_uv_b, b = rel_uv[..., None, :, :], params.b_sides[..., None, :]
+            prod, energies = prod_rows.reshape(*lead, 2, m, p), e_rows.reshape(*lead, 2, m)
+            minus_wb = minus_w[..., None, :, :, None]
+            g_uv = np.empty_like(uv)
+            g_pos, g_neg = g_uv[..., 0, :, :], g_uv[..., 1, :, :]
+            g_entT = _t(g_uv.reshape(*lead, 2, 2 * m, p))
+            g_ent = _t(g_entT)
+            pair = np.empty((*lead, 2, m, p))   # gu and gv, summed by pair
+            pairT = _t(pair)
+            d_er = np.empty((*lead, 2, m, d))
+            d_er_l, d_er_r, d_er_sum = d_er[..., 0, :, :], d_er[..., 1, :, :], d_rows[..., 4, :, :]
+            g_w_ent, g_w_rel = g.w_sides[..., 0, :, :], g.w_sides[..., 1, :, :]
+
+            def forward(ids):
+                take(ids, 0, rows_in, "clip")
+                matmul(sides, w_entT, uv_sides)
+                matmul(er_b, w_relT, rel_uv)
+                add(rel_uv, b, rel_uv)
+                add(uv, rel_uv_b, uv)
+                multiply(u, v, prod)
+                matmul(prod_rows, minus_ones_p, e_rows)
+                return energies
+
+            def backward():
+                # d/du of -w (u . v) is -w v, d/dv is -w u: g_uv is uv, sides swapped, times -w
+                multiply(minus_wb, uv_swapped, g_uv)
+                add(g_pos, g_neg, pair)
+                matmul(ones_m, pair, g_b)
+                matmul(g_entT, sides, g_w_ent)
+                matmul(pairT, er_b, g_w_rel)
+                matmul(g_ent, w_ent, d_sides)
+                matmul(pair, w_rel, d_er)
+                add(d_er_l, d_er_r, d_er_sum)
+        else:
+            w_flat = params.w_sides.reshape(*lead, 2 * p * d, d)
+            w_flatT = _t(w_flat)
+            maps = self.maps = np.empty((*lead, m, 2, p, d))
+            maps_flat, mapsT = maps.reshape(*lead, m, 2 * p * d), _t(maps)
+            uv = self.uv = np.empty((*lead, m, 2, 2, p))
+            u, v, uv_swapped = uv[..., 0, :, :], uv[..., 1, :, :], uv[..., ::-1, :, :]
+            b = params.b_sides[..., None, :, None, :]
+            prod, energies = prod_rows.reshape(*lead, m, 2, p), _t(e_rows.reshape(*lead, m, 2))
+            minus_wb = _t(minus_w)[..., :, None, :, None]
+            g_uv = np.empty_like(uv)
+            g_uvT, g_uv_flat = _t(g_uv), g_uv.reshape(*lead, m, 4 * p)
+            b_sums = np.empty((*lead, 2, 2, p))   # g_uv summed over the pairs
+            b_sums_flat = b_sums.reshape(*lead, 4 * p)
+            b_pos, b_neg = b_sums[..., 0, :], b_sums[..., 1, :]
+            # a pair's two outer products gu x el, summed, flattened to 2 * p * d
+            a = np.empty((*lead, m, 2 * p * d))
+            a_outer, aT = a.reshape(*lead, m, 2, p, d), _t(a)
+            g_w_flat, d_er = g.w_sides.reshape(w_flat.shape), d_rows[..., 4, :, :]
+
+            def forward(ids):
+                take(ids, 0, rows_in, "clip")
+                # maps[n, side] is the (p, d) matrix the relation embedding er[n] selects
+                matmul(er, w_flatT, maps_flat)
+                matmul(pairs, mapsT, uv)
+                add(uv, b, uv)
+                multiply(u, v, prod)
+                matmul(prod_rows, minus_ones_p, e_rows)
+                return energies
+
+            def backward():
+                multiply(minus_wb, uv_swapped, g_uv)
+                matmul(ones_m, g_uv_flat, b_sums_flat)
+                add(b_pos, b_neg, g_b)
+                # u[n, i] = sum_jk w_l[i, j, k] el[n, j] er[n, k]: a pair's two
+                # outer products gu x el sum in one (p, 2) @ (2, d) product per
+                # side, and the sums meet the weights and er in one GEMM each
+                matmul(g_uvT, pairs, a_outer)
+                matmul(aT, er, g_w_flat)
+                matmul(a, w_flat, d_er)
+                matmul(g_uv, maps, d_pairs)
+        self.forward, self.backward = forward, backward
+        self.e_pos, self.e_neg = energies[..., 0, :], energies[..., 1, :]
 
 
 def _batch_workspace(E: np.ndarray, params: Params,
@@ -292,30 +337,7 @@ def forward(E: np.ndarray, params: Params, lhs: np.ndarray, rel: np.ndarray,
     itself (weigh the copy 0). E is one model's (n_symbols, d) embeddings,
     of any memory layout; the ids are checked here."""
     ws, _, at = _batch_workspace(E, params, np.stack((lhs, lhs, rhs, rhs, rel)))
-    return _forward(ws, at)[0], ws
-
-
-def _forward(ws: Workspace, ids: np.ndarray) -> np.ndarray:
-    """(2, m) energies, the positives' first, of the pairs whose checked
-    ids, rows of the workspace's embeddings, are in the pair layout (5, m);
-    a stack takes (K, 5, m) rows of the flat (K * n_symbols, d) view, so
-    that every stacked model's rows come from one gather. Returns a view
-    into ``ws``, overwritten by its next ``_forward``."""
-    np.take(ws.flat, ids, out=ws.rows_in, **_TAKE)
-    if isinstance(ws.params, LinearParams):
-        np.matmul(ws.sides, ws.w_entT, out=ws.uv_sides)
-        np.matmul(ws.er_b, ws.w_relT, out=ws.rel_uv)
-        ws.rel_uv += ws.b
-        ws.uv += ws.rel_uv[..., None, :, :]
-        np.multiply(ws.uv[..., 0, :, :, :], ws.uv[..., 1, :, :, :], out=ws.prod)
-    else:
-        # maps[n, side] is the (p, d) matrix the relation embedding er[n] selects
-        np.matmul(ws.er, ws.w_flatT, out=ws.maps_flat)
-        np.matmul(ws.pairs, ws.mapsT, out=ws.uv)
-        ws.uv += ws.b
-        np.multiply(ws.uv[..., 0, :, :], ws.uv[..., 1, :, :], out=ws.prod)
-    np.matmul(ws.prod_rows, ws.minus_ones_p, out=ws.e_rows)
-    return ws.energies
+    return ws.forward(at)[0], ws
 
 
 @dataclass
@@ -333,32 +355,13 @@ class Gradients:
 
 def backward(ws: Workspace, w: np.ndarray) -> None:
     """Gradients of sum_sn w[s, n] * energy[s, n] for the pairs of the last
-    ``_forward`` on ``ws``, w (2, m) weighting the positives, then the
-    corruptions: the parameters' into ``ws.grad`` and the rows' into
-    ``ws.d_rows``, in the pair layout. A pair's two terms are summed before
-    they meet its relation; a triple weighted 0 adds exact zeros to every
-    sum."""
-    # d/du of -w (u . v) is -w v, d/dv is -w u: g_uv is uv, sides swapped, times -w
-    np.negative(w, out=ws.neg_w)
-    np.multiply(ws.neg_wb, ws.uv_swapped, out=ws.g_uv)
-    if isinstance(ws.params, LinearParams):
-        np.add(ws.g_uv[..., 0, :, :], ws.g_uv[..., 1, :, :], out=ws.pair)
-        np.matmul(ws.ones_m, ws.pair, out=ws.g_b)
-        np.matmul(ws.g_entT, ws.sides, out=ws.g_w_ent)
-        np.matmul(ws.pairT, ws.er_b, out=ws.g_w_rel)
-        np.matmul(ws.g_ent, ws.w_ent, out=ws.d_sides)
-        np.matmul(ws.pair, ws.w_rel, out=ws.d_er)
-        np.add(ws.d_er[..., 0, :, :], ws.d_er[..., 1, :, :], out=ws.d_rows[..., 4, :, :])
-        return
-    np.matmul(ws.ones_m, ws.g_uv_flat, out=ws.b_sums_flat)
-    np.add(ws.b_sums[..., 0, :], ws.b_sums[..., 1, :], out=ws.g_b)
-    # u[n, i] = sum_jk w_l[i, j, k] el[n, j] er[n, k]: a pair's two outer
-    # products gu x el sum in one (p, 2) @ (2, d) product per side, and the
-    # sums, flattened to 2 * p * d, meet the weights and er in one GEMM each
-    np.matmul(ws.g_uvT, ws.pairs, out=ws.a_outer)
-    np.matmul(ws.aT, ws.er, out=ws.g_w_flat)
-    np.matmul(ws.a, ws.w_flat, out=ws.d_er)
-    np.matmul(ws.g_uv, ws.maps, out=ws.d_pairs)
+    ``ws.forward``, w (2, m) weighting the positives, then the corruptions:
+    ``ws.backward()`` on -w, the parameters' into ``ws.grad`` and the rows'
+    into ``ws.d_rows``, in the pair layout. A pair's two terms are summed
+    before they meet its relation; a triple weighted 0 adds exact zeros to
+    every sum."""
+    np.negative(w, out=ws.minus_w)
+    ws.backward()
 
 
 def _one(t: Triple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -445,7 +448,8 @@ def scoring_plan(n: int, p: int, lhs: np.ndarray, rel: np.ndarray,
     at = rel.astype(np.intp, copy=False)   # an int32 index gathers about 3x slower
     present = np.zeros(n, dtype=bool)
     present[at] = True
-    slot = np.take((np.cumsum(present) - 1).astype(row), at)   # rank of each record's relation
+    ranks = (np.cumsum(present) - 1).astype(row)
+    slot = ranks.take(at, 0, None, "clip")   # rank of each record's relation
     del at
     rels = np.flatnonzero(present)
     blocks = []
@@ -479,7 +483,7 @@ def energies_batch(emb: EmbeddingTable, params: Params,
     ``scoring_plan``, is built here unless given; a caller that scores the
     same records again, as validation does every epoch, builds it once
     and passes it with those ids, of which only the count is read again.
-    The SGD step calls ``_forward``/``backward`` instead: for its 32-pair
+    The SGD step calls ``Workspace.forward``/``backward`` instead: for its 32-pair
     batches the tables would cost more than the per-pair maps.
     """
     E = emb.vectors
@@ -532,7 +536,7 @@ def _gather_dot(t, u, v, out) -> np.ndarray:
     for start in range(0, m, _STEP):
         sl = slice(start, start + _STEP)
         size = len(u[sl])
-        a = np.take(t, u[sl], out=buf_u[:size], **_TAKE)
-        b = np.take(t, v[sl], out=buf_v[:size], **_TAKE)
+        a = t.take(u[sl], 0, buf_u[:size], "clip")   # rows checked by the plan
+        b = t.take(v[sl], 0, buf_v[:size], "clip")
         np.einsum("ij,ij->i", a, b, out=out[sl])
     return out

@@ -19,13 +19,14 @@ fold's m pairs in the kernel's pair layout (the lhs of the positives and of
 their corruptions, the rhs of both, then the relation they share), with
 the mask of the pairs that count, so the step only slices them. The step
 reads and updates the stack's embeddings and parameter buffer only
-through one ``model.Workspace``, which lives as long as the stack:
-``train_folds`` builds it with the stack and again only when a fold
-leaves. A step writes only its batch's elements and checks nothing: each
-epoch's steps write their pairs' losses into one buffer that is checked,
-with the parameters, and summed once, in the order a running total would
-add them, and ``normalize_rows`` checks the embeddings; ``sgd_step`` runs
-the same step on its batch's rows and checks them before it writes.
+through one ``model.Workspace`` and the kernel bound to it, which live as
+long as the stack: ``train_folds`` builds them with the stack and again
+only when a fold leaves. A step writes only its batch's elements and
+checks nothing: each epoch's steps write their pairs' losses into one
+buffer that is checked, with the parameters, and summed once, in the order
+a running total would add them, and ``normalize_rows`` checks the
+embeddings; ``sgd_step`` runs the same step on its batch's rows and checks
+them before it writes.
 Validation scores each fold's validation set every epoch through the
 ``model.ScoringPlan`` built for it once, before the first epoch, when a
 set without both classes is refused.
@@ -43,9 +44,8 @@ import numpy as np
 from . import evaluator
 from .dataset import Dictionary, Triple, TripleSet, positives_of
 from .errors import ConfigError, NumericalError
-from .model import (_TAKE, PARAMS, EmbeddingTable, Model, Params, Workspace,
-                    _batch_workspace, _check_ids, _forward, backward, energies_batch,
-                    init_embeddings, init_params, scoring_plan)
+from .model import (PARAMS, EmbeddingTable, Model, Params, Workspace, _batch_workspace,
+                    _check_ids, energies_batch, init_embeddings, init_params, scoring_plan)
 
 CORRUPTION_MODES = ("lhs", "rhs", "both")
 
@@ -95,7 +95,8 @@ class TrainTrace:
         """What ``EvalReport`` records of the run, per fold."""
         return {"epochs_run": len(self.epochs), "best_epoch": self.best_epoch,
                 "stop_reason": self.stop_reason,
-                "secs": sum(r.secs for r in self.epochs)}
+                "secs": sum(r.secs for r in self.epochs),
+                "active": [r.active for r in self.epochs]}
 
 
 def ranking_loss(e_pos, e_neg, margin: float, out: np.ndarray | None = None):
@@ -176,16 +177,15 @@ def _sgd_step_arrays(counted: np.ndarray, ids: np.ndarray, ws: Workspace,
     which marks the pairs that count; the others pad a fold's short or
     spent batch.
     """
-    energies = _forward(ws, ids)
-    losses = ranking_loss(energies[..., 0, :], energies[..., 1, :], config.margin, ws.losses)
+    ws.forward(ids)
+    losses = ranking_loss(ws.e_pos, ws.e_neg, config.margin, ws.losses)
     active = np.greater(losses, 0, out=ws.active)
     ws.active_out &= counted   # the same mask, with the caller's leading axes
-    if active.any():
-        w = ws.w
-        np.multiply(active, config.learning_rate, out=w[..., 0, :])
-        np.negative(w[..., 0, :], out=w[..., 1, :])
-        backward(ws, w)
-        np.take(ws.elements, ids, out=ws.at, **_TAKE)
+    if active.any():   # else a uv that overflowed would turn 0 x inf into NaN
+        np.multiply(active, -config.learning_rate, out=ws.minus_w_pos)   # the weights, negated
+        np.negative(ws.minus_w_pos, out=ws.minus_w_neg)
+        ws.backward()
+        ws.elements.take(ids, 0, ws.at, "clip")
         ws.param_buf -= ws.grad.buf
         np.subtract.at(ws.E_flat, ws.at_flat, ws.d_flat)
     return ws.losses_out

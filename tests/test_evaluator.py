@@ -315,7 +315,11 @@ class TestCrossValidate:
         assert runs[1]["epochs_run"] == runs[1]["best_epoch"] + 1 + config.patience
         for r in runs:
             assert 0 <= r["best_epoch"] < r["epochs_run"] and r["secs"] > 0
+            # one active share per epoch, in the JSON report and not the text one
+            assert len(r["active"]) == r["epochs_run"]
+            assert all(0 < share <= 1 for share in r["active"])
         assert json.loads(report.to_json())["per_fold_run"] == runs
+        assert "active" not in report.to_text()
 
 
 class TestStoredCurves:

@@ -440,6 +440,75 @@ class TestWorkspace:
             assert params.buf.tobytes() == fresh_params.buf.tobytes(), label
         assert not np.array_equal(params.buf, before[1])   # the steps did update
 
+    @staticmethod
+    def stack(form, k, seed, n=8):
+        """k models' embeddings and parameters; k = 0: one model, no stack axis."""
+        states = [make_state(form, seed=seed + f, n=n, d=3, p=2) for f in range(max(k, 1))]
+        vectors = np.stack([e.vectors for e, _ in states])
+        params = states[0][1].from_buffer(np.stack([p.buf for _, p in states]), 2, 3)
+        return (vectors[0], params[0]) if k == 0 else (vectors, params)
+
+    @staticmethod
+    def batches(k, steps, m, seed, n=8):
+        """Each step's ids, rows of the flat view in the pair layout, and mask."""
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(steps):
+            ids = rng.integers(0, 4, size=(max(k, 1), 5, m))
+            ids[:, 4] = rng.integers(4, n, size=(max(k, 1), m))   # the relation slot
+            ids += n * np.arange(max(k, 1))[:, None, None]
+            mask = rng.integers(0, 4, size=(max(k, 1), m)) > 0
+            out.append((ids[0], mask[0]) if k == 0 else (ids, mask))
+        return out
+
+    @pytest.mark.parametrize("stacked_form", [LINEAR, BILINEAR])
+    def test_live_workspaces_step_apart(self, stacked_form):
+        # Each workspace binds its kernel to its own arrays: three live at
+        # once and stepped in turn must each give, bit for bit, the same
+        # steps run alone on copies
+        m, steps, config = 6, 4, TrainConfig(margin=2.0, learning_rate=0.1)
+        cases = [(LINEAR, 0, 10), (BILINEAR, 0, 20), (stacked_form, 3, 30)]
+        states = [self.stack(form, k, seed) for form, k, seed in cases]
+        plans = [self.batches(k, steps, m, seed) for _, k, seed in cases]
+        alone = []
+        for (vectors, params), plan in zip(states, plans):
+            vectors, params = vectors.copy(), params.copy()
+            ws = Workspace(vectors, params, m)
+            losses = [_sgd_step_arrays(mask, ids, ws, config).copy() for ids, mask in plan]
+            alone.append((losses, vectors, params.buf))
+        spaces = [Workspace(vectors, params, m) for vectors, params in states]
+        together = [[] for _ in cases]
+        for step in range(steps):
+            for ws, plan, losses in zip(spaces, plans, together):
+                ids, mask = plan[step]
+                losses.append(_sgd_step_arrays(mask, ids, ws, config).copy())
+        for (vectors, params), losses, (want_losses, want_vectors, want_buf) in zip(
+                states, together, alone):
+            assert [x.tobytes() for x in losses] == [x.tobytes() for x in want_losses]
+            assert vectors.tobytes() == want_vectors.tobytes()
+            assert params.buf.tobytes() == want_buf.tobytes()
+            assert any((x > 0).any() for x in losses)   # the steps did update
+
+    @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
+    def test_rebuilt_workspace_steps_the_kept_folds(self, form):
+        # train_folds rebuilds the workspace over vectors[keep] and
+        # params[keep], copies, when a fold leaves: the rebuilt one steps
+        # those and leaves the dropped stack's arrays as they were
+        m, config = 6, TrainConfig(margin=2.0, learning_rate=0.1)
+        vectors, params = self.stack(form, 3, 40)
+        (ids, mask), = self.batches(3, 1, m, 41)
+        _sgd_step_arrays(mask, ids, Workspace(vectors, params, m), config)
+        keep = [0, 2]
+        kept_vectors, kept_params = vectors[keep], params[keep]
+        dropped = (vectors.tobytes(), params.buf.tobytes())
+        before = (kept_vectors.copy(), kept_params.buf.copy())
+        ws = Workspace(kept_vectors, kept_params, m)
+        (ids, mask), = self.batches(2, 1, m, 42)
+        assert (_sgd_step_arrays(mask, ids, ws, config) > 0).any()
+        assert (vectors.tobytes(), params.buf.tobytes()) == dropped
+        assert not np.array_equal(kept_vectors, before[0])
+        assert not np.array_equal(kept_params.buf, before[1])
+
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("layout", ["fortran", "strided"])
     def test_refuses_a_table_that_is_not_c_contiguous(self, k, layout):
@@ -904,3 +973,5 @@ class TestStackedFolds:
         aucs = [r.val_auc for r in trace.epochs]
         assert summary["best_epoch"] == aucs.index(max(aucs))
         assert summary["secs"] == sum(r.secs for r in trace.epochs) > 0
+        assert summary["active"] == [r.active for r in trace.epochs]
+        assert all(0 < share <= 1 for share in summary["active"])
