@@ -82,19 +82,17 @@ def _text(path) -> str:
     return str(path).encode("utf-8", "surrogateescape").decode("utf-8", "replace")
 
 
-def _load_dataset_arg(path_str: str):
-    """The manifest, dictionary and records a ``--dataset`` names: a JSON
-    manifest, or a triple file standing for one with the defaults, named by its stem."""
+def _manifest_arg(path_str: str) -> Manifest:
+    """The manifest a ``--dataset`` names: a JSON manifest, or a triple
+    file standing for one with the defaults, named by its stem."""
     path = Path(path_str)
     if not path.exists():
         raise ConfigError(f"dataset file not found: {path}")
-    manifest = load_manifest(path) if path.suffix == ".json" else Manifest(_text(path.stem), path)
-    d, ts = load_triples(manifest.triples_path)
-    return manifest, d, ts
+    return load_manifest(path) if path.suffix == ".json" else Manifest(_text(path.stem), path)
 
 
 def cmd_inspect(args) -> int:
-    _, d, ts = _load_dataset_arg(args.dataset)
+    d, ts = load_triples(_manifest_arg(args.dataset).triples_path)
     pct = 100.0 * ts.n_positive / len(ts)
     print(f"entities={d.n_entities} relations={d.n_relations} "
           f"records={len(ts)} valid={pct:.3g}%")
@@ -110,13 +108,21 @@ def _training_setup(args):
     """What ``train`` and ``eval`` start from: the manifest, the dictionary,
     the fold split and the TrainConfig. The fold count and the seed come
     from the flag, else the manifest. A missing output directory, or an
-    output path that is a directory, is found before the dataset is read."""
-    for path in map(Path, _out_paths(args)):
+    output path that is a directory, is found before the dataset is read,
+    and an output file that is the ``--dataset`` file or the manifest's
+    triple file before the triple file is read."""
+    outs = list(map(Path, _out_paths(args)))
+    for path in outs:
         if not path.parent.is_dir():
             raise FileNotFoundError(f"output directory not found: {path.parent}")
         if path.is_dir():
             raise IsADirectoryError(f"output path is a directory: {path}")
-    manifest, d, ts = _load_dataset_arg(args.dataset)
+    manifest = _manifest_arg(args.dataset)
+    inputs = [p for p in (Path(args.dataset), manifest.triples_path) if p.exists()]
+    for path in outs:
+        if path.exists() and any(path.samefile(p) for p in inputs):
+            raise ConfigError(f"output file is an input of the dataset: {_text(path)}")
+    d, ts = load_triples(manifest.triples_path)
     folds = manifest.folds if args.folds is None else args.folds
     seed = manifest.seed if args.seed is None else args.seed
     config = trainer.TrainConfig(

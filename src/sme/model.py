@@ -17,13 +17,16 @@ models and keeps it while the stack does, and a one-call entry point
 builds one over only the rows its batch names. Its ``forward`` gathers a
 batch's rows once and leaves (2, m) energies in it; its ``backward``
 writes the gradients of a weighted energy sum into its buffer laid out as
-the parameters' (``backward(ws, w)`` takes the weights). Both are numpy
-products written into its arrays, in which the two sides run together and
-a relation row, its maps and its weight products are computed once per
-pair; a stacked model's products see the operands a single model would
-give them. The sums over a small axis, each energy's p terms and each bias
-gradient's m pairs, are BLAS GEMVs against ones (minus ones for the
-energies). Validation, test and
+the parameters'. Both are numpy products written into its arrays, in
+which the two sides run together and a relation row, its maps and its
+weight products are computed once per pair; a stacked model's products
+see the operands a single model would give them. The sums over a small
+axis, each energy's p terms and each bias gradient's m pairs, are BLAS
+GEMVs against ones (minus ones for the energies). Its ``step`` is the
+SGD step: the margin hinge on the energies, then, for the pairs that
+violate it, the gradient moves the parameters in place and is scattered
+into the embedding rows the batch names; it checks nothing, and the
+trainer checks each epoch's losses and parameters once. Validation, test and
 bulk scoring use ``energies_batch``: for a fixed relation each form is an
 affine map of the entity embedding on each side, read from the same
 by-side views of the parameters as the kernel's, so every symbol row is
@@ -56,10 +59,6 @@ class EmbeddingTable:
     training stack of K models holds (K, n_symbols, d) vectors."""
 
     vectors: np.ndarray  # (n_symbols, d) or (K, n_symbols, d)
-
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[-2]
 
     @property
     def dim(self) -> int:
@@ -171,31 +170,38 @@ class Workspace:
     """The state one SGD step reads and updates, for batches of m pairs of
     one model (E (n, d), params (P,)) or of a stack of K (E (K, n, d),
     params (K, P)): ``E`` and ``param_buf``, the caller's arrays, which the
-    step updates in place, every array it writes and every view it reads.
+    step updates in place, and every array it writes and view it reads.
     The kernel is bound here, once, for the form and to these arrays:
-    ``forward`` and ``backward`` are closures over every view they read and
-    write, so a call runs only its numpy calls, each given its output
-    positionally, and looks up no form, view or keyword argument. The step
-    scatters into ``E_flat``, E as one axis, a view because E must be
-    C-contiguous (ShapeError otherwise), so a step allocates nothing of its
-    own size or of the table's. The workspace lives as long as E and the
-    parameter buffer: rebuild it when either is replaced, as a stack that
-    loses a fold is.
+    ``forward``, ``backward`` and ``step`` are closures over every view they
+    read and write, so a call runs only its numpy calls, each given its
+    output positionally, and looks up no form, view or keyword argument.
+    The workspace lives as long as E and the parameter buffer: rebuild it
+    when either is replaced, as a stack that loses a fold is.
     ``forward(ids)`` gathers once the rows that the checked ids, in the
     pair layout (5, m), name (a stack's (K, 5, m) rows of ``flat``, its
     (K * n, d) view) and returns their (2, m) energies, the positives'
-    first, a view it overwrites at its next call; ``e_pos`` and ``e_neg``
-    view them by slot. ``backward()`` writes the gradients of the energies
-    weighted by ``-minus_w`` (by slot ``minus_w_pos``, ``minus_w_neg``):
-    the parameters' into ``grad``, laid out as ``params``, and the rows'
-    into ``d_rows``, in the pair layout. Layout by form: ``uv``, side (u,
-    v), slot (positive, corruption) and pair, linear (2, 2, m, p), bilinear
-    (m, 2, 2, p), the pair's ``maps`` (m, 2, p, d) by side; a stack adds a
-    leading K to each. A stack of one runs as one model, without that axis:
-    the products then see the operands one model gives them, and batched
-    matmuls over one matrix cost more than plain ones. ``losses_out`` and
-    ``active_out`` view the step's ``losses`` and ``active`` with the
-    caller's leading axes."""
+    first, a view it overwrites at its next call. ``backward()`` writes the
+    gradients of the energies weighted by ``-minus_w`` (2, m): the
+    parameters' into ``grad``, laid out as ``params``, and the rows' into
+    ``d_rows``, in the pair layout. A pair's two terms are summed before
+    they meet its relation; a triple weighted 0 adds exact zeros to every
+    sum. Layout by form: ``uv``, side (u, v), slot (positive, corruption)
+    and pair, linear (2, 2, m, p), bilinear (m, 2, 2, p), the pair's
+    ``maps`` (m, 2, p, d) by side; a stack adds a leading K to each. A
+    stack of one runs as one model, without that axis: the products then
+    see the operands one model gives them, and batched matmuls over one
+    matrix cost more than plain ones.
+    ``step(counted, ids, margin, lr)`` is one mini-batch update of E and
+    the parameter buffer; it returns each pair's ranking loss before it,
+    with the caller's leading axes, a view it overwrites at its next call.
+    A counted pair with a positive loss weighs +lr on its positive and -lr
+    on its corruption; the others, and the pairs ``counted`` (m,) or
+    (K, m) leaves out, which pad a fold's short or spent batch, weigh 0. An
+    element takes its row gradients one by one, (E - g1) - g2, scattered
+    through E as one axis, a view because E must be C-contiguous
+    (ShapeError otherwise), so a step allocates nothing of its own size or
+    of the table's. It checks nothing: its caller tests the losses and what
+    was applied."""
 
     def __init__(self, E: np.ndarray, params: Params, m: int):
         if not E.flags.c_contiguous:   # the step's scatter would write to a copy
@@ -204,8 +210,8 @@ class Workspace:
         lead = () if outer == (1,) else outer
         self.E, self.param_buf = E, params.buf
         self.flat = E.reshape(-1, d)   # a stack's rows, all in one table
-        self.E_flat = E.reshape(-1)
         self.grad = params.empty_like()
+        param_buf, grad_buf = params.buf, self.grad.buf
         g = self.grad if lead == outer else self.grad[0]
         params = params if lead == outer else params[0]
         rows = np.empty((*lead, 5, m, d))
@@ -213,15 +219,14 @@ class Workspace:
         # the step's scatter: row i of ``elements`` holds the flat indices
         # of embedding row i's elements, ``at`` those of the batch's rows;
         # np.subtract.at takes its fast path on 1-D indices and values only
-        self.elements = np.arange(E.size).reshape(-1, d)
-        self.at = np.empty((*outer, 5, m, d), dtype=self.elements.dtype)
-        self.at_flat, self.d_flat = self.at.reshape(-1), d_rows.reshape(-1)
-        self.losses = np.empty((*lead, m))
-        self.losses_out = self.losses.reshape(*outer, m)
-        self.active = np.empty((*lead, m), dtype=bool)
-        self.active_out = self.active.reshape(*outer, m)
+        elements = np.arange(E.size).reshape(-1, d)
+        at = np.empty((*outer, 5, m, d), dtype=elements.dtype)
+        E_flat, at_flat, d_flat = E.reshape(-1), at.reshape(-1), d_rows.reshape(-1)
+        losses, active = np.empty((*lead, m)), np.empty((*lead, m), dtype=bool)
+        # the same two with the caller's leading axes
+        losses_out, active_out = losses.reshape(*outer, m), active.reshape(*outer, m)
         minus_w = self.minus_w = np.empty((*lead, 2, m))
-        self.minus_w_pos, self.minus_w_neg = minus_w[..., 0, :], minus_w[..., 1, :]
+        minus_w_pos, minus_w_neg = minus_w[..., 0, :], minus_w[..., 1, :]
         # ids are range-checked before any table is indexed, so take's
         # "clip" mode never clips; it spares the buffered copy "raise" makes
         take, rows_in = self.flat.take, rows.reshape(*outer, 5, m, d)
@@ -316,8 +321,30 @@ class Workspace:
                 matmul(aT, er, g_w_flat)
                 matmul(a, w_flat, d_er)
                 matmul(g_uv, maps, d_pairs)
-        self.forward, self.backward = forward, backward
-        self.e_pos, self.e_neg = energies[..., 0, :], energies[..., 1, :]
+        e_pos, e_neg = energies[..., 0, :], energies[..., 1, :]
+        take_elements, greater, bitwise_and = elements.take, np.greater, np.bitwise_and
+        negative, subtract, subtract_at = np.negative, np.subtract, np.subtract.at
+
+        def step(counted, ids, margin, lr):
+            forward(ids)
+            ranking_loss(e_pos, e_neg, margin, losses)
+            greater(losses, 0, active)
+            bitwise_and(active_out, counted, active_out)
+            if active.any():   # else a uv that overflowed would turn 0 x inf into NaN
+                multiply(active, -lr, minus_w_pos)   # the weights, negated
+                negative(minus_w_pos, minus_w_neg)
+                backward()
+                take_elements(ids, 0, at, "clip")
+                subtract(param_buf, grad_buf, param_buf)
+                subtract_at(E_flat, at_flat, d_flat)
+            return losses_out
+        self.forward, self.backward, self.step = forward, backward, step
+
+
+def ranking_loss(e_pos, e_neg, margin: float, out: np.ndarray | None = None):
+    """Hinge on energies, elementwise: positives must sit at least `margin`
+    below their corruptions. ``out`` takes the result."""
+    return np.maximum(0.0, np.subtract(np.add(margin, e_pos, out=out), e_neg, out=out), out=out)
 
 
 def _batch_workspace(E: np.ndarray, params: Params,
@@ -353,17 +380,6 @@ class Gradients:
     d_rhs = property(lambda self: self.d_rows[2])
 
 
-def backward(ws: Workspace, w: np.ndarray) -> None:
-    """Gradients of sum_sn w[s, n] * energy[s, n] for the pairs of the last
-    ``ws.forward``, w (2, m) weighting the positives, then the corruptions:
-    ``ws.backward()`` on -w, the parameters' into ``ws.grad`` and the rows'
-    into ``ws.d_rows``, in the pair layout. A pair's two terms are summed
-    before they meet its relation; a triple weighted 0 adds exact zeros to
-    every sum."""
-    np.negative(w, out=ws.minus_w)
-    ws.backward()
-
-
 def _one(t: Triple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array([t.lhs]), np.array([t.rel]), np.array([t.rhs])
 
@@ -376,7 +392,8 @@ def energy(t: Triple, emb: EmbeddingTable, params: Params) -> float:
 
 def energy_gradients(t: Triple, emb: EmbeddingTable, params: Params) -> Gradients:
     _, ws = forward(emb.vectors, params, *_one(t))
-    backward(ws, np.array([[1.0], [0.0]]))
+    np.negative([[1.0], [0.0]], out=ws.minus_w)   # the triple weighs 1, its copy 0
+    ws.backward()
     return Gradients(ws.grad, ws.d_rows[[0, 4, 2], 0])   # lhs, rel, rhs
 
 

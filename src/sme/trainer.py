@@ -13,20 +13,13 @@ from its own PCG64 stream, and its pairs past the end of its epoch weigh
 0, so a fold's model is bitwise the model that training it alone gives. A
 fold that stops early leaves the stack.
 
-``_sgd_epoch`` lays out an epoch's ids once, range-checked and offset to
-rows of the flat (K * n, d) embedding view, as (batch, K, 5, m): each
-fold's m pairs in the kernel's pair layout (the lhs of the positives and of
-their corruptions, the rhs of both, then the relation they share), with
-the mask of the pairs that count, so the step only slices them. The step
-reads and updates the stack's embeddings and parameter buffer only
-through one ``model.Workspace`` and the kernel bound to it, which live as
-long as the stack: ``train_folds`` builds them with the stack and again
-only when a fold leaves. A step writes only its batch's elements and
-checks nothing: each epoch's steps write their pairs' losses into one
-buffer that is checked, with the parameters, and summed once, in the order
-a running total would add them, and ``normalize_rows`` checks the
-embeddings; ``sgd_step`` runs the same step on its batch's rows and checks
-them before it writes.
+Each epoch steps the stack through one ``model.Workspace``, whose
+``step`` is the SGD step; ``train_folds`` builds it with the stack and
+again only when a fold leaves. ``_sgd_epoch`` lays out an epoch's ids
+once, range-checked and offset to rows of the flat (K * n, d) embedding
+view, as (batch, K, 5, m) with the mask of the pairs that count, and
+checks the epoch's losses and parameters once, after its last step;
+``normalize_rows`` checks the embeddings.
 Validation scores each fold's validation set every epoch through the
 ``model.ScoringPlan`` built for it once, before the first epoch, when a
 set without both classes is refused.
@@ -44,8 +37,10 @@ import numpy as np
 from . import evaluator
 from .dataset import Dictionary, Triple, TripleSet, positives_of
 from .errors import ConfigError, NumericalError
-from .model import (PARAMS, EmbeddingTable, Model, Params, Workspace, _batch_workspace,
-                    _check_ids, energies_batch, init_embeddings, init_params, scoring_plan)
+# ranking_loss is re-exported: trainer.ranking_loss is the public name
+from .model import (FORMS, PARAMS, EmbeddingTable, Model, Params, Workspace,
+                    _batch_workspace, _check_ids, energies_batch, init_embeddings,
+                    init_params, ranking_loss, scoring_plan)
 
 CORRUPTION_MODES = ("lhs", "rhs", "both")
 
@@ -97,12 +92,6 @@ class TrainTrace:
                 "stop_reason": self.stop_reason,
                 "secs": sum(r.secs for r in self.epochs),
                 "active": [r.active for r in self.epochs]}
-
-
-def ranking_loss(e_pos, e_neg, margin: float, out: np.ndarray | None = None):
-    """Hinge on energies, elementwise: positives must sit at least `margin`
-    below their corruptions. ``out`` takes the result."""
-    return np.maximum(0.0, np.subtract(np.add(margin, e_pos, out=out), e_neg, out=out), out=out)
 
 
 def corrupt(t: Triple, mode: str, rng: np.random.Generator,
@@ -164,31 +153,10 @@ def sgd_step(batch: list[tuple[Triple, Triple]], emb: EmbeddingTable,
 
 def _sgd_step_arrays(counted: np.ndarray, ids: np.ndarray, ws: Workspace,
                      config: TrainConfig) -> np.ndarray:
-    """One mini-batch update of the embeddings and parameter buffer that
-    ``ws``, a workspace for m pairs, holds; returns each pair's ranking
-    loss before it, the workspace's, overwritten by the next step. A
-    counted pair with a positive loss weighs +lr on its positive and -lr on
-    its corruption; an element takes its row gradients one by one, (E - g1)
-    - g2. It checks nothing: its caller tests the losses and what was applied.
-
-    ``ids`` (5, m), range-checked by the caller, are rows of ``ws.E`` in
-    the kernel's pair layout (see ``sme.model``). A stack of K models takes
-    (K, 5, m) rows of the flat (K * n, d) view and a (K, m) ``counted``,
-    which marks the pairs that count; the others pad a fold's short or
-    spent batch.
-    """
-    ws.forward(ids)
-    losses = ranking_loss(ws.e_pos, ws.e_neg, config.margin, ws.losses)
-    active = np.greater(losses, 0, out=ws.active)
-    ws.active_out &= counted   # the same mask, with the caller's leading axes
-    if active.any():   # else a uv that overflowed would turn 0 x inf into NaN
-        np.multiply(active, -config.learning_rate, out=ws.minus_w_pos)   # the weights, negated
-        np.negative(ws.minus_w_pos, out=ws.minus_w_neg)
-        ws.backward()
-        ws.elements.take(ids, 0, ws.at, "clip")
-        ws.param_buf -= ws.grad.buf
-        np.subtract.at(ws.E_flat, ws.at_flat, ws.d_flat)
-    return ws.losses_out
+    """``ws.step`` under ``config``: one mini-batch update on the checked
+    ``ids``, rows of ``ws.E`` in the pair layout (see ``sme.model``), of
+    the pairs ``counted`` marks; returns each pair's loss before it."""
+    return ws.step(counted, ids, config.margin, config.learning_rate)
 
 
 def _log_enabled() -> bool:
@@ -217,11 +185,13 @@ def check_settings(config: TrainConfig, d: Dictionary, form: str,
                    dim_d: int, dim_p: int, k: int) -> None:
     """The checks of ``train_folds`` that read no records, for a stack of k models."""
     config.validate()
+    if form not in FORMS:
+        raise ConfigError(f"form must be one of {FORMS}, got {form!r}")
     if dim_d < 1 or dim_p < 1:
         raise ConfigError(f"dimensions must be >= 1, got d={dim_d} p={dim_p}")
     # the stack's bytes, in Python ints: past what numpy can address, an
     # allocation fails with a ValueError, not a MemoryError
-    blocks = PARAMS[form].shapes(dim_p, dim_d) if form in PARAMS else ()
+    blocks = PARAMS[form].shapes(dim_p, dim_d)
     if 8 * k * max(len(d) * dim_d, sum(map(math.prod, blocks))) > np.iinfo(np.intp).max:
         raise ConfigError(f"dimensions d={dim_d} p={dim_p} need more memory than can be addressed")
 

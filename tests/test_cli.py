@@ -451,6 +451,32 @@ class TestOneLineErrors:
         assert self.run_one_line(argv, capfd) == 3
         assert not (tmp_path / "nodir").exists()
 
+    # a file to be written that is the --dataset file or a manifest's triple
+    # file, under its own name or through a link, is refused before the
+    # triple file is read: set.json names data.txt, and link is toy.tsv
+    @pytest.mark.parametrize("command, dataset, out", [
+        pytest.param("train", "toy.tsv", "toy.tsv", id="train-over-the-triple-file"),
+        pytest.param("train", "toy.json", "toy.tsv", id="train-over-the-manifests-triples"),
+        pytest.param("train", "toy.json", "link", id="train-through-a-link"),
+        pytest.param("eval", "toy.json", "toy", id="eval-json-over-the-manifest"),
+        pytest.param("eval", "set.json", "data", id="eval-txt-over-the-manifests-triples")])
+    def test_output_that_is_the_dataset_before_training(self, toy_files, capfd, monkeypatch,
+                                                        command, dataset, out):
+        tmp_path, _, tsv = toy_files
+        (tmp_path / "data.txt").write_bytes(tsv.read_bytes())
+        (tmp_path / "set.json").write_text(json.dumps({"name": "set", "triples": "data.txt"}))
+        (tmp_path / "link").symlink_to(tsv)
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached before the output file was checked")
+
+        monkeypatch.setattr(cli, "load_triples", refuse)
+        argv = [command, "--dataset", str(tmp_path / dataset), "--epochs", "1",
+                "--out", str(tmp_path / out)]
+        assert self.run_one_line(argv, capfd) == 2
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     @staticmethod
     def one_class_file(tmp_path):
         """72 records, 2 of them positive: with 5 folds, some fold's test or

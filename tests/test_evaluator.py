@@ -286,6 +286,7 @@ class TestCrossValidate:
         pytest.param(dict(config=TrainConfig(seed=-1)), "seed", id="seed"),
         pytest.param(dict(dim_p=0), "dimensions must be", id="dim-p"),
         pytest.param(dict(dim_d=1 << 60), "addressed", id="addressable"),
+        pytest.param(dict(form="bilinaer"), "form", id="form"),
     ])
     def test_bad_settings_refused_before_any_worker(self, toy_dataset, monkeypatch,
                                                     change, match):
