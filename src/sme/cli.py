@@ -168,7 +168,8 @@ def cmd_score(args) -> int:
         raise ConfigError(f"triple must be 'lhs<TAB>rel<TAB>rhs', got {args.triples[len(ids)]!r}: "
                           f"{reason}")
     with np.errstate(over="ignore", invalid="ignore"):   # reported below instead
-        scores = -energies_batch(model.emb, model.params, ids[:, 0], ids[:, 1], ids[:, 2])
+        scores = energies_batch(model.emb, model.params, ids[:, 0], ids[:, 1], ids[:, 2])
+        np.subtract(0.0, scores, out=scores)
     if not np.isfinite(scores).all():
         raise NumericalError("non-finite score: the model's weights overflow")
     try:

@@ -38,7 +38,7 @@ class ScoredSet:
 
 def score_set(model: Model, triples: TripleSet) -> ScoredSet:
     e = energies_batch(model.emb, model.params, triples.lhs, triples.rel, triples.rhs)
-    return ScoredSet(np.negative(e, out=e), triples.label.copy())
+    return ScoredSet(np.subtract(0.0, e, out=e), triples.label.copy())
 
 
 def pr_curve(s: ScoredSet) -> tuple[np.ndarray, np.ndarray]:

@@ -31,7 +31,9 @@ bulk scoring use ``energies_batch``: for a fixed relation each form is an
 affine map of the entity embedding on each side, read from the same
 by-side views of the parameters as the kernel's, so every symbol row is
 projected once per relation present in the call, both sides into one
-table, and each record is scored by two gathers from it. A
+table, the left side negated so that the energy's minus sign costs no
+pass over the records, and each record is scored by two gathers from it,
+in steps of a fixed number of bytes, not records. A
 ``ScoringPlan`` holds what scoring a set of records needs that no
 parameter moves: the checked ids, the relations present and each
 record's table rows. Validation builds one per set and reuses it every
@@ -426,9 +428,14 @@ class Model:
 # 2p/d times the embedding matrix. UMLS-shaped tables take
 # 49 * 2 * 184 * 10 * 8 B, about 1.4 MB.
 _TABLE_BYTES = 16 << 20
-# Records per gather step: their u and v blocks (8192 * p * 8 B each) stay
-# in cache for the one row contraction that scores them.
-_STEP = 8192
+# Bytes of each of the two row blocks ``_gather_dot`` gathers a step, so a
+# step holds ``_GATHER_BYTES // (8 * p)`` records: 3,276 at p = 10, 655 at
+# p = 50. A record count fixed at every p would let the blocks grow with p.
+# Measured on a 2-core x86 box with 2 MiB of L2 a core, whole-set scoring
+# ran fastest at 2,048-3,072 records a step at p = 10 and at 512-640 at
+# p = 50: both blocks together take a quarter of L2.
+_GATHER_BYTES = 256 << 10
+_SIDE_SIGN = np.array([[-1.0], [1.0]])   # left, right; times (2, p) offsets
 
 
 @dataclass
@@ -496,7 +503,13 @@ def energies_batch(emb: EmbeddingTable, params: Params,
     One block of relations at a time within ``_TABLE_BYTES``, the block's
     maps are taken and applied to every symbol row,
     ``T[r, side, s] = maps[r, side] @ E[s] + off[r, side]``, and each of
-    its records is two row gathers and a dot product. ``plan``, the records'
+    its records is two row gathers and a dot product, a step of rows at a
+    time within ``_GATHER_BYTES`` a block (``_gather_dot``). The energy's
+    minus sign is taken on the left side's maps and offsets, so the left
+    tables hold -u and the dots are the energies, with no pass over the
+    output. An energy of exactly zero is +0, as einsum sums from +0, so
+    callers take the scores in place as ``0.0 - energy``: -energy, but +0
+    where negating would give -0. ``plan``, the records'
     ``scoring_plan``, is built here unless given; a caller that scores the
     same records again, as validation does every epoch, builds it once
     and passes it with those ids, of which only the count is read again.
@@ -513,6 +526,9 @@ def energies_batch(emb: EmbeddingTable, params: Params,
     out = np.empty(plan.m)
     for blk, rows, u, v in plan.blocks:
         maps, offsets = _relation_maps(params, E, plan.rels[blk])
+        # the energy's minus sign, on the left side's maps and offsets: each
+        # u, so each product and partial sum of its dot, is negated exactly
+        maps, offsets = maps * _SIDE_SIGN[..., None], offsets * _SIDE_SIGN
         # one GEMM per map, so a relation's rows do not depend on its block
         t = np.matmul(E, _t(maps))   # (r, 2, n, p)
         t += offsets[:, :, None, :]
@@ -520,7 +536,7 @@ def energies_batch(emb: EmbeddingTable, params: Params,
             _gather_dot(t, u, v, out)
         else:
             out[rows] = _gather_dot(t, u, v, np.empty(len(rows)))
-    return np.negative(out, out=out)
+    return out
 
 
 def _relation_maps(params: Params, E: np.ndarray,
@@ -545,13 +561,15 @@ def _relation_maps(params: Params, E: np.ndarray,
 
 def _gather_dot(t, u, v, out) -> np.ndarray:
     """Into ``out``, the dot products of the rows ``u`` and ``v`` of the
-    (r, 2, n, p) tables t flattened to rows, ``_STEP`` records at a time
-    through two reused work buffers."""
-    t = t.reshape(-1, t.shape[-1])
-    m = len(u)
-    buf_u, buf_v = (np.empty((min(m, _STEP), t.shape[1])) for _ in range(2))
-    for start in range(0, m, _STEP):
-        sl = slice(start, start + _STEP)
+    (r, 2, n, p) tables t flattened to rows, a step of records at a time
+    through two reused work buffers of at most ``_GATHER_BYTES`` each.
+    Each record's row is summed alone, so the step size moves no bit."""
+    p = t.shape[-1]
+    t = t.reshape(-1, p)
+    m, step = len(u), max(1, _GATHER_BYTES // (8 * p))
+    buf_u, buf_v = (np.empty((min(m, step), p)) for _ in range(2))
+    for start in range(0, m, step):
+        sl = slice(start, start + step)
         size = len(u[sl])
         a = t.take(u[sl], 0, buf_u[:size], "clip")   # rows checked by the plan
         b = t.take(v[sl], 0, buf_v[:size], "clip")

@@ -248,8 +248,9 @@ def train_folds(positives: list[TripleSet], valid: list[TripleSet], d: Dictionar
                 fold_emb = EmbeddingTable(emb.vectors[row])
                 fold_params = params[row]
                 val = valid[f]
-                val_scores = -energies_batch(fold_emb, fold_params, val.lhs, val.rel, val.rhs,
-                                             plan=plans[f])
+                val_scores = energies_batch(fold_emb, fold_params, val.lhs, val.rel, val.rhs,
+                                            plan=plans[f])
+                np.subtract(0.0, val_scores, out=val_scores)
                 val_auc = evaluator.auc_pr(evaluator.ScoredSet(val_scores, val.label))
                 secs = share + time.perf_counter() - t1
                 trace = traces[f]

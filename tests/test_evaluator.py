@@ -179,6 +179,7 @@ class TestScoreSet:
                        np.array([1, 0]))
         s = score_set(m, ts)
         assert np.array_equal(s.scores, [0.0, 0.0])
+        assert not np.signbit(s.scores).any()   # a zero energy scores +0, not -0
 
     def test_purity(self):
         m = hand_model()

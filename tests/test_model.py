@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from sme import model as model_module
-from sme.dataset import Triple
+from sme.dataset import Triple, TripleSet
 from sme.errors import LookupIdError, NumericalError, ShapeError
+from sme.evaluator import score_set
 from sme.model import (BILINEAR, LINEAR, BilinearParams, EmbeddingTable,
-                       LinearParams, energies_batch, energy, energy_gradients,
+                       LinearParams, Model, energies_batch, energy, energy_gradients,
                        forward, init_embeddings, init_params, scoring_plan)
 
 from oracles import (energy_bilinear_formula, energy_linear_formula,
@@ -239,9 +240,9 @@ class TestBatchEnergies:
 
     @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
     def test_matches_formula_oracle_and_energy(self, form, monkeypatch):
-        # 4-record gather steps, so 61 records take 16 steps and a 1-record tail
-        monkeypatch.setattr(model_module, "_STEP", 4)
-        emb, params, lhs, rel, rhs = batch_instance(form, seed=31, m=61)
+        # 4-record gather steps at p = 2, so 61 records take 16 steps and a 1-record tail
+        monkeypatch.setattr(model_module, "_GATHER_BYTES", 4 * 2 * 8)
+        emb, params, lhs, rel, rhs = batch_instance(form, seed=31, m=61, p=2)
         assert not set(rel) <= RELATION_IDS         # entity ids in the slot
         assert len(set(zip(lhs, rel))) < len(lhs)   # repeated (lhs, rel) pairs
         batch = energies_batch(emb, params, lhs, rel, rhs)
@@ -251,8 +252,8 @@ class TestBatchEnergies:
 
     @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
     def test_more_rows_than_one_gather_step(self, form):
-        m = 2 * model_module._STEP + 3
-        emb, params, lhs, rel, rhs = batch_instance(form, seed=32, m=m)
+        m = 2 * (model_module._GATHER_BYTES // (2 * 8)) + 3   # two steps and 3 rows at p = 2
+        emb, params, lhs, rel, rhs = batch_instance(form, seed=32, m=m, p=2)
         expect, _ = forward(emb.vectors, params, lhs, rel, rhs)
         assert np.abs(energies_batch(emb, params, lhs, rel, rhs) - expect).max() < 1e-12
 
@@ -305,6 +306,57 @@ class TestBatchEnergies:
         energies_batch(emb, params, lhs, rel, rhs)
         # 8 relations, 3 relations a block: 3 blocks, each one table of both sides
         assert len(sizes) == 3 and max(sizes) <= budget
+
+    @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
+    @pytest.mark.parametrize("p", [10, 50])
+    def test_gathered_blocks_stay_within_budget(self, form, p, monkeypatch):
+        # each step's two gathered row blocks, the operands of its one
+        # einsum, take at most _GATHER_BYTES each, at the default constant
+        m = 5000
+        emb, params, lhs, rel, rhs = batch_instance(form, seed=41, m=m, n=20, d=4, p=p)
+        sizes = []
+        einsum = np.einsum
+
+        def spy(subscripts, a, b, **kwargs):
+            sizes.append((a.nbytes, b.nbytes))
+            return einsum(subscripts, a, b, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        energies_batch(emb, params, lhs, rel, rhs)
+        step = model_module._GATHER_BYTES // (8 * p)
+        assert len(sizes) == -(-m // step)
+        assert max(max(pair) for pair in sizes) <= model_module._GATHER_BYTES
+
+    @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
+    @pytest.mark.parametrize("p", [2, 10, 50])
+    @pytest.mark.parametrize("step", ["one", "default", "all"])
+    @pytest.mark.parametrize("per_block", [None, 2])
+    def test_energies_are_negated_dots_of_unnegated_tables_bitwise(
+            self, form, p, step, per_block, monkeypatch):
+        # the minus sign taken on the left tables negates each product and
+        # partial sum exactly, at any step and in any block of relations
+        n, d, m = 12, 5, 700
+        emb, params, lhs, rel, rhs = batch_instance(form, seed=42, m=m, n=n, d=d, p=p)
+        E = emb.vectors
+        rels = np.unique(rel)
+        maps, offsets = model_module._relation_maps(params, E, rels)
+        tables = np.matmul(E, maps.swapaxes(-1, -2)) + offsets[:, :, None, :]
+        slot = np.searchsorted(rels, rel)
+        u, v = tables[slot, 0, lhs], tables[slot, 1, rhs]
+        want = -np.einsum("ij,ij->i", u, v)
+        records = {"one": 1, "default": model_module._GATHER_BYTES // (8 * p), "all": m}[step]
+        monkeypatch.setattr(model_module, "_GATHER_BYTES", records * 8 * p)
+        if per_block:   # one relation's two tables take 2 * n * p * 8 bytes
+            monkeypatch.setattr(model_module, "_TABLE_BYTES", per_block * 2 * n * p * 8)
+            assert len(scoring_plan(n, p, lhs, rel, rhs).blocks) == -(-len(rels) // per_block)
+        assert energies_batch(emb, params, lhs, rel, rhs).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
+    def test_score_set_scores_are_negated_energies_bitwise(self, form):
+        emb, params, lhs, rel, rhs = batch_instance(form, seed=43, m=500, n=12, d=5, p=10)
+        model = Model([f"s{i}" for i in range(12)], frozenset(range(12)), emb, params)
+        scores = score_set(model, TripleSet(lhs, rel, rhs, np.zeros(500, dtype=np.int8))).scores
+        assert scores.tobytes() == (-energies_batch(emb, params, lhs, rel, rhs)).tobytes()
 
     @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
     def test_relation_products_stay_within_budget(self, form, monkeypatch):
