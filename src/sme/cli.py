@@ -1,8 +1,9 @@
 """Command-line front end: inspect, train, eval, score.
 
 A command that fails exits with its error's ``exit_code`` (see ``errors``),
-EXIT_USAGE when its arrays do not fit in memory and EXIT_DATA on an OS
-error. Flag values take precedence over manifest values; the training
+EXIT_USAGE when its arrays do not fit in memory, EXIT_DATA on an OS
+error and EXIT_INTERRUPT when interrupted, each after one ``error:``
+line. Flag values take precedence over manifest values; the training
 defaults are ``trainer.TrainConfig``'s and the split's are ``Manifest``'s,
 which a bare triple file takes whole. Flags are never abbreviated.
 """
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import evaluator, modelfile, trainer
 from .dataset import Manifest, load_manifest, load_triples, make_folds, read_records
-from .errors import (EXIT_DATA, EXIT_USAGE, ConfigError, NumericalError,
+from .errors import (EXIT_DATA, EXIT_INTERRUPT, EXIT_USAGE, ConfigError, NumericalError,
                      OutOfDictionaryError, SmeError)
 from .model import FORMS, energies_batch
 
@@ -204,6 +205,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except KeyboardInterrupt:   # SIGINT, as Ctrl-C, `timeout -s INT` or a scheduler sends it
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
 
 
 if __name__ == "__main__":

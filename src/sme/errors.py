@@ -2,12 +2,14 @@
 
 Each class carries the code ``sme`` exits with when it ends a command:
 EXIT_DATA for data errors and by default, EXIT_USAGE for ConfigError,
-EXIT_NUMERIC for NumericalError and MetricError.
+EXIT_NUMERIC for NumericalError and MetricError. An interrupt (SIGINT)
+ends a command with EXIT_INTERRUPT, 128 + SIGINT as shells report it.
 """
 
 EXIT_USAGE = 2     # bad flags or settings, or sizes that do not fit in memory
 EXIT_DATA = 3      # unreadable, malformed or inconsistent data
 EXIT_NUMERIC = 4   # a non-finite value or an undefined metric
+EXIT_INTERRUPT = 130   # interrupted: 128 + SIGINT
 
 
 class SmeError(Exception):

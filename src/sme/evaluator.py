@@ -14,6 +14,7 @@ sample standard deviation.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import trainer
+from . import modelfile, trainer
 from .dataset import Dictionary, FoldSplit, TripleSet
 from .errors import ConfigError, MetricError
 from .model import Model, energies_batch
@@ -104,6 +105,7 @@ class EvalReport:
     config: dict
     pr_curves: list[dict] = field(default_factory=list)
     # per fold: epochs_run, best_epoch, stop_reason, secs, active (TrainTrace.summary)
+    # and model_sha256, the SHA-256 of the bytes save_model writes for its model
     per_fold_run: list[dict] = field(default_factory=list)
 
     def to_json(self) -> str:
@@ -151,13 +153,16 @@ def run_fold(d: Dictionary, split: FoldSplit, folds: list[int], form: str,
 def _fold_group_job(args) -> list[tuple[float, dict, dict]]:
     """Worker process: one contiguous group of folds, trained stacked by
     ``run_fold``, then each fold's test set scored. Returns (auc, curve,
-    run summary) per fold; the curve is the fold's ``pr_curve``."""
+    run) per fold; the curve is the fold's ``pr_curve``, the run its
+    trace's summary and its model's ``model_sha256``."""
     _, split, folds = args[:3]
     results = []
     for f, (model, trace) in zip(folds, run_fold(*args)):
         recall, precision = pr_curve(score_set(model, split.triples.subset(split.members[f])))
         curve = {"recall": recall.tolist(), "precision": precision.tolist()}
-        results.append((_area(recall, precision), curve, trace.summary()))
+        run = {**trace.summary(),
+               "model_sha256": hashlib.sha256(modelfile.model_bytes(model)).hexdigest()}
+        results.append((_area(recall, precision), curve, run))
     return results
 
 

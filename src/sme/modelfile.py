@@ -14,7 +14,9 @@ doubles, arrays in row-major order):
 
 The parameter blocks are the model's one parameter buffer (``model.py``),
 written with one ``tobytes`` and read with one ``frombuffer``.
-Round-tripping reproduces every float bitwise.
+Round-tripping reproduces every float bitwise. ``model_bytes`` builds the
+bytes ``save_model`` writes, in memory; the evaluation report's
+``model_sha256`` is their digest.
 """
 
 from __future__ import annotations
@@ -34,6 +36,11 @@ _FORM_NAMES = {v: k for k, v in _FORM_CODES.items()}
 
 
 def save_model(model: Model, path) -> None:
+    Path(path).write_bytes(model_bytes(model))
+
+
+def model_bytes(model: Model) -> bytes:
+    """The bytes ``save_model`` writes for ``model``."""
     out = bytearray()
     out += MAGIC
     out += struct.pack("<B", _FORM_CODES[model.form])
@@ -45,7 +52,7 @@ def save_model(model: Model, path) -> None:
     out += bytes(np.packbits(np.isin(np.arange(n), list(model.relation_ids)), bitorder="little"))
     out += np.ascontiguousarray(model.emb.vectors, dtype="<f8").tobytes()
     out += np.ascontiguousarray(model.params.buf, dtype="<f8").tobytes()
-    Path(path).write_bytes(bytes(out))
+    return bytes(out)
 
 
 def load_model(path) -> Model:

@@ -1,5 +1,10 @@
+import hashlib
 import json
 import os
+import select
+import signal
+import subprocess
+import sys
 import time
 import warnings
 
@@ -8,12 +13,12 @@ import pytest
 
 from sme import cli, evaluator, trainer
 from sme.dataset import TripleSet, load_triples, make_folds
-from sme.errors import (ConfigError, IntegrityError, LookupIdError, MetricError,
-                        NumericalError, OutOfDictionaryError, ParseError, ShapeError,
-                        SmeError)
+from sme.errors import (EXIT_INTERRUPT, ConfigError, IntegrityError, LookupIdError,
+                        MetricError, NumericalError, OutOfDictionaryError, ParseError,
+                        ShapeError, SmeError)
 from sme.modelfile import load_model
 
-from conftest import sme_capped, sme_piped, two_group_records, write_triples
+from conftest import _child_env, sme_capped, sme_piped, two_group_records, write_triples
 
 
 @pytest.fixture
@@ -152,6 +157,23 @@ class TestEval:
         summary = capsys.readouterr().out
         assert f"mean={payload['mean']:.6f}" in summary
         assert f"mean={payload['mean']:.6f}" in (tmp_path / "report.txt").read_text()
+
+    @pytest.mark.parametrize("form", ["linear", "bilinear"])
+    def test_model_digest_is_that_of_the_saved_model(self, toy_files, monkeypatch, form):
+        # each per_fold_run entry's model_sha256 is the SHA-256 of the file
+        # sme train --fold writes for that fold; the folds' models differ
+        monkeypatch.setenv("SME_LOG", "quiet")
+        tmp_path, manifest, _ = toy_files
+        flags = ["--dataset", str(manifest), "--form", form, "--dim-d", "4", "--dim-p", "4",
+                 "--epochs", "2", "--folds", "3"]
+        assert run(["eval", *flags, "--out", str(tmp_path / "report")]) == 0
+        runs = json.loads((tmp_path / "report.json").read_text())["per_fold_run"]
+        digests = [r["model_sha256"] for r in runs]
+        assert len(set(digests)) == 3
+        for fold, digest in enumerate(digests):
+            path = tmp_path / f"fold{fold}.sme"
+            assert run(["train", *flags, "--fold", str(fold), "--out", str(path)]) == 0
+            assert digest == hashlib.sha256(path.read_bytes()).hexdigest(), fold
 
     def test_triple_file_named_by_stem_with_default_folds(self, tmp_path, capsys,
                                                           monkeypatch):
@@ -608,6 +630,37 @@ class TestExitCodes:
         assert run(["inspect", "--dataset", "unused.tsv"]) == code
         out, err = capsys.readouterr()
         assert out == "" and err == "error: raised by the command\n"
+
+
+class TestInterrupt:
+    @pytest.mark.parametrize("argv", [["train", "--out", "m.sme"],
+                                      ["eval", "--jobs", "1", "--out", "report"]],
+                             ids=["train", "eval-jobs-1"])
+    def test_sigint_ends_in_one_line(self, tmp_path, argv):
+        # SIGINT to the main process only, in a session of its own, once
+        # training has printed its first epoch line: one error line on
+        # stderr and exit 130, within a bound
+        tsv = write_triples(tmp_path / "toy.tsv", two_group_records())
+        command = [sys.executable, "-m", "sme.cli", argv[0], "--dataset", str(tsv),
+                   "--folds", "4", "--epochs", "1000000", "--patience", "1000000",
+                   *argv[1:-1], str(tmp_path / argv[-1])]
+        proc = subprocess.Popen(command, env=dict(_child_env(), SME_LOG="info"), text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                start_new_session=True)
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 120)
+            assert ready, "no epoch line within 120 s"
+            assert proc.stdout.readline().startswith("epoch=0 ")
+            proc.send_signal(signal.SIGINT)
+            start = time.monotonic()
+            _, err = proc.communicate(timeout=60)
+            took = time.monotonic() - start
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert (proc.returncode, err) == (EXIT_INTERRUPT, "error: interrupted\n")
+        assert EXIT_INTERRUPT == 130 and took < 10, took
 
 
 class TestNoAbbreviatedFlags:

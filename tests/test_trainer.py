@@ -189,6 +189,72 @@ class TestSgdStep:
             rel_err = np.abs(fd - analytic) / denom
             assert rel_err.max() < 1e-4, f"{form} array {i}: {rel_err.max()}"
 
+    @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
+    @pytest.mark.parametrize("case", ["mixed", "all active", "all inactive"])
+    def test_step_runs_on_the_active_pairs(self, form, case):
+        # One batch of 32 pairs over entities 0-9 and relations 10-11.
+        # Pairs 28-31 alone name entity 9 and relation 11, and are not
+        # counted; the margin sits in the widest gap of the other pairs'
+        # energy gaps, so some counted pairs are active and some not. The
+        # update must be the gradient of the active pairs' hinge losses by
+        # the oracle formulas, and rows no active pair names stay bitwise.
+        n, m = 12, 32
+        emb, params = make_state(form, seed=31, n=n, d=3, p=2)
+        rng = np.random.default_rng(32)
+        emb.vectors[:] = rng.uniform(-1, 1, size=emb.vectors.shape)
+        params.buf[:] = rng.uniform(-1, 1, size=params.buf.shape)
+        pos = rng.integers(0, 9, size=(m, 3))
+        pos[:, 1] = 10
+        pos[28:] = [[9, 11, 0], [1, 11, 9], [9, 11, 9], [2, 11, 3]]
+        neg = pos.copy()
+        side = rng.integers(0, 2, size=m) * 2   # the lhs or the rhs corrupted
+        for i in range(m):
+            neg[i, side[i]] = (pos[i, side[i]] + 1 + rng.integers(8)) % 9
+        neg[28:, 0] = 9
+        formula = energy_linear_formula if form == LINEAR else energy_bilinear_formula
+        vectors = emb.vectors
+
+        def energies(rows):
+            return np.array([formula(vectors[l], vectors[r], vectors[h],
+                                     *params.arrays()) for l, r, h in rows])
+
+        gaps = energies(neg) - energies(pos)
+        counted = np.ones(m, dtype=bool)
+        if case == "all active":
+            margin = float(gaps.max()) + 1.0
+        else:
+            counted[28:] = False
+            cuts = np.sort(gaps[:28])
+            width, margin = max((b - a, (a + b) / 2) for a, b in zip(cuts, cuts[1:]))
+            assert width > 1e-2
+            if case == "all inactive":
+                counted[:] = False
+        active = counted & (gaps < margin)
+        if case == "mixed":
+            assert 0 < active.sum() < counted.sum()
+            named = [set(np.concatenate([pos[mask], neg[mask]]).ravel()) for mask in (active, ~active)]
+            assert {9, 11} <= named[1] - named[0] and named[0] & named[1]
+        assert active.any() == (case != "all inactive") and active.all() == (case == "all active")
+
+        def loss():
+            return np.maximum(0.0, margin + energies(pos) - energies(neg))[active].sum()
+
+        targets = [params.buf, emb.vectors]
+        expect = [finite_difference(loss, a.reshape(-1)).reshape(a.shape) for a in targets]
+        before = [a.copy() for a in targets]
+        pair_ids = np.stack((pos[:, 0], neg[:, 0], pos[:, 2], neg[:, 2], pos[:, 1]))
+        losses = _sgd_step_arrays(counted, pair_ids, Workspace(emb.vectors, params, m),
+                                  TrainConfig(learning_rate=1.0, margin=margin))
+        assert np.array_equal(losses > 0, gaps < margin)
+        untouched = sorted(set(range(n)) - set(np.concatenate([pos[active], neg[active]]).ravel()))
+        assert emb.vectors[untouched].tobytes() == before[1][untouched].tobytes()
+        if case == "all inactive":
+            assert params.buf.tobytes() == before[0].tobytes()
+        for i, (a, b, fd) in enumerate(zip(targets, before, expect)):
+            analytic = b - a   # learning rate 1: the step is the gradient
+            denom = np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1e-5)
+            assert (np.abs(fd - analytic) / denom).max() < 1e-4, (form, case, i)
+
     def test_only_touched_rows_change(self):
         emb, params = make_state(LINEAR, seed=4, n=20)
         before = emb.vectors.copy()
@@ -827,6 +893,42 @@ class TestStackedFolds:
                         == [(r.loss, r.val_auc) for r in alone_trace.epochs]), at
                 assert trace.best_epoch == alone_trace.best_epoch, at
                 assert trace.stop_reason == alone_trace.stop_reason, at
+
+    @pytest.mark.parametrize("form", [LINEAR, BILINEAR])
+    @pytest.mark.parametrize("batch", [32, 13])
+    def test_fold_alone_matches_fold_in_stack_at_d25(self, form, batch, tmp_path, monkeypatch):
+        # The backward runs on each step's active pairs, a stack at its
+        # largest fold's count with the other folds padded by zero-weight
+        # pairs. At d = p = 25, at the default batch and an odd one, the
+        # folds' active counts differ within the stack's steps, and each
+        # fold trained alone is bitwise that fold in the stack.
+        d, ts = load_triples(write_triples(tmp_path / "toy.tsv", two_group_records()))
+        split = make_folds(ts, 4, seed=0)
+        sets = [split.fold_sets(f) for f in range(4)]
+        positives = [positives_of(train_ts) for train_ts, _, _ in sets]
+        valid = [valid_ts for _, valid_ts, _ in sets]
+        seeds = [200 + f for f in range(4)]
+        config = TrainConfig(epochs_max=4, patience=4, batch_size=batch, learning_rate=0.05)
+        counts, step = [], trainer._sgd_step_arrays
+
+        def spy(counted, ids, ws, config):
+            losses = step(counted, ids, ws, config)
+            counts.append(np.count_nonzero((losses > 0) & counted, axis=-1))
+            return losses
+
+        monkeypatch.setattr(trainer, "_sgd_step_arrays", spy)
+        stacked = train_folds(positives, valid, d, form, 25, 25, config, seeds)
+        monkeypatch.setattr(trainer, "_sgd_step_arrays", step)
+        # steps whose folds' counts differ, some below the batch's width
+        differ = [c for c in counts if c.min() < c.max()]
+        assert len(differ) > len(counts) // 2 and any(c.max() < batch for c in differ)
+        for f, (model, trace) in enumerate(stacked):
+            [(alone, alone_trace)] = train_folds([positives[f]], [valid[f]], d, form, 25, 25,
+                                                 config, [seeds[f]])
+            assert model.emb.vectors.tobytes() == alone.emb.vectors.tobytes(), f
+            assert model.params.buf.tobytes() == alone.params.buf.tobytes(), f
+            assert ([(r.loss, r.val_auc, r.active) for r in trace.epochs]
+                    == [(r.loss, r.val_auc, r.active) for r in alone_trace.epochs]), f
 
     def test_validation_plan_built_once_per_fold(self, tmp_path, monkeypatch):
         d, ts = load_triples(write_triples(tmp_path / "toy.tsv", two_group_records()))
