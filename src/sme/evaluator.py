@@ -146,7 +146,7 @@ def run_fold(d: Dictionary, split: FoldSplit, folds: list[int], form: str,
     seeds = [trainer.fold_seed(config.seed, f) for f in folds]
     largest = max(sum(len(split.positives[j]) for j in split.role_folds(f)[0])
                   for f in range(split.k))   # a wider batch would only add padding
-    config = replace(config, batch_size=min(config.batch_size, largest))
+    config = replace(config, batch_size=min(config.batch_size, max(largest, 1)))
     return trainer.train_folds(positives, valid, d, form, dim_d, dim_p, config, seeds, folds)
 
 

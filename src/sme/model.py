@@ -204,24 +204,22 @@ class Workspace:
     the gradients of the energies weighted by ``-minus_w`` (2, m), of the
     pairs ``active`` (m,) or (K, m) marks, the pairs of nonzero weight: the
     parameters' into ``grad``, laid out as ``params``, and the rows' into a
-    buffer in the pair layout, ``d_rows`` when every pair is active. It
-    returns the step's scatter, the flat element indices and the row
-    gradients, or None when no pair is active. The bilinear backward runs
-    on the selection, each fold's active pairs first in pair order, then
-    its inactive ones, weighing 0, up to the stack's largest count k: width
-    k's arrays are prefix views of one full-width flat buffer each, so
-    contiguous at any k, bound the first time a step has k active pairs in
-    its widest fold. Width m over every pair of every fold runs on the
-    forward's own arrays, with no gather. The module docstring gives the
-    products that keep the full width, and why; the linear form runs every
-    pair. A pair's two terms are summed before they meet its relation; a
-    triple weighted 0 adds exact zeros to every sum. Layout by form:
-    ``uv``, side (u, v), slot (positive, corruption) and pair, linear (2,
-    2, m, p), bilinear (m, 2, 2, p), the pair's ``maps`` (m, 2, p, d) by
-    side; a stack adds a leading K to each. A stack of one runs as one
-    model, without that axis: the products then see the operands one
-    model gives them, and batched matmuls over one matrix cost more than
-    plain ones.
+    buffer in the pair layout. It returns the step's scatter, the flat
+    element indices and those row gradients, or None when no pair is
+    active. The bilinear backward runs on the selection, each fold's active
+    pairs first in pair order, then its inactive ones, weighing 0, up to
+    the stack's largest count k, m included: width k's arrays are prefix
+    views of one full-width flat buffer each, so contiguous at any k, bound
+    the first time a step has k active pairs in its widest fold. The module
+    docstring gives the products that keep the full width, and why; the
+    linear form runs every pair. A pair's two terms are summed before they
+    meet its relation; a triple weighted 0 adds exact zeros to every sum.
+    Layout by form: ``uv``, side (u, v), slot (positive, corruption) and
+    pair, linear (2, 2, m, p), bilinear (m, 2, 2, p), the pair's ``maps``
+    (m, 2, p, d) by side; a stack adds a leading K to each. A stack of one
+    runs as one model, without that axis: the products then see the
+    operands one model gives them, and batched matmuls over one matrix
+    cost more than plain ones.
     ``step(counted, ids, margin, lr)`` is one mini-batch update of E and
     the parameter buffer; it returns each pair's ranking loss before it,
     with the caller's leading axes, a view it overwrites at its next call.
@@ -231,8 +229,8 @@ class Workspace:
     element takes its row gradients one by one, (E - g1) - g2, scattered
     through E as one axis, a view because E must be C-contiguous
     (ShapeError otherwise), so a step allocates only its selection's
-    indices, nothing of its rows' size or of the table's. It checks nothing: its caller tests the losses and what
-    was applied."""
+    indices, nothing of its rows' size or of the table's. It checks
+    nothing: its caller tests the losses and what was applied."""
 
     def __init__(self, E: np.ndarray, params: Params, m: int):
         if not E.flags.c_contiguous:   # the step's scatter would write to a copy
@@ -246,13 +244,11 @@ class Workspace:
         g = self.grad if lead == outer else self.grad[0]
         params = params if lead == outer else params[0]
         rows = np.empty((*lead, 5, m, d))
-        d_rows = self.d_rows = np.empty_like(rows)
         # the step's scatter: row i of ``elements`` holds the flat indices
-        # of embedding row i's elements, ``at`` those of the batch's rows;
+        # of embedding row i's elements, gathered for the batch's rows;
         # np.subtract.at takes its fast path on 1-D indices and values only
         elements = np.arange(E.size).reshape(-1, d)
-        at = np.empty((*outer, 5, m, d), dtype=elements.dtype)
-        E_flat, at_flat, d_flat = E.reshape(-1), at.reshape(-1), d_rows.reshape(-1)
+        E_flat = E.reshape(-1)
         losses, active = np.empty((*lead, m)), np.empty((*lead, m), dtype=bool)
         self.active = active
         # the same two with the caller's leading axes
@@ -265,10 +261,9 @@ class Workspace:
         take_elements = elements.take
         matmul, multiply, add = np.matmul, np.multiply, np.add
         er = rows[..., 4, :, :]
-        # the entity rows as (2, 2m, d), lhs then rhs, and pair by pair as
-        # (m, 2, 2, d), side then slot; the same for the row gradients
-        sides, d_sides = (r[..., 0:4, :, :].reshape(*lead, 2, 2 * m, d) for r in (rows, d_rows))
 
+        # the entity rows, or their gradients, pair by pair as (m, 2, 2, d),
+        # side then slot
         def by_pair(r):
             return (r[..., 0:4, :, :].reshape(*lead, 2, 2, r.shape[-2], d)
                     .swapaxes(-2, -3).swapaxes(-3, -4))
@@ -277,6 +272,12 @@ class Workspace:
         ones_m, minus_ones_p, g_b = np.ones(m), np.full(p, -1.0), g.b_sides
         prod_rows, e_rows = np.empty((*lead, 2 * m, p)), np.empty((*lead, 2 * m))
         if isinstance(params, LinearParams):
+            d_rows = np.empty_like(rows)
+            at = np.empty((*outer, 5, m, d), dtype=elements.dtype)
+            at_flat, d_flat = at.reshape(-1), d_rows.reshape(-1)
+            # the entity rows and their gradients as (2, 2m, d), lhs then rhs
+            sides, d_sides = (r[..., 0:4, :, :].reshape(*lead, 2, 2 * m, d)
+                              for r in (rows, d_rows))
             w = params.w_sides   # side, then its entity and relation weights
             uv = self.uv = np.empty((*lead, 2, 2, m, p))
             u, v, uv_swapped = uv[..., 0, :, :, :], uv[..., 1, :, :, :], uv[..., ::-1, :, :, :]
@@ -340,7 +341,7 @@ class Workspace:
             # a pair's two outer products gu x el, summed, flattened to 2 * p
             # * d; past a selection's k rows it holds earlier steps' values
             a = np.zeros((*lead, m, 2 * p * d))
-            g_w_flat, d_er = g.w_sides.reshape(w_flat.shape), d_rows[..., 4, :, :]
+            g_w_flat, d_er = g.w_sides.reshape(w_flat.shape), np.empty((*lead, m, d))
 
             def forward(ids):
                 take(ids, 0, rows_in, "clip")
@@ -352,33 +353,13 @@ class Workspace:
                 matmul(prod_rows, minus_ones_p, e_rows)
                 return energies
 
-            def products(rows, g_uv, maps, d_rows):
-                """The backward of the k pairs a fold whose rows, g_uv and
-                maps these are, into their d_rows; the bias sums are run
-                on every pair first (``backward``)."""
-                k = rows.shape[-2]
-                pairs, d_pairs, er = by_pair(rows), by_pair(d_rows), rows[..., 4, :, :]
-                a_k = a[..., :k, :]
-                a_outer, aT, g_uvT = a_k.reshape(*lead, k, 2, p, d), _t(a_k), _t(g_uv)
-
-                def run():
-                    # u[n, i] = sum_jk w_l[i, j, k] el[n, j] er[n, k]: a pair's two
-                    # outer products gu x el sum in one (p, 2) @ (2, d) product per
-                    # side, and the sums meet the weights and er in one GEMM each;
-                    # d_er takes every row of a, so its rows keep their bits
-                    matmul(g_uvT, pairs, a_outer)
-                    matmul(aT, er, g_w_flat)
-                    matmul(a, w_flat, d_er)
-                    matmul(g_uv, maps, d_pairs)
-                return run
-
             # The selection at width k, each fold's active pairs first in
             # pair order, then inactive ones, weighing 0, up to the stack's
             # largest count k: its arrays are prefix views of full-width
             # flat buffers, bound once per width, so contiguous at any k.
-            sel_rows, sel_d_rows, sel_g_uv, sel_maps = (np.empty(x.size)
-                                                        for x in (rows, d_rows, g_uv, maps))
-            sel_at = np.empty_like(at_flat)
+            sel_rows, sel_d_rows = np.empty((2, rows.size))
+            sel_g_uv, sel_maps = np.empty(g_uv.size), np.empty(maps.size)
+            sel_at = np.empty(rows.size, dtype=elements.dtype)
             g_uv_rows, maps_rows = g_uv.reshape(-1, 4 * p), maps.reshape(-1, 2 * p * d)
             # column f * m + j holds the flat index of fold f's pair j in
             # each of the 5 slots of a (K, 5, m) array
@@ -391,13 +372,17 @@ class Workspace:
 
             def bind(k):
                 """The backward over a selection of width k, taking the
-                checked ids and the selected pairs' flat indices (*lead, k)."""
+                checked ids and the selected pairs' flat indices (*lead, k);
+                the bias sums are run on every pair first (``backward``)."""
                 rows_k, d_rows_k = (prefix(x, *lead, 5, k, d) for x in (sel_rows, sel_d_rows))
                 at_k = prefix(sel_at, *lead, 5, k, d)
                 g_uv_k = prefix(sel_g_uv, *lead, k, 4 * p)
                 maps_k = prefix(sel_maps, *lead, k, 2 * p * d)
-                run = products(rows_k, g_uv_k.reshape(*lead, k, 2, 2, p),
-                               maps_k.reshape(*lead, k, 2, p, d), d_rows_k)
+                pairs_k, d_pairs_k, er_k = by_pair(rows_k), by_pair(d_rows_k), rows_k[..., 4, :, :]
+                g_uv_k4 = g_uv_k.reshape(*lead, k, 2, 2, p)
+                maps_k4 = maps_k.reshape(*lead, k, 2, p, d)
+                a_k = a[..., :k, :]
+                a_outer, aT, g_uvT = a_k.reshape(*lead, k, 2, p, d), _t(a_k), _t(g_uv_k4)
                 d_er_k, d_er_sel = d_rows_k[..., 4, :, :], d_er[..., :k, :]
                 at_k_flat, d_k_flat = at_k.reshape(-1), d_rows_k.reshape(-1)
 
@@ -407,22 +392,27 @@ class Workspace:
                     take(ids_k, 0, rows_k, "clip")
                     g_uv_rows.take(sel, 0, g_uv_k, "clip")
                     maps_rows.take(sel, 0, maps_k, "clip")
-                    run()
+                    # u[n, i] = sum_jk w_l[i, j, k] el[n, j] er[n, k]: a pair's two
+                    # outer products gu x el sum in one (p, 2) @ (2, d) product per
+                    # side, and the sums meet the weights and er in one GEMM each;
+                    # d_er takes every row of a, so its rows keep their bits
+                    matmul(g_uvT, pairs_k, a_outer)
+                    matmul(aT, er_k, g_w_flat)
+                    matmul(a, w_flat, d_er)
+                    matmul(g_uv_k4, maps_k4, d_pairs_k)
                     copyto(d_er_k, d_er_sel)
                     take_elements(ids_k, 0, at_k, "clip")
                     return at_k_flat, d_k_flat
                 return backward_k
 
-            run_all = products(rows, g_uv, maps, d_rows)
             widths = {}   # k: the bound backward of width k
             if lead:
                 inactive, fold_pairs = np.empty_like(active), cols[::m, None]
-                add_reduce, max_reduce, min_reduce = add.reduce, np.maximum.reduce, np.minimum.reduce
+                add_reduce, max_reduce = add.reduce, np.maximum.reduce
 
                 def select():
-                    counts = add_reduce(active, -1)
-                    k = int(max_reduce(counts))
-                    if not k or min_reduce(counts) == m:
+                    k = int(max_reduce(add_reduce(active, -1)))
+                    if not k:
                         return k, None
                     np.logical_not(active, inactive)
                     # stable: each fold's active pairs, then its inactive ones, in pair order
@@ -433,8 +423,7 @@ class Workspace:
 
                 def select():
                     sel = nonzero(active)[0]
-                    k = len(sel)
-                    return k, (sel if k < m else None)
+                    return len(sel), sel
 
             def backward(ids):
                 """The selection's backward, or None if no pair is active."""
@@ -446,10 +435,6 @@ class Workspace:
                 multiply(minus_wb, uv_swapped, g_uv)
                 matmul(ones_m, g_uv_flat, b_sums_flat)
                 add(b_pos, b_neg, g_b)
-                if sel is None:   # every pair of every fold: the forward's own arrays
-                    run_all()
-                    take_elements(ids, 0, at, "clip")
-                    return at_flat, d_flat
                 return (widths.get(k) or widths.setdefault(k, bind(k)))(ids, sel)
         e_pos, e_neg = energies[..., 0, :], energies[..., 1, :]
         greater, bitwise_and, negative = np.greater, np.bitwise_and, np.negative
@@ -525,8 +510,8 @@ def energy_gradients(t: Triple, emb: EmbeddingTable, params: Params) -> Gradient
     ws.forward(ids)
     ws.active[...] = True   # the one pair is the whole selection
     np.negative([[1.0], [0.0]], out=ws.minus_w)   # the triple weighs 1, its copy 0
-    ws.backward(ids)
-    return Gradients(ws.grad, ws.d_rows[[0, 4, 2], 0])   # lhs, rel, rhs
+    _, d_rows = ws.backward(ids)   # the one pair's row gradients, in the pair layout
+    return Gradients(ws.grad, d_rows.reshape(5, -1)[[0, 4, 2]])   # lhs, rel, rhs
 
 
 @dataclass

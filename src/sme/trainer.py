@@ -177,7 +177,7 @@ def train(train_ts: TripleSet, valid_ts: TripleSet, d: Dictionary,
     """Run SGD epochs with early stopping; returns the best-validation model.
     A fold of a split trains through ``evaluator.run_fold`` instead."""
     positives = positives_of(train_ts)   # a wider batch would only add padding
-    config = replace(config, batch_size=min(config.batch_size, len(positives)))
+    config = replace(config, batch_size=min(config.batch_size, max(len(positives), 1)))
     return train_folds([positives], [valid_ts], d, form, dim_d, dim_p, config, [config.seed])[0]
 
 

@@ -68,6 +68,11 @@ def sme_piped(argv):
                             text=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
+def negative_records(n=40):
+    """n distinct records over 8 entities, every one labelled 0."""
+    return [(f"e{i % 8}", f"r{i // 8}", f"e{(3 * i + i // 8) % 8}", 0) for i in range(n)]
+
+
 def two_group_records(n_per_group=6, seed=0):
     """Fully observed toy graph: 'same' links entities within a group,
     'other' links entities across groups. Learnable and tiny."""

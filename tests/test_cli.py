@@ -18,7 +18,8 @@ from sme.errors import (EXIT_INTERRUPT, ConfigError, IntegrityError, LookupIdErr
                         ShapeError, SmeError)
 from sme.modelfile import load_model
 
-from conftest import _child_env, sme_capped, sme_piped, two_group_records, write_triples
+from conftest import (_child_env, negative_records, sme_capped, sme_piped, two_group_records,
+                      write_triples)
 
 
 @pytest.fixture
@@ -426,6 +427,19 @@ class TestOneLineErrors:
         tmp_path, manifest, _ = toy_files
         assert self.run_one_line([argv[0], "--dataset", str(manifest), "--epochs", "3",
                                   "--out", str(tmp_path / "out"), *argv[1:]], capfd) == code
+
+    @pytest.mark.parametrize("flags", [[], ["--batch", "5"]])
+    def test_file_without_positives_names_them(self, tmp_path, capfd, monkeypatch, flags):
+        # the batch is cut to the largest training set, but to no fewer than
+        # one pair: the error names the missing positives, not a --batch of 0
+        monkeypatch.setenv("SME_LOG", "quiet")
+        tsv = write_triples(tmp_path / "negatives.tsv", negative_records())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["train", "--dataset", str(tsv), *flags, "--out", str(tmp_path / "m.sme")])
+        assert code == 2
+        assert capfd.readouterr().err == "error: training set has no positive triples\n"
+        assert not (tmp_path / "m.sme").exists()
 
     def test_nan_mid_epoch_exits_4(self, toy_files, capfd, monkeypatch):
         # no step checks what it computes: a NaN planted in the third step

@@ -15,7 +15,7 @@ from sme.model import (BILINEAR, LINEAR, EmbeddingTable, Workspace, energies_bat
 from sme.trainer import (TrainConfig, _corrupt_batch, _sgd_step_arrays, corrupt,
                          ranking_loss, sgd_step, train, train_folds)
 
-from conftest import two_group_records, write_triples
+from conftest import negative_records, two_group_records, write_triples
 from oracles import (energy_bilinear_formula, energy_linear_formula,
                      finite_difference, fold_masks)
 
@@ -374,11 +374,20 @@ class TestSgdStep:
         ws = Workspace(emb.vectors, params, m)
         before = emb.vectors.copy()
         config = TrainConfig(margin=1e3, learning_rate=0.5)
+        # the step's scatter, from the backward of a workspace over copies:
+        # the flat element indices and the row gradients subtracted there
+        twin = Workspace(before.copy(), params.copy(), m)
+        e_pos, e_neg = twin.forward(ids)
+        twin.active[...] = ranking_loss(e_pos, e_neg, config.margin) > 0
+        lr = config.learning_rate
+        np.multiply(twin.active, [[-lr], [lr]], out=twin.minus_w)
+        at, updates = twin.backward(ids)
         assert (_sgd_step_arrays(np.ones(m, dtype=bool), ids, ws, config) > 0).any()
-        updates = ws.d_rows.copy()   # the row gradients the step subtracted
         assert not np.array_equal(emb.vectors, before)
+        np.subtract.at(twin.E.reshape(-1), at, updates)   # it is the step's scatter
+        assert twin.E.tobytes() == emb.vectors.tobytes()
         for row, j in np.ndindex(n, d):
-            terms = [before[row, j], *(-updates[ids == row][:, j])]
+            terms = [before[row, j], *(-updates[at == row * d + j])]
             assert len(terms) == (9 if row < 4 else 5)
             want = math.fsum(terms)
             assert abs(emb.vectors[row, j] - want) <= 1e-15 * sum(map(abs, terms)), (row, j)
@@ -698,6 +707,14 @@ class TestTrain:
             train(train_ts, valid_ts, d, LINEAR, 4, 4, TrainConfig())
         assert capsys.readouterr().out == ""
 
+    def test_no_positives_rejected_as_such(self, tmp_path):
+        # the batch is cut to the training positives, but to no fewer than
+        # one pair: the error names the missing positives, not a batch of 0
+        d, ts = load_triples(write_triples(tmp_path / "negatives.tsv", negative_records()))
+        train_ts, valid_ts, _ = make_folds(ts, 2, seed=0).fold_sets(0)
+        with pytest.raises(ConfigError, match="^training set has no positive triples$"):
+            train(train_ts, valid_ts, d, LINEAR, 4, 4, TrainConfig())
+
     def test_epochs_max_zero_rejected(self, toy_split):
         d, split = toy_split
         train_ts, valid_ts, _ = split.fold_sets(0)
@@ -909,19 +926,23 @@ class TestStackedFolds:
         valid = [valid_ts for _, valid_ts, _ in sets]
         seeds = [200 + f for f in range(4)]
         config = TrainConfig(epochs_max=4, patience=4, batch_size=batch, learning_rate=0.05)
-        counts, step = [], trainer._sgd_step_arrays
+        counts, every, step = [], [], trainer._sgd_step_arrays
 
         def spy(counted, ids, ws, config):
             losses = step(counted, ids, ws, config)
             counts.append(np.count_nonzero((losses > 0) & counted, axis=-1))
+            every.append(bool(((losses > 0) & counted).all()))
             return losses
 
         monkeypatch.setattr(trainer, "_sgd_step_arrays", spy)
         stacked = train_folds(positives, valid, d, form, 25, 25, config, seeds)
         monkeypatch.setattr(trainer, "_sgd_step_arrays", step)
-        # steps whose folds' counts differ, some below the batch's width
+        # steps whose folds' counts differ, some below the batch's width,
+        # and steps in which every pair of every fold is active, which run
+        # the same selection at the batch's width
         differ = [c for c in counts if c.min() < c.max()]
         assert len(differ) > len(counts) // 2 and any(c.max() < batch for c in differ)
+        assert any(every)
         for f, (model, trace) in enumerate(stacked):
             [(alone, alone_trace)] = train_folds([positives[f]], [valid[f]], d, form, 25, 25,
                                                  config, [seeds[f]])
