@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,55 +26,90 @@ from .model import FORMS, energies_batch
 EXIT_OK = 0
 
 
+def _common_model_flags(p) -> None:
+    defaults = trainer.TrainConfig()
+    p.add_argument("--form", choices=FORMS, default="bilinear")
+    p.add_argument("--dim-d", type=int, default=10, help="entity embedding dimension")
+    p.add_argument("--dim-p", type=int, default=10, help="transformed embedding dimension")
+    p.add_argument("--lr", type=float, default=defaults.learning_rate)
+    p.add_argument("--margin", type=float, default=defaults.margin)
+    p.add_argument("--epochs", type=int, default=defaults.epochs_max)
+    p.add_argument("--patience", type=int, default=defaults.patience)
+    p.add_argument("--batch", type=int, default=defaults.batch_size)
+    p.add_argument("--corruption", choices=trainer.CORRUPTION_MODES,
+                   default=defaults.corruption_mode)
+    p.add_argument("--folds", type=int, default=None,
+                   help=f"fold count K (default: manifest value, else {Manifest.folds})")
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"split/train seed (default: manifest value, else {Manifest.seed})")
+
+
+def _inspect_flags(p) -> None:
+    p.add_argument("--dataset", required=True,
+                   help="dataset manifest (JSON) or triple file (TSV)")
+
+
+def _train_flags(p) -> None:
+    p.add_argument("--dataset", required=True)
+    p.add_argument("--fold", type=int, default=0)
+    p.add_argument("--out", default="model.sme")
+    _common_model_flags(p)
+
+
+def _eval_flags(p) -> None:
+    p.add_argument("--dataset", required=True)
+    p.add_argument("--out", default="report",
+                   help="output prefix; writes <out>.json and <out>.txt")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes; each trains a contiguous group of folds in "
+                        "one stacked loop (default 1; every fold's model is the same "
+                        "for any N)")
+    _common_model_flags(p)
+
+
+def _score_flags(p) -> None:
+    p.add_argument("--model", required=True)
+    p.add_argument("triples", nargs="+",
+                   help="each argument is one tab-separated 'lhs<TAB>rel<TAB>rhs'")
+
+
+# command -> (its line in `sme -h`, the builder that adds its flags), in help order
+_PARSERS = {
+    "inspect": ("ingestion statistics for a dataset", _inspect_flags),
+    "train": ("train one fold and write a model file", _train_flags),
+    "eval": ("cross-validated AUC-PR evaluation", _eval_flags),
+    "score": ("score triples with a trained model", _score_flags),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, holding every command's parser."""
     parser = argparse.ArgumentParser(
         prog="sme", allow_abbrev=False,
         description="Multi-relational link prediction with semantic matching energies.")
     sub = parser.add_subparsers(dest="command", required=True)
-    add_parser = partial(sub.add_parser, allow_abbrev=False)
-
-    def add_common_model_flags(p):
-        defaults = trainer.TrainConfig()
-        p.add_argument("--form", choices=FORMS, default="bilinear")
-        p.add_argument("--dim-d", type=int, default=10, help="entity embedding dimension")
-        p.add_argument("--dim-p", type=int, default=10, help="transformed embedding dimension")
-        p.add_argument("--lr", type=float, default=defaults.learning_rate)
-        p.add_argument("--margin", type=float, default=defaults.margin)
-        p.add_argument("--epochs", type=int, default=defaults.epochs_max)
-        p.add_argument("--patience", type=int, default=defaults.patience)
-        p.add_argument("--batch", type=int, default=defaults.batch_size)
-        p.add_argument("--corruption", choices=trainer.CORRUPTION_MODES,
-                       default=defaults.corruption_mode)
-        p.add_argument("--folds", type=int, default=None,
-                       help=f"fold count K (default: manifest value, else {Manifest.folds})")
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"split/train seed (default: manifest value, else {Manifest.seed})")
-
-    p_inspect = add_parser("inspect", help="ingestion statistics for a dataset")
-    p_inspect.add_argument("--dataset", required=True,
-                           help="dataset manifest (JSON) or triple file (TSV)")
-
-    p_train = add_parser("train", help="train one fold and write a model file")
-    p_train.add_argument("--dataset", required=True)
-    p_train.add_argument("--fold", type=int, default=0)
-    p_train.add_argument("--out", default="model.sme")
-    add_common_model_flags(p_train)
-
-    p_eval = add_parser("eval", help="cross-validated AUC-PR evaluation")
-    p_eval.add_argument("--dataset", required=True)
-    p_eval.add_argument("--out", default="report",
-                        help="output prefix; writes <out>.json and <out>.txt")
-    p_eval.add_argument("--jobs", type=int, default=1,
-                        help="worker processes; each trains a contiguous group of folds in "
-                             "one stacked loop (default 1; every fold's model is the same "
-                             "for any N)")
-    add_common_model_flags(p_eval)
-
-    p_score = add_parser("score", help="score triples with a trained model")
-    p_score.add_argument("--model", required=True)
-    p_score.add_argument("triples", nargs="+",
-                         help="each argument is one tab-separated 'lhs<TAB>rel<TAB>rhs'")
+    for command, (help_line, add_flags) in _PARSERS.items():
+        add_flags(sub.add_parser(command, help=help_line, allow_abbrev=False))
     return parser
+
+
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """One command's parser alone: the one the top-level parser holds for it."""
+    parser = argparse.ArgumentParser(prog=f"sme {command}", allow_abbrev=False)
+    _, add_flags = _PARSERS[command]
+    add_flags(parser)
+    return parser
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace of ``argv``, as the top-level parser gives it, or
+    SystemExit as argparse raises it. An argv that starts with a command
+    is parsed by that command's parser alone, which walks each argument
+    once; any other argv goes through the top-level parser."""
+    if argv and argv[0] in _PARSERS:
+        return _command_parser(argv[0]).parse_args(argv[1:],
+                                                    argparse.Namespace(command=argv[0]))
+    return _build_parser().parse_args(argv)
 
 
 def _text(path) -> str:
@@ -174,7 +208,8 @@ def cmd_score(args) -> int:
     if not np.isfinite(scores).all():
         raise NumericalError("non-finite score: the model's weights overflow")
     try:
-        print("\n".join(map("{}\t{:.17g}".format, args.triples, scores.tolist())), flush=True)
+        print("\n".join([f"{triple}\t{score:.17g}"
+                         for triple, score in zip(args.triples, scores.tolist())]), flush=True)
     except BrokenPipeError:   # every triple was scored; quiet the flush at exit too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK
@@ -189,9 +224,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -17,9 +17,10 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import os
+import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -52,9 +53,9 @@ def pr_curve(s: ScoredSet) -> tuple[np.ndarray, np.ndarray]:
     require_both_classes(labels, "the scored set")
     positives = scores[labels == 1]
     n_pos = len(positives)
-    if not np.isfinite(scores).all():
-        raise MetricError("AUC-PR undefined: non-finite score")
     ranked = np.sort(scores)
+    if not (ranked[0] > -np.inf and ranked[-1] < np.inf):   # a NaN sorts last
+        raise MetricError("AUC-PR undefined: non-finite score")
     q, counts = np.unique(positives, return_counts=True)
     q, n = q[::-1], len(ranked)   # the distinct positive scores, descending
     # run j of equal recall spans the thresholds from q[j] down to the one
@@ -107,6 +108,8 @@ class EvalReport:
     # per fold: epochs_run, best_epoch, stop_reason, secs, active (TrainTrace.summary)
     # and model_sha256, the SHA-256 of the bytes save_model writes for its model
     per_fold_run: list[dict] = field(default_factory=list)
+    # what produced the report (``environment``); in the JSON report only
+    env: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         # the fields in declaration order; vars, unlike asdict, copies no curve
@@ -123,8 +126,24 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
     def save(self, json_path, text_path) -> None:
-        Path(json_path).write_text(self.to_json(), encoding="utf-8")
-        Path(text_path).write_text(self.to_text(), encoding="utf-8")
+        modelfile.replace_file(json_path, self.to_json().encode("utf-8"))
+        modelfile.replace_file(text_path, self.to_text().encode("utf-8"))
+
+
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def environment() -> dict:
+    """The Python and numpy versions, the BLAS numpy was built with (name
+    and version, None where numpy does not say) and the BLAS thread
+    variables as set in the environment (None when unset)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError, AttributeError):   # a numpy without mode="dicts"
+        blas = None
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas,
+            **{name: os.environ.get(name) for name in _THREAD_VARIABLES}}
 
 
 def aggregate(per_fold: list[float]) -> tuple[float, float]:
@@ -193,4 +212,5 @@ def cross_validate(d: Dictionary, split: FoldSplit, form: str,
     mean, std = aggregate(per_fold)
     cfg_echo = {"form": form, "dim_d": dim_d, "dim_p": dim_p, **vars(config), "folds": split.k}
     return EvalReport(dataset_name, form, per_fold, mean, std, cfg_echo,
-                      [curve for _, curve, _ in results], [run for _, _, run in results])
+                      [curve for _, curve, _ in results], [run for _, _, run in results],
+                      environment())

@@ -16,12 +16,16 @@ The parameter blocks are the model's one parameter buffer (``model.py``),
 written with one ``tobytes`` and read with one ``frombuffer``.
 Round-tripping reproduces every float bitwise. ``model_bytes`` builds the
 bytes ``save_model`` writes, in memory; the evaluation report's
-``model_sha256`` is their digest.
+``model_sha256`` is their digest. ``replace_file`` writes a file whole,
+for the model and for the evaluation report.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import secrets
+import stat
 import struct
 from pathlib import Path
 
@@ -36,7 +40,32 @@ _FORM_NAMES = {v: k for k, v in _FORM_CODES.items()}
 
 
 def save_model(model: Model, path) -> None:
-    Path(path).write_bytes(model_bytes(model))
+    replace_file(path, model_bytes(model))
+
+
+def replace_file(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a new file in its directory that
+    is renamed over it, so an interrupted or failed write leaves the old
+    file or none, never a torn one. As with ``Path.write_bytes``, a new
+    file's mode is 0o666 less the umask, an existing file keeps its mode,
+    and a symlink is written through to its target."""
+    target = Path(os.path.realpath(path))
+    while True:
+        tmp = target.with_name(f".{target.name}.{secrets.token_hex(4)}.tmp")
+        try:
+            fh = open(tmp, "xb")
+            break
+        except FileExistsError:
+            continue
+    try:
+        with fh:
+            if target.exists():
+                os.chmod(fh.fileno(), stat.S_IMODE(target.stat().st_mode))
+            fh.write(data)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def model_bytes(model: Model) -> bytes:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import select
 import signal
 import subprocess
@@ -646,6 +647,87 @@ class TestExitCodes:
         assert out == "" and err == "error: raised by the command\n"
 
 
+def _outputs(command, out):
+    """The files ``command`` writes for ``--out out``."""
+    return [out] if command == "train" else [out.with_name(out.name + ext)
+                                             for ext in (".json", ".txt")]
+
+
+def _small_run(command, manifest, out):
+    return [command, "--dataset", str(manifest), "--form", "linear", "--dim-d", "4",
+            "--dim-p", "4", "--epochs", "1", "--folds", "2", "--out", str(out)]
+
+
+def _file_size_limit(nbytes):
+    """A child's set-up: a write past ``nbytes`` of a file fails with EFBIG
+    (SIGXFSZ, which would kill the child instead, is ignored)."""
+    def limit():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (nbytes, resource.RLIM_INFINITY))
+    return limit
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+class TestOutputsReplacedWhole:
+    """``train`` and ``eval`` write each output file to a new file in its
+    directory and rename it over the output: a failed write leaves the old
+    file, and the new file is made as ``Path.write_bytes`` makes one."""
+
+    def test_failed_write_leaves_the_old_file(self, toy_files, command):
+        tmp_path, manifest, _ = toy_files
+        outs = _outputs(command, tmp_path / "out")
+        for path in outs:
+            path.write_bytes(b"old bytes of " + path.name.encode())
+        before = sorted(os.listdir(tmp_path))
+        # each output file is longer than 64 bytes: its write fails after the first 64
+        proc = subprocess.run([sys.executable, "-m", "sme.cli",
+                               *_small_run(command, manifest, tmp_path / "out")],
+                              env=dict(_child_env(), PYTHONDONTWRITEBYTECODE="1"),
+                              capture_output=True, text=True, timeout=300,
+                              preexec_fn=_file_size_limit(64))
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "error: [Errno 27] File too large\n"
+        assert sorted(os.listdir(tmp_path)) == before
+        assert [p.read_bytes() for p in outs] == [b"old bytes of " + p.name.encode()
+                                                  for p in outs]
+
+    def test_mode_of_a_new_file_and_of_an_old_one(self, toy_files, monkeypatch, command):
+        monkeypatch.setenv("SME_LOG", "quiet")
+        tmp_path, manifest, _ = toy_files
+        old = os.umask(0o027)
+        try:
+            (tmp_path / "by_write_bytes").write_bytes(b"")
+            assert run(_small_run(command, manifest, tmp_path / "new")) == 0
+        finally:
+            os.umask(old)
+        want = os.stat(tmp_path / "by_write_bytes").st_mode
+        assert {os.stat(p).st_mode for p in _outputs(command, tmp_path / "new")} == {want}
+        outs = _outputs(command, tmp_path / "old")
+        for path in outs:
+            path.write_bytes(b"")
+            path.chmod(0o604)
+        assert run(_small_run(command, manifest, tmp_path / "old")) == 0
+        assert all(p.stat().st_size > 0 and p.stat().st_mode & 0o777 == 0o604 for p in outs)
+
+    def test_symlinked_out_is_written_through(self, toy_files, monkeypatch, command):
+        monkeypatch.setenv("SME_LOG", "quiet")
+        tmp_path, manifest, _ = toy_files
+        (tmp_path / "real").mkdir()
+        plain, real = _outputs(command, tmp_path / "plain"), _outputs(command,
+                                                                      tmp_path / "real" / "o")
+        links = _outputs(command, tmp_path / "link")
+        for link, target in zip(links, real):
+            target.write_bytes(b"old")
+            link.symlink_to(target)
+        assert run(_small_run(command, manifest, tmp_path / "plain")) == 0
+        assert run(_small_run(command, manifest, tmp_path / "link")) == 0
+        for link, target, want in zip(links, real, plain):
+            assert link.is_symlink() and os.readlink(link) == str(target)
+            if link.suffix != ".json":   # the JSON report holds run times
+                assert target.read_bytes() == want.read_bytes()
+        assert sorted(os.listdir(tmp_path / "real")) == sorted(p.name for p in real)
+
+
 class TestInterrupt:
     @pytest.mark.parametrize("argv", [["train", "--out", "m.sme"],
                                       ["eval", "--jobs", "1", "--out", "report"]],
@@ -691,6 +773,176 @@ class TestNoAbbreviatedFlags:
         assert code == 2
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
         assert not list(tmp_path.glob("out*"))
+
+
+TOP_HELP = """\
+usage: sme [-h] {inspect,train,eval,score} ...
+
+Multi-relational link prediction with semantic matching energies.
+
+positional arguments:
+  {inspect,train,eval,score}
+    inspect             ingestion statistics for a dataset
+    train               train one fold and write a model file
+    eval                cross-validated AUC-PR evaluation
+    score               score triples with a trained model
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+INSPECT_HELP = """\
+usage: sme inspect [-h] --dataset DATASET
+
+options:
+  -h, --help         show this help message and exit
+  --dataset DATASET  dataset manifest (JSON) or triple file (TSV)
+"""
+
+MODEL_FLAGS_HELP = """\
+  --form {linear,bilinear}
+  --dim-d DIM_D         entity embedding dimension
+  --dim-p DIM_P         transformed embedding dimension
+  --lr LR
+  --margin MARGIN
+  --epochs EPOCHS
+  --patience PATIENCE
+  --batch BATCH
+  --corruption {lhs,rhs,both}
+  --folds FOLDS         fold count K (default: manifest value, else 10)
+  --seed SEED           split/train seed (default: manifest value, else 0)
+"""
+
+TRAIN_HELP = """\
+usage: sme train [-h] --dataset DATASET [--fold FOLD] [--out OUT]
+                 [--form {linear,bilinear}] [--dim-d DIM_D] [--dim-p DIM_P]
+                 [--lr LR] [--margin MARGIN] [--epochs EPOCHS]
+                 [--patience PATIENCE] [--batch BATCH]
+                 [--corruption {lhs,rhs,both}] [--folds FOLDS] [--seed SEED]
+
+options:
+  -h, --help            show this help message and exit
+  --dataset DATASET
+  --fold FOLD
+  --out OUT
+""" + MODEL_FLAGS_HELP
+
+EVAL_HELP = """\
+usage: sme eval [-h] --dataset DATASET [--out OUT] [--jobs JOBS]
+                [--form {linear,bilinear}] [--dim-d DIM_D] [--dim-p DIM_P]
+                [--lr LR] [--margin MARGIN] [--epochs EPOCHS]
+                [--patience PATIENCE] [--batch BATCH]
+                [--corruption {lhs,rhs,both}] [--folds FOLDS] [--seed SEED]
+
+options:
+  -h, --help            show this help message and exit
+  --dataset DATASET
+  --out OUT             output prefix; writes <out>.json and <out>.txt
+  --jobs JOBS           worker processes; each trains a contiguous group of
+                        folds in one stacked loop (default 1; every fold's
+                        model is the same for any N)
+""" + MODEL_FLAGS_HELP
+
+SCORE_HELP = """\
+usage: sme score [-h] --model MODEL triples [triples ...]
+
+positional arguments:
+  triples        each argument is one tab-separated 'lhs<TAB>rel<TAB>rhs'
+
+options:
+  -h, --help     show this help message and exit
+  --model MODEL
+"""
+
+TRIPLE = "e0\tsame\te1"
+
+
+# argv, the exit code argparse raises (None: parsed), stdout, the start of the
+# last stderr line (None: not checked)
+ROUTE_CASES = [
+    (["inspect", "--dataset", "d.tsv"], None, "", None),
+    (["train", "--dataset", "d.tsv", "--epochs", "1", "--form", "linear", "--out", "m.sme"],
+     None, "", None),
+    (["eval", "--dataset", "d.json", "--jobs", "2", "--folds", "3", "--seed", "5"],
+     None, "", None),
+    (["score", "--model", "m.sme", TRIPLE, "e1\tsame\te0"], None, "", None),
+    (["score", "--model=m.sme", TRIPLE], None, "", None),
+    (["score", "--model", "m.sme", "--", "-e0\tsame\te1"], None, "", None),
+    ([], 2, "", "sme: error: the following arguments are required: command"),
+    (["-h"], 0, TOP_HELP, None),
+    (["bogus"], 2, "", "sme: error: argument command: invalid choice: 'bogus'"),
+    (["inspect", "-h"], 0, INSPECT_HELP, None),
+    (["train", "-h"], 0, TRAIN_HELP, None),
+    (["eval", "-h"], 0, EVAL_HELP, None),
+    (["score", "-h"], 0, SCORE_HELP, None),
+    (["score", "--model", "m.sme", TRIPLE, "-h"], 0, SCORE_HELP, None),
+    (["inspect"], 2, "", "sme inspect: error: the following arguments are required: "
+                         "--dataset"),
+    (["train", "--epochs", "1"], 2, "", "sme train: error: the following arguments are "
+                                       "required: --dataset"),
+    (["eval"], 2, "", "sme eval: error: the following arguments are required: --dataset"),
+    (["score", TRIPLE], 2, "", "sme score: error: the following arguments are required: "
+                               "--model"),
+    (["score", "--model", "m.sme"], 2, "", "sme score: error: the following arguments "
+                                           "are required: triples"),
+    (["score", "--model", "m.sme", "--bogus", TRIPLE], 2, "",
+     "sme score: error: unrecognized arguments: --bogus"),
+    (["score", "--model", "m.sme", TRIPLE, "--bogus"], 2, "",
+     "sme score: error: unrecognized arguments: --bogus"),
+    (["inspect", "--dataset", "d.tsv", "--bogus"], 2, "",
+     "sme inspect: error: unrecognized arguments: --bogus"),
+    (["eval", "--dataset", "d.tsv", "--fold", "3"], 2, "",
+     "sme eval: error: unrecognized arguments: --fold 3"),
+    (["train", "--dataset", "d.tsv", "--epoch", "2"], 2, "",
+     "sme train: error: unrecognized arguments: --epoch 2"),
+    (["score", "--model", "m.sme", "-e0\tsame\te1"], 2, "",
+     "sme score: error: the following arguments are required: triples"),
+    (["train", "--dataset", "d.tsv", "--form", "cubic"], 2, "",
+     "sme train: error: argument --form: invalid choice: 'cubic'"),
+]
+
+
+class TestRoute:
+    """``cli.parse_args``, the route from an argv to its namespace, which
+    ``main`` takes: the exit code and stdout of each argv are those of the
+    one top-level parser it replaces, and an argv it parses gives that
+    parser's namespace. An unrecognized argument is the one error whose
+    text differs: it names the command's parser, not the top-level one."""
+
+    @pytest.mark.parametrize("argv, code, out, last_err", ROUTE_CASES,
+                             ids=[" ".join(case[0]).replace("\t", "<TAB>") or "no-arguments"
+                                  for case in ROUTE_CASES])
+    def test_exit_code_stdout_and_namespace(self, monkeypatch, capsys, argv, code, out,
+                                            last_err):
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            args = cli.parse_args(argv)
+        except SystemExit as exc:
+            got_out, err = capsys.readouterr()
+            assert (exc.code, got_out) == (code, out)
+            if last_err is not None:
+                assert err.splitlines()[-1].startswith(last_err)
+            if code:   # main runs no command on a refused argv
+                assert cli.main(argv) == cli.EXIT_USAGE
+            return
+        assert code is None and capsys.readouterr() == (out, "")
+        assert args == cli._build_parser().parse_args(argv)
+
+    def test_score_builds_only_its_own_parser(self, monkeypatch, capsys, tmp_path):
+        built, top = [], []
+        for command, (help_line, add_flags) in cli._PARSERS.items():
+            def spy(parser, command=command, add_flags=add_flags):
+                built.append(command)
+                add_flags(parser)
+            monkeypatch.setitem(cli._PARSERS, command, (help_line, spy))
+        build_parser = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda: top.append(1) or build_parser())
+        # parsed, then the missing model file ends the command with exit 3
+        assert cli.main(["score", "--model", str(tmp_path / "none.sme"), TRIPLE]) == 3
+        assert (built, top) == (["score"], [])
+        assert cli.main(["-h"]) == 0
+        assert (built, top) == (["score", "inspect", "train", "eval", "score"], [1])
+        capsys.readouterr()
 
 
 def train_capped(tsv, out, flags, command="train", timeout=300):

@@ -1,4 +1,6 @@
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
@@ -58,9 +60,13 @@ class TestAucPr:
         with pytest.raises(MetricError):
             auc_pr(scored([1, 2], [0, 0]))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_scores_rejected(self, bad):
-        s = scored([bad, 0.5, 0.1, bad], [1, 0, 1, 0])
+    @pytest.mark.parametrize("scores, labels", [
+        *(([bad, 0.5, 0.1, bad], [1, 0, 1, 0]) for bad in (np.nan, np.inf, -np.inf)),
+        ([0.5, np.nan, 0.1, np.inf], [1, 0, 1, 0]),    # a NaN and +inf together
+        ([0.5, -np.inf, 0.1, 0.3], [1, 1, 1, 0]),      # a lone -inf among the positives
+    ], ids=["nan", "inf", "-inf", "nan-and-inf", "lone-minus-inf-positive"])
+    def test_non_finite_scores_rejected(self, scores, labels):
+        s = scored(scores, labels)
         with pytest.raises(MetricError, match="non-finite"):
             pr_curve(s)
         with pytest.raises(MetricError, match="non-finite"):
@@ -304,6 +310,24 @@ class TestCrossValidate:
         with pytest.raises(ConfigError) as serial:
             cross_validate(d, split, jobs=1, **args)
         assert str(parallel.value) == str(serial.value)
+
+    def test_env_in_the_json_report_only(self, toy_dataset, monkeypatch):
+        d, ts = toy_dataset
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        report = cross_validate(d, make_folds(ts, 2, seed=0), LINEAR, 4, 4,
+                                TrainConfig(epochs_max=1, seed=0))
+        env = json.loads(report.to_json())["env"]
+        assert env == report.env == evaluator.environment()
+        assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
+        assert env["OMP_NUM_THREADS"] == "3" and env["MKL_NUM_THREADS"] is None
+        assert env["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
+        assert env["blas"] is None or set(env["blas"]) == {"name", "version"}
+        assert "python" not in report.to_text()
+
+    def test_env_blas_is_null_where_numpy_does_not_say(self, monkeypatch):
+        monkeypatch.setattr(np, "show_config", lambda: None)   # a numpy without mode=
+        assert evaluator.environment()["blas"] is None
 
     def test_per_fold_run_summary(self, toy_dataset):
         d, ts = toy_dataset
