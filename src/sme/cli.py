@@ -73,22 +73,13 @@ def _score_flags(p) -> None:
                    help="each argument is one tab-separated 'lhs<TAB>rel<TAB>rhs'")
 
 
-# command -> (its line in `sme -h`, the builder that adds its flags), in help order
-_PARSERS = {
-    "inspect": ("ingestion statistics for a dataset", _inspect_flags),
-    "train": ("train one fold and write a model file", _train_flags),
-    "eval": ("cross-validated AUC-PR evaluation", _eval_flags),
-    "score": ("score triples with a trained model", _score_flags),
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     """The top-level parser, holding every command's parser."""
     parser = argparse.ArgumentParser(
         prog="sme", allow_abbrev=False,
         description="Multi-relational link prediction with semantic matching energies.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_line, add_flags) in _PARSERS.items():
+    for command, (help_line, add_flags, _) in _PARSERS.items():
         add_flags(sub.add_parser(command, help=help_line, allow_abbrev=False))
     return parser
 
@@ -96,8 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _command_parser(command: str) -> argparse.ArgumentParser:
     """One command's parser alone: the one the top-level parser holds for it."""
     parser = argparse.ArgumentParser(prog=f"sme {command}", allow_abbrev=False)
-    _, add_flags = _PARSERS[command]
-    add_flags(parser)
+    _PARSERS[command][1](parser)
     return parser
 
 
@@ -215,11 +205,13 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "inspect": cmd_inspect,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "score": cmd_score,
+# command -> (its line in `sme -h`, the builder that adds its flags, its
+# handler), in help order
+_PARSERS = {
+    "inspect": ("ingestion statistics for a dataset", _inspect_flags, cmd_inspect),
+    "train": ("train one fold and write a model file", _train_flags, cmd_train),
+    "eval": ("cross-validated AUC-PR evaluation", _eval_flags, cmd_eval),
+    "score": ("score triples with a trained model", _score_flags, cmd_score),
 }
 
 
@@ -229,7 +221,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        return _PARSERS[args.command][2](args)
     except SmeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

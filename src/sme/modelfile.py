@@ -47,20 +47,31 @@ def replace_file(path, data: bytes) -> None:
     """Write ``data`` to ``path`` through a new file in its directory that
     is renamed over it, so an interrupted or failed write leaves the old
     file or none, never a torn one. As with ``Path.write_bytes``, a new
-    file's mode is 0o666 less the umask, an existing file keeps its mode,
-    and a symlink is written through to its target."""
+    file's mode is 0o666 less the umask, an existing file keeps its mode
+    bits, and a symlink is written through to its target. What a rename
+    would change is written in place, as ``Path.write_bytes`` writes it:
+    a path that is not a regular file (a device or a FIFO), a file with
+    another hard link or another owner, and a file in a directory where
+    no new file can be made."""
     target = Path(os.path.realpath(path))
-    while True:
-        tmp = target.with_name(f".{target.name}.{secrets.token_hex(4)}.tmp")
-        try:
-            fh = open(tmp, "xb")
-            break
-        except FileExistsError:
-            continue
+    try:
+        st = target.stat()
+    except FileNotFoundError:
+        st = None
+    if st is not None and (not stat.S_ISREG(st.st_mode) or st.st_nlink > 1
+                           or st.st_uid != os.geteuid()):
+        target.write_bytes(data)
+        return
+    tmp = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        fh = open(tmp, "xb")
+    except PermissionError:
+        target.write_bytes(data)
+        return
     try:
         with fh:
-            if target.exists():
-                os.chmod(fh.fileno(), stat.S_IMODE(target.stat().st_mode))
+            if st is not None:
+                os.chmod(fh.fileno(), stat.S_IMODE(st.st_mode))
             fh.write(data)
         os.replace(tmp, target)
     except BaseException:

@@ -4,8 +4,10 @@ import os
 import resource
 import select
 import signal
+import stat
 import subprocess
 import sys
+import threading
 import time
 import warnings
 
@@ -641,7 +643,8 @@ class TestExitCodes:
         def fail(args):
             raise cls("raised by the command")
 
-        monkeypatch.setitem(cli._COMMANDS, "inspect", fail)
+        help_line, add_flags, _ = cli._PARSERS["inspect"]
+        monkeypatch.setitem(cli._PARSERS, "inspect", (help_line, add_flags, fail))
         assert run(["inspect", "--dataset", "unused.tsv"]) == code
         out, err = capsys.readouterr()
         assert out == "" and err == "error: raised by the command\n"
@@ -726,6 +729,50 @@ class TestOutputsReplacedWhole:
             if link.suffix != ".json":   # the JSON report holds run times
                 assert target.read_bytes() == want.read_bytes()
         assert sorted(os.listdir(tmp_path / "real")) == sorted(p.name for p in real)
+
+    def test_fifo_out_stays_a_fifo(self, toy_files, monkeypatch, command):
+        # a FIFO is written into, as a plain write writes it, not renamed over
+        monkeypatch.setenv("SME_LOG", "quiet")
+        tmp_path, manifest, _ = toy_files
+        fifos = _outputs(command, tmp_path / "fifo")
+        got = {}
+
+        def read(path):
+            with open(path, "rb") as fh:
+                got[path] = fh.read()
+
+        readers = []
+        for path in fifos:
+            os.mkfifo(path)
+            readers.append(threading.Thread(target=read, args=(path,), daemon=True))
+            readers[-1].start()
+        try:
+            assert run(_small_run(command, manifest, tmp_path / "fifo")) == 0
+        finally:
+            for path, reader in zip(fifos, readers):
+                reader.join(timeout=10)
+                if reader.is_alive():   # nothing opened the FIFO: let its reader end
+                    os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+        assert run(_small_run(command, manifest, tmp_path / "plain")) == 0
+        for path, plain in zip(fifos, _outputs(command, tmp_path / "plain")):
+            assert stat.S_ISFIFO(os.lstat(path).st_mode)
+            if path.suffix == ".json":   # the JSON report holds run times
+                assert json.loads(got[path]).keys() == json.loads(plain.read_bytes()).keys()
+            else:
+                assert got[path] == plain.read_bytes()
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+
+    def test_hard_linked_out_keeps_its_link(self, toy_files, monkeypatch, command):
+        # both names of a hard-linked file see the new bytes, as after a plain write
+        monkeypatch.setenv("SME_LOG", "quiet")
+        tmp_path, manifest, _ = toy_files
+        outs, others = _outputs(command, tmp_path / "out"), _outputs(command, tmp_path / "other")
+        for out, other in zip(outs, others):
+            out.write_bytes(b"old")
+            os.link(out, other)
+        assert run(_small_run(command, manifest, tmp_path / "out")) == 0
+        for out, other in zip(outs, others):
+            assert out.samefile(other) and out.read_bytes() == other.read_bytes() != b"old"
 
 
 class TestInterrupt:
@@ -930,11 +977,11 @@ class TestRoute:
 
     def test_score_builds_only_its_own_parser(self, monkeypatch, capsys, tmp_path):
         built, top = [], []
-        for command, (help_line, add_flags) in cli._PARSERS.items():
+        for command, (help_line, add_flags, handler) in cli._PARSERS.items():
             def spy(parser, command=command, add_flags=add_flags):
                 built.append(command)
                 add_flags(parser)
-            monkeypatch.setitem(cli._PARSERS, command, (help_line, spy))
+            monkeypatch.setitem(cli._PARSERS, command, (help_line, spy, handler))
         build_parser = cli._build_parser
         monkeypatch.setattr(cli, "_build_parser", lambda: top.append(1) or build_parser())
         # parsed, then the missing model file ends the command with exit 3

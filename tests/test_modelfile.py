@@ -1,10 +1,11 @@
+import os
 import struct
 import warnings
 
 import numpy as np
 import pytest
 
-from sme import cli
+from sme import cli, modelfile
 from sme.errors import IntegrityError
 from sme.model import BILINEAR, LINEAR, Model, init_embeddings, init_params
 from sme.modelfile import load_model, save_model
@@ -183,3 +184,35 @@ def test_overflowing_score_exits_4_from_score(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "non-finite score" in captured.err
+
+
+def test_replace_file_renames_a_new_file_over_the_old(tmp_path):
+    path = tmp_path / "out"
+    path.write_bytes(b"old")
+    inode = path.stat().st_ino
+    modelfile.replace_file(path, b"new")
+    assert path.read_bytes() == b"new" and path.stat().st_ino != inode
+    assert os.listdir(tmp_path) == ["out"]
+
+
+def test_replace_file_writes_another_owners_file_in_place(tmp_path, monkeypatch):
+    # a rename would make the file ours; a plain write keeps its owner
+    path = tmp_path / "out"
+    path.write_bytes(b"old")
+    inode = path.stat().st_ino
+    monkeypatch.setattr(os, "geteuid", lambda: path.stat().st_uid + 1)
+    modelfile.replace_file(path, b"new")
+    assert path.read_bytes() == b"new" and path.stat().st_ino == inode
+
+
+def test_replace_file_writes_in_place_where_no_new_file_can_be_made(tmp_path, monkeypatch):
+    # as in a directory that is not writable
+    def refuse(path, mode):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    path = tmp_path / "out"
+    path.write_bytes(b"old")
+    inode = path.stat().st_ino
+    monkeypatch.setattr(modelfile, "open", refuse, raising=False)
+    modelfile.replace_file(path, b"new")
+    assert path.read_bytes() == b"new" and path.stat().st_ino == inode
